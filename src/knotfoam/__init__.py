@@ -7,6 +7,8 @@ homology over Z (with torsion), the Jones polynomial, Lee homology, and
 the Rasmussen s-invariant with its slice-genus bound.
 """
 
+__version__ = "0.1.0"
+
 from .polyring import IntPoly2, LaurentQ
 from .foam import (
     Binding,
@@ -68,5 +70,3 @@ from .lee import (
     s_invariant,
     slice_genus_lower_bound,
 )
-
-__version__ = "0.1.0"

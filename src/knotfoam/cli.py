@@ -24,7 +24,7 @@ import os
 import sys
 import time
 
-from . import errors
+from . import __version__, errors
 from .diagram import braid_to_pd, link_components, parse_pd, compute_signs
 from .foam import evaluate_foam, foam_from_json
 from .graphs import graded_dimension, graph_evaluation, graph_from_json
@@ -33,7 +33,7 @@ from .khovanov import KH, build_complex, graded_euler_characteristic
 from .lee import build_lee, lee_rank, s_invariant, slice_genus_lower_bound
 from .relations import verify_all_relations
 
-TOOL_VERSION = "knotfoam-0.1.0"
+TOOL_VERSION = "knotfoam-" + __version__
 
 _INPUT_ERRORS = (
     errors.ParseError,
@@ -63,9 +63,6 @@ def main(argv=None):
     inv.add_argument("--braid", help="braid word, e.g. '1 1 1'")
     inv.add_argument("--strands", type=int, help="strand count for --braid")
     inv.add_argument("--format", choices=("table", "json"), default="table")
-    inv.add_argument("--threads", type=int, default=1,
-                     help="accepted for interface compatibility; results "
-                     "are computed deterministically")
     inv.add_argument("--cache", default=None, help="cache directory "
                      "(default: KNOTFOAM_CACHE environment variable)")
     inv.add_argument("--max-crossings", type=int, default=14)
@@ -114,35 +111,71 @@ def _cmd_invariants(args):
         if args.strands is None:
             print("input error: --braid needs --strands", file=sys.stderr)
             return 2
-        word = [int(w) for w in args.braid.replace(",", " ").split()]
+        try:
+            word = [int(w) for w in args.braid.replace(",", " ").split()]
+        except ValueError:
+            raise errors.ParseError(
+                "braid word must list integers, got %r" % args.braid
+            ) from None
         pd = braid_to_pd(word, args.strands)
         echo = {"braid": word, "strands": args.strands, "pd": str(pd)}
 
     skip = set(args.skip)
     cache_dir = args.cache or os.environ.get("KNOTFOAM_CACHE")
-    key = None
     if cache_dir:
         payload = "|".join((TOOL_VERSION, str(pd), ",".join(sorted(skip))))
         key = hashlib.sha256(payload.encode()).hexdigest()
         path = os.path.join(cache_dir, key + ".json")
-        if os.path.exists(path):
-            with open(path) as fh:
-                record = json.load(fh)
-            _emit(record, args.format)
+        text = _read_cache(path, args.format)
+        if text is not None:
+            sys.stdout.write(text)
             print("cache hit: %s" % path, file=sys.stderr)
             return 0
 
     record, timings = _compute_record(pd, echo, skip, args.max_crossings)
     if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, key + ".json")
-        with open(path, "w") as fh:
-            json.dump(record, fh, sort_keys=True)
-            fh.write("\n")
-    _emit(record, args.format)
+        _write_cache(path, record)
+    sys.stdout.write(_render(record, args.format))
     for stage, dt in timings.items():
         print("timing %-10s %.3fs" % (stage, dt), file=sys.stderr)
     return 0
+
+
+def _read_cache(path, fmt):
+    """The rendered cache entry at ``path``, or None on a miss.
+
+    An entry that cannot be read, decoded or rendered, or that another
+    tool version wrote, counts as a miss and is recomputed.
+    """
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+        if isinstance(record, dict) and record.get("tool_version") == TOOL_VERSION:
+            return _render(record, fmt)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, KeyError, TypeError):
+        pass
+    print("cache entry unreadable or stale, recomputing: %s" % path,
+          file=sys.stderr)
+    return None
+
+
+def _write_cache(path, record):
+    """Write the entry to a file of this process, then move it into place.
+
+    Readers, concurrent writers included, see a whole entry or none.
+    """
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(record, fh, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _compute_record(pd, echo, skip, max_crossings):
@@ -182,7 +215,7 @@ def _compute_record(pd, echo, skip, max_crossings):
         timings["lee"] = time.perf_counter() - t0
         if "s" not in skip and components == 1:
             t0 = time.perf_counter()
-            s, detail = s_invariant(pd, max_crossings=max_crossings)
+            s, detail = s_invariant(pd, max_crossings=max_crossings, fc=fc)
             record["s"] = s
             record["s_min"] = detail["s_min"]
             record["s_max"] = detail["s_max"]
@@ -191,36 +224,47 @@ def _compute_record(pd, echo, skip, max_crossings):
     return record, timings
 
 
-def _emit(record, fmt):
+def _render(record, fmt):
+    """The stdout text of a record."""
     if fmt == "json":
-        print(json.dumps(record, sort_keys=True))
-        return
+        return json.dumps(record, sort_keys=True) + "\n"
     echo = record["input"]
-    print("input: %s" % json.dumps(echo, sort_keys=True))
-    print("crossings: %d positive, %d negative   components: %d"
-          % (record["n_plus"], record["n_minus"], record["components"]))
-    print("jones: %s" % record["jones"])
-    print("khovanov homology:")
-    print("  %4s %4s %6s  %s" % ("i", "q", "betti", "torsion"))
+    lines = [
+        "input: %s" % json.dumps(echo, sort_keys=True),
+        "crossings: %d positive, %d negative   components: %d"
+        % (record["n_plus"], record["n_minus"], record["components"]),
+        "jones: %s" % record["jones"],
+        "khovanov homology:",
+        "  %4s %4s %6s  %s" % ("i", "q", "betti", "torsion"),
+    ]
     for row in record["khovanov"]:
         torsion = ",".join("Z/%d" % t for t in row["torsion"]) or "-"
-        print("  %4d %4d %6d  %s" % (row["i"], row["q"], row["betti"], torsion))
+        lines.append("  %4d %4d %6d  %s"
+                     % (row["i"], row["q"], row["betti"], torsion))
     if record["lee_rank"] is not None:
-        print("lee rank: %d" % record["lee_rank"])
+        lines.append("lee rank: %d" % record["lee_rank"])
     if record["s"] is not None:
-        print("s-invariant: %d   (s_min=%d, s_max=%d)   slice genus >= %d"
-              % (record["s"], record["s_min"], record["s_max"],
-                 record["slice_genus_lower_bound"]))
+        lines.append("s-invariant: %d   (s_min=%d, s_max=%d)   slice genus >= %d"
+                     % (record["s"], record["s_min"], record["s_max"],
+                        record["slice_genus_lower_bound"]))
+    return "\n".join(lines) + "\n"
+
+
+def _load_json(path):
+    """The JSON document in ``path``; an unreadable file is an input error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise errors.ParseError(
+            "cannot read %s: %s" % (path, exc.strerror or exc)
+        ) from None
+    except ValueError as exc:  # malformed JSON or text encoding
+        raise errors.ParseError(str(exc)) from None
 
 
 def _cmd_eval_foam(args):
-    with open(args.path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            print("input error: %s" % exc, file=sys.stderr)
-            return 2
-    foam = foam_from_json(data)
+    foam = foam_from_json(_load_json(args.path))
     value = evaluate_foam(foam)
     print(value)
     print("symmetric: %s" % ("true" if value.is_symmetric() else "false"))
@@ -228,13 +272,7 @@ def _cmd_eval_foam(args):
 
 
 def _cmd_graph_dim(args):
-    with open(args.path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            print("input error: %s" % exc, file=sys.stderr)
-            return 2
-    g = graph_from_json(data)
+    g = graph_from_json(_load_json(args.path))
     dim = graded_dimension(g)
     print(dim)
     agrees = dim == graph_evaluation(g)

@@ -109,16 +109,19 @@ def _state_tuple(mask, n):
     return tuple((mask >> j) & 1 for j in range(n))
 
 
-def _sign(state, j):
-    return -1 if sum(state[:j]) % 2 else 1
-
-
 def build_complex(pd, side=KH, max_crossings=14):
     """Build the Khovanov or Lee complex of a diagram.
 
     The Lee complex carries the same generators and q-degrees; its
     differential decomposes as the Khovanov part plus a part raising
     q-degree by 4.
+
+    States are taken in binary order (crossing j is bit j) and each
+    state's generators form one run of its degree's list, starting at a
+    base offset: a generator's index is that base plus its labels read
+    as a bitmask, the first (smallest) circle id being the most
+    significant bit.  The label maps of each cube edge are worked out
+    once per edge, so an entry costs a few integer operations.
     """
     n = pd.n
     if n > max_crossings:
@@ -126,104 +129,82 @@ def build_complex(pd, side=KH, max_crossings=14):
     n_plus, n_minus, _ = compute_signs(pd)
     cx = GradedChainComplex(side, n_plus, n_minus)
 
-    smoothings = {}
+    # per state: the circle of each arc, the label bit of each circle
+    # (in circle id order) and the base index
+    labelings = {}
+    members, bits, base = [], [], []
     for mask in range(2 ** n):
         st = _state_tuple(mask, n)
-        smoothings[st] = smooth_state(pd, State(st))
-
-    # generators, grouped by homological degree, states in binary order
-    index = {}
-    for mask in range(2 ** n):
-        st = _state_tuple(mask, n)
-        res = smoothings[st]
-        circles = sorted(set(res.membership.values())) if n else [0]
+        membership = smooth_state(pd, State(st)).membership
+        cids = tuple(sorted(set(membership.values()))) if n else (0,)
+        c = len(cids)
         i = sum(st) - n_minus
         bucket = cx.generators.setdefault(i, [])
-        for labels in itertools.product((0, 1), repeat=len(circles)):
-            q = (labels.count(0) - labels.count(1)) + i + n_plus - n_minus
-            g = Generator(st, tuple(circles), labels, i, q)
-            index[(st, labels)] = (i, len(bucket))
-            bucket.append(g)
+        members.append(membership)
+        bits.append({cid: c - 1 - k for k, cid in enumerate(cids)})
+        base.append(len(bucket))
+        if c not in labelings:
+            labelings[c] = list(itertools.product((0, 1), repeat=c))
+        q0 = c + i + n_plus - n_minus
+        bucket.extend(Generator(st, cids, labels, i, q0 - 2 * sum(labels))
+                      for labels in labelings[c])
 
     merge_map = edge_map("merge", side)
     split_map = edge_map("split", side)
+    # every (row, col) key takes its ints from this one list, so equal
+    # indices are one object rather than one int per key
+    ints = list(range(max(len(gens) for gens in cx.generators.values())))
 
     for mask in range(2 ** n):
-        st = _state_tuple(mask, n)
-        src = smoothings[st]
-        src_circles = sorted(set(src.membership.values()))
-        i = sum(st) - n_minus
+        src, src_bits, col0 = members[mask], bits[mask], base[mask]
         for j in range(n):
-            if st[j]:
+            if mask >> j & 1:
                 continue
-            tgt_state = tuple(
-                (1 if k == j else st[k]) for k in range(n)
-            )
-            tgt = smoothings[tgt_state]
-            sign = _sign(st, j)
-            a, b, c, d = pd.crossings[j]
-            c1 = src.membership[a]
-            c2 = src.membership[c]
-            entries = cx.differentials.setdefault(i, {})
+            tmask = mask | 1 << j
+            tgt, tgt_bit, row0 = members[tmask], bits[tmask], base[tmask]
+            sign = -1 if (mask & ((1 << j) - 1)).bit_count() % 2 else 1
+            a, b, c, _d = pd.crossings[j]
+            c1, c2 = src[a], src[c]
+            # outs[k]: (target bits of the touched circles, entry) for the
+            # source labels k of the touched circles
             if c1 != c2:
                 # two circles merge into one
-                tcid = tgt.membership[a]
-                others = [cid for cid in src_circles if cid not in (c1, c2)]
-                corr = _correspondence(src, tgt, others)
-                for labels in itertools.product((0, 1), repeat=len(src_circles)):
-                    la = labels[src_circles.index(c1)]
-                    lb = labels[src_circles.index(c2)]
-                    for lc, coeff in merge_map[(la, lb)].items():
-                        _add_entry(
-                            entries, index, st, labels, tgt_state, src_circles,
-                            tgt, corr, {tcid: lc}, coeff * sign,
-                        )
+                touched = {c1: 2, c2: 1}
+                tb = tgt_bit[tgt[a]]
+                outs = [[(lc << tb, coeff * sign)
+                         for lc, coeff in merge_map[(la, lb)].items()]
+                        for la in (0, 1) for lb in (0, 1)]
             else:
-                # one circle splits in two
-                t1 = tgt.membership[a]
-                t2 = tgt.membership[b]
-                others = [cid for cid in src_circles if cid != c1]
-                corr = _correspondence(src, tgt, others)
-                for labels in itertools.product((0, 1), repeat=len(src_circles)):
-                    lc = labels[src_circles.index(c1)]
-                    for (la, lb), coeff in split_map[lc].items():
-                        _add_entry(
-                            entries, index, st, labels, tgt_state, src_circles,
-                            tgt, corr, {t1: la, t2: lb}, coeff * sign,
-                        )
+                # one circle splits in two; on a non-planar PD code it can
+                # stay one circle (t1 == t2), which then takes label lb
+                touched = {c1: 1}
+                t1, t2 = tgt[a], tgt[b]
+                outs = [[(sum(lt << tgt_bit[t]
+                              for t, lt in {t1: la, t2: lb}.items()),
+                          coeff * sign)
+                         for (la, lb), coeff in split_map[lc].items()]
+                        for lc in (0, 1)]
+            # per source labels L: the target bits of the untouched
+            # circles (each matched through its id, an arc of the circle)
+            # and the index into outs; last circle first, so that the
+            # first circle ends up as the most significant bit of L
+            tbits, outs_at = [0], [0]
+            for cid in reversed(src_bits):
+                if cid in touched:
+                    step = touched[cid]
+                    outs_at += [k + step for k in outs_at]
+                    tbits += tbits
+                else:
+                    step = 1 << tgt_bit[tgt[cid]]
+                    tbits += [t + step for t in tbits]
+                    outs_at += outs_at
+            # no (row, col) repeats: the edge fixes the target state and
+            # the column fixes the source generator
+            entries = cx.differentials.setdefault(mask.bit_count() - n_minus, {})
+            for col, t, k in zip(ints[col0:col0 + len(tbits)], tbits, outs_at):
+                for add, v in outs[k]:
+                    entries[ints[row0 + t + add], col] = v
     return cx
-
-
-def _correspondence(src, tgt, circle_ids):
-    """Map untouched source circles to their target ids via a shared arc."""
-    rep = {}
-    for arc, cid in src.membership.items():
-        if cid in rep:
-            continue
-        rep[cid] = arc
-    return {cid: tgt.membership[rep[cid]] for cid in circle_ids}
-
-
-def _add_entry(entries, index, src_state, src_labels, tgt_state, src_circles,
-               tgt, corr, forced, coeff):
-    if coeff == 0:
-        return
-    src_by_circle = dict(zip(src_circles, src_labels))
-    tgt_circles = sorted(set(tgt.membership.values()))
-    tgt_labels = []
-    for cid in tgt_circles:
-        if cid in forced:
-            tgt_labels.append(forced[cid])
-        else:
-            # cid corresponds to exactly one untouched source circle
-            src_cid = next(k for k, v in corr.items() if v == cid)
-            tgt_labels.append(src_by_circle[src_cid])
-    _, col = index[(src_state, src_labels)]
-    _, row = index[(tgt_state, tuple(tgt_labels))]
-    key = (row, col)
-    entries[key] = entries.get(key, 0) + coeff
-    if entries[key] == 0:
-        del entries[key]
 
 
 def graded_euler_characteristic(cx):

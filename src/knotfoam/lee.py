@@ -215,15 +215,17 @@ def class_filtration_degree(fc, cls):
     return best
 
 
-def s_invariant(pd, max_crossings=14):
+def s_invariant(pd, max_crossings=14, fc=None):
     """The s-invariant of a knot diagram, with its structural checks.
 
-    Returns ``(s, detail)`` where detail records s_min, s_max, the
-    filtration profile and the filtration degrees of [s_a], [s_b].
+    ``fc`` is the Lee complex of ``pd`` when the caller has built it
+    already.  Returns ``(s, detail)`` where detail records s_min, s_max,
+    the filtration profile and the filtration degrees of [s_a], [s_b].
     """
     if link_components(pd) != 1:
         raise NotAKnot("the s-invariant needs a one-component diagram")
-    fc = build_lee(pd, max_crossings=max_crossings)
+    if fc is None:
+        fc = build_lee(pd, max_crossings=max_crossings)
     lee_rank(fc, 1)
     profile = filtration_profile(fc)
     s_min = max((j for j, r in profile.items() if r == 2), default=None)

@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
-from knotfoam.cli import main
+import pytest
+
+import knotfoam
+from knotfoam.cli import TOOL_VERSION, main
 from knotfoam.foam import BLUE, RED, Binding, Facet, Foam, foam_to_json
 from knotfoam.graphs import graph_to_json
 
@@ -81,6 +84,50 @@ def test_cache_round_trip(tmp_path, capsys):
     assert out1 == out2
     assert "cache hit" in err2
     assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_bad_braid_word_exit_code(capsys):
+    code, out, err = run_cli(["invariants", "--braid", "1 x", "--strands", "2"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["eval-foam", "graph-dim"])
+def test_missing_file_exit_code(tmp_path, capsys, command):
+    code, out, err = run_cli([command, str(tmp_path / "missing.json")], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_tool_version_follows_package_version():
+    assert TOOL_VERSION == "knotfoam-" + knotfoam.__version__ == "knotfoam-0.1.0"
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: data[: len(data) // 2],
+    lambda data: b"\xff\xfe" + data,
+    lambda data: b"[1, 2]",
+    lambda data: data.replace(TOOL_VERSION.encode(), b"knotfoam-0.0.1"),
+], ids=["truncated", "undecodable", "not-a-record", "stale-version"])
+def test_corrupt_or_stale_cache_entry_is_a_miss(tmp_path, capsys, corrupt):
+    args = ["invariants", "--braid", "1 1 1", "--strands", "2",
+            "--cache", str(tmp_path)]
+    code, cold, _ = run_cli(args, capsys)
+    assert code == 0
+    (entry,) = tmp_path.iterdir()
+    good = entry.read_bytes()
+    entry.write_bytes(corrupt(good))
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (0, cold)
+    assert "cache hit" not in err
+    # rewritten in place, with no temporary file left behind
+    assert entry.read_bytes() == good
+    assert list(tmp_path.iterdir()) == [entry]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (0, cold) and "cache hit" in err
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

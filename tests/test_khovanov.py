@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from knotfoam.diagram import PDCode, braid_to_pd, parse_pd, validate_pd
+from knotfoam.diagram import (
+    PDCode,
+    State,
+    braid_to_pd,
+    parse_pd,
+    smooth_state,
+    validate_pd,
+)
 from knotfoam.errors import TooLarge
 from knotfoam.khovanov import (
     KH,
@@ -90,6 +97,65 @@ def test_lee_entries_raise_q_by_zero_or_four():
                     assert (r, c) not in kh_mat
                 else:
                     assert kh_mat.get((r, c)) == v
+
+
+@pytest.mark.parametrize("side", [KH, LEE])
+def test_differential_entries_follow_the_edge_maps(side):
+    """Every entry, with its target labels, read off the cube directly."""
+    merge = edge_map("merge", side)
+    split = edge_map("split", side)
+    rng = random.Random(44)
+    for _ in range(20):
+        pd = random_braid_pd(rng, max_letters=5)
+        cx = build_complex(pd, side)
+        smoothings = {}
+
+        def membership(state):
+            if state not in smoothings:
+                smoothings[state] = smooth_state(pd, State(state)).membership
+            return smoothings[state]
+
+        def local_map(state, labels, j):
+            """Touched circles and the edge map's outputs at crossing j."""
+            arcs = pd.crossings[j]
+            src = membership(state)
+            c1, c2 = src[arcs[0]], src[arcs[2]]
+            if c1 != c2:
+                return {c1, c2}, merge[(labels[c1], labels[c2])]
+            return {c1}, split[labels[c1]]
+
+        nonzeros = 0
+        for i, mat in cx.differentials.items():
+            for (r, c), v in mat.items():
+                g, h = cx.generators[i][c], cx.generators[i + 1][r]
+                flips = [j for j in range(pd.n) if g.state[j] != h.state[j]]
+                assert len(flips) == 1
+                j = flips[0]
+                assert (g.state[j], h.state[j]) == (0, 1)
+                src_labels = dict(zip(g.circles, g.labels))
+                tgt_labels = dict(zip(h.circles, h.labels))
+                tgt = membership(h.state)
+                a, b, _c, _d = pd.crossings[j]
+                touched, outputs = local_map(g.state, src_labels, j)
+                if len(touched) == 2:
+                    coeff = outputs.get(tgt_labels[tgt[a]], 0)
+                else:
+                    coeff = outputs.get((tgt_labels[tgt[a]], tgt_labels[tgt[b]]), 0)
+                assert coeff != 0
+                assert v == (-1) ** sum(g.state[:j]) * coeff
+                # untouched circles keep their labels, matched by a shared arc
+                for arc, cid in membership(g.state).items():
+                    if cid not in touched:
+                        assert tgt_labels[tgt[arc]] == src_labels[cid]
+                nonzeros += 1
+        predicted = 0
+        for gens in cx.generators.values():
+            for g in gens:
+                labels = dict(zip(g.circles, g.labels))
+                for j in range(pd.n):
+                    if not g.state[j]:
+                        predicted += len(local_map(g.state, labels, j)[1])
+        assert nonzeros == predicted > 0
 
 
 def test_two_faces_anticommute():

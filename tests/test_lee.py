@@ -142,6 +142,12 @@ def test_s_structure():
         assert detail["class_degrees"] == (detail["s_min"], detail["s_min"])
 
 
+def test_s_with_prebuilt_complex():
+    for word, strands in ([1, 1, 1], 2), ([1, -2, 1, -2], 3), ([-1, -1, -1], 2):
+        pd = braid_to_pd(word, strands)
+        assert s_invariant(pd, fc=build_lee(pd)) == s_invariant(pd)
+
+
 def test_s_mirror_antisymmetry():
     for word, strands in ([1, 1, 1], 2), ([1, 1, 1, 1, 1], 2), ([1, -2, 1, -2], 3):
         pd = braid_to_pd(word, strands)
