@@ -1,7 +1,7 @@
 """Small exact linear algebra helpers over the rationals.
 
 Vectors are sparse ``{coordinate: integer}`` dicts; scaling by a
-positive rational never matters for the rank and membership questions
+nonzero rational never matters for the rank and echelon questions
 asked here, so everything stays integral (rows gcd-reduced).  Matrices
 coming from cube differentials are dominated by +-1 entries, so ranks
 are computed by eliminating unit pivots sparsely (shortest rows first)
@@ -26,58 +26,53 @@ def _normalize(vec):
 
 
 class RowBasis:
-    """Incremental echelon basis; counts independent vectors."""
+    """Incremental echelon basis; each row's pivot is its lowest coordinate."""
 
     def __init__(self):
         self.pivots = {}  # pivot coordinate -> gcd-reduced vector
 
     def reduce(self, vec):
+        """Subtract basis rows until the lowest coordinate is no pivot."""
         vec = {k: v for k, v in vec.items() if v}
         while vec:
             p = min(vec)
             basis_row = self.pivots.get(p)
             if basis_row is None:
-                return _normalize(vec)
-            a = vec[p]
+                break
             b = basis_row[p]
-            new = {}
-            for k, v in vec.items():
-                new[k] = v * b
+            if b not in (1, -1):
+                # scale so the pivot cancels over the integers
+                vec = {k: v * b for k, v in vec.items()}
+            f = vec[p] // b
             for k, v in basis_row.items():
-                new[k] = new.get(k, 0) - v * a
-            vec = {k: v for k, v in new.items() if v}
-            vec = _normalize(vec)
-        return vec
+                w = vec.get(k, 0) - f * v
+                if w:
+                    vec[k] = w
+                else:
+                    del vec[k]
+            if b not in (1, -1):
+                vec = _normalize(vec)
+        return _normalize(vec)
 
     def add(self, vec):
-        """Insert if independent; returns True when the rank grew."""
+        """Insert ``vec`` unless the basis already spans it."""
         vec = self.reduce(vec)
-        if not vec:
-            return False
-        self.pivots[min(vec)] = vec
-        return True
-
-    def contains(self, vec):
-        return not self.reduce(vec)
+        if vec:
+            self.pivots[min(vec)] = vec
 
     @property
     def rank(self):
         return len(self.pivots)
 
 
-def build_sparse(entries, row_keep=None, col_keep=None):
+def build_sparse(entries):
     """Row and column dictionaries of a sparse matrix ``{(r, c): v}``."""
     rows = {}
     cols = {}
     for (r, c), v in entries.items():
-        if not v:
-            continue
-        if row_keep is not None and not row_keep(r):
-            continue
-        if col_keep is not None and not col_keep(c):
-            continue
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, {})[r] = v
+        if v:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, {})[r] = v
     return rows, cols
 
 
@@ -134,9 +129,9 @@ def eliminate_units(rows, cols):
     return units
 
 
-def sparse_rank(entries, ncols=None, row_keep=None, col_keep=None):
-    """Rank over Q of a sparse integer matrix, optionally restricted."""
-    rows, cols = build_sparse(entries, row_keep, col_keep)
+def sparse_rank(entries):
+    """Rank over Q of a sparse integer matrix ``{(r, c): v}``."""
+    rows, cols = build_sparse(entries)
     units = eliminate_units(rows, cols)
     if not rows:
         return units
@@ -144,23 +139,3 @@ def sparse_rank(entries, ncols=None, row_keep=None, col_keep=None):
     for row in rows.values():
         basis.add(row)
     return units + basis.rank
-
-
-def in_column_span(entries, vector, row_keep=None):
-    """True when ``vector`` lies in the column span of the matrix over Q.
-
-    The optional ``row_keep`` restricts both the matrix and the vector
-    to a coordinate subspace first.
-    """
-    if row_keep is not None:
-        vector = {r: v for r, v in vector.items() if v and row_keep(r)}
-    else:
-        vector = {r: v for r, v in vector.items() if v}
-    base_rank = sparse_rank(entries, row_keep=row_keep)
-    if not vector:
-        return True
-    augmented = dict(entries)
-    extra = 1 + max((c for (_r, c) in entries), default=-1)
-    for r, v in vector.items():
-        augmented[(r, extra)] = v
-    return sparse_rank(augmented, row_keep=row_keep) == base_rank

@@ -63,8 +63,48 @@ def validate_pd(pd):
             raise InvalidDiagram(
                 "arc %d appears %d times, expected 2" % (arc, len(places))
             )
+    _check_planar(pd, occ)
     trace_orientations(pd)
     return pd
+
+
+def _check_planar(pd, occ):
+    """Require V - E + F = 2, with E = 2V, on each piece of the projection.
+
+    The slot order makes the projection a 4-valent graph on a closed
+    oriented surface, with the walks of :func:`regions` as faces; each
+    piece has V - E + F = 2 - 2 * genus, so the pieces all lie on spheres
+    exactly when the totals give 2 per piece.  On a non-planar (virtual)
+    code a cube edge can keep one circle as one circle.
+    """
+    # the walks of regions() over flat lists, as every new diagram comes
+    # through here: port 4 * crossing + slot steps along its arc and turns
+    # one slot counterclockwise at the far end
+    step = [0] * (4 * pd.n)
+    piece = list(range(pd.n))
+    for (c1, s1), (c2, s2) in occ.values():
+        step[4 * c1 + s1] = 4 * c2 + (s2 + 1) % 4
+        step[4 * c2 + s2] = 4 * c1 + (s1 + 1) % 4
+        while piece[c1] != c1:
+            c1 = piece[c1]
+        while piece[c2] != c2:
+            c2 = piece[c2]
+        piece[c1] = c2
+    pieces = sum(1 for ci in range(pd.n) if piece[ci] == ci)
+    seen = [False] * (4 * pd.n)
+    faces = 0
+    for start in range(4 * pd.n):
+        if not seen[start]:
+            faces += 1
+            port = start
+            while not seen[port]:
+                seen[port] = True
+                port = step[port]
+    if pd.n - 2 * pd.n + faces != 2 * pieces:
+        raise InvalidDiagram(
+            "PD code is not planar: %d crossings in %d pieces bound %d "
+            "regions, expected %d" % (pd.n, pieces, faces, pd.n + 2 * pieces)
+        )
 
 
 def trace_orientations(pd):
@@ -500,6 +540,12 @@ def _r2(pd, site):
         # anti-parallel segments
         k1 = (x, y2, m, m2)
         k2 = (m, y, x2, m2)
+    if not dir_x:
+        # the walk runs against x, so the region lies on the other side
+        # of x: the clasp is drawn reflected, each crossing read the
+        # other way round from its incoming under-strand
+        k1 = (k1[0], k1[3], k1[2], k1[1])
+        k2 = (k2[0], k2[3], k2[2], k2[1])
     crossings.append(list(k1))
     crossings.append(list(k2))
     return validate_pd(PDCode(tuple(tuple(c) for c in crossings)))

@@ -23,9 +23,6 @@ class SNFResult:
     left: list = None   # U with U A V = D, when requested
     right: list = None  # V
 
-    def diagonal(self):
-        return self.invariant_factors
-
 
 def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]

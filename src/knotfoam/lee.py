@@ -8,13 +8,26 @@ homology has rank 2^(number of link components); for a knot the two
 classes sit at the oriented resolution, generated by labelling every
 circle with a = 1 + X or b = 1 - X.  The two filtration jump levels of
 a knot differ by exactly 2, and the s-invariant is the midpoint.
+
+The filtration is read off one filtered, persistence-style column
+reduction per differential.  The columns of d_i go in from the highest
+q down, each reduced until its lowest coordinate, in the (q, index)
+order of degree i + 1, is a new pivot.  The rank reached after level j
+is the rank of d_i on F^j, so dim(Z_i cap F^j) is the number of
+degree-i generators with q >= j minus that rank.  Every nonzero
+boundary has a pivot as its lowest coordinate, so dim(B_{i+1} cap F^j)
+is the number of pivots with q >= j.  The difference of the two is the
+rank of the image of H(F^j) -> H(C) in that degree.  A class reduced
+against the pivots of d_{i-1} keeps a lowest coordinate that no
+boundary can cancel, and its q is the filtration degree of the class.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from ._linalg import in_column_span, sparse_rank
+from ._linalg import RowBasis, build_sparse, sparse_rank
 from .diagram import compute_signs, link_components, oriented_state
 from .errors import NotACycle, NotAKnot, PropositionViolated, RankMismatch
 from .khovanov import LEE, build_complex
@@ -25,24 +38,12 @@ def build_lee(pd, max_crossings=14):
     return build_complex(pd, LEE, max_crossings=max_crossings)
 
 
-def _degree_ranks(fc):
-    """Rank of each differential d_i over Q."""
-    ranks = {}
-    for i in fc.degrees:
-        mat = fc.matrix(i)
-        if mat:
-            ranks[i] = sparse_rank(mat, fc.dim(i))
-        else:
-            ranks[i] = 0
-    return ranks
-
-
 def lee_homology_betti(fc):
     """Rational betti number of the Lee homology per homological degree."""
-    ranks = _degree_ranks(fc)
+    ranks = {i: sparse_rank(fc.matrix(i)) for i in fc.degrees}
     out = {}
     for i in fc.degrees:
-        b = fc.dim(i) - ranks.get(i, 0) - ranks.get(i - 1, 0)
+        b = fc.dim(i) - ranks[i] - ranks.get(i - 1, 0)
         if b:
             out[i] = b
     return out
@@ -147,105 +148,128 @@ def _alternating_signs(pd, state_tuple):
     return epsilon
 
 
-def filtration_levels(fc):
-    """Sorted q-levels at which the filtration can jump."""
-    qs = set()
-    for i in fc.degrees:
-        qs.update(fc.q_degrees(i))
-    return sorted(qs)
+def _levels(fc):
+    """The q-levels where the filtration can jump, and one above the top."""
+    qs = sorted({q for i in fc.degrees for q in fc.q_degrees(i)})
+    return qs + [qs[-1] + 1]
+
+
+def _positions(qs):
+    """Each generator's position in the (q, index) order of its degree."""
+    order = sorted(range(len(qs)), key=qs.__getitem__)
+    return {r: p for p, r in enumerate(order)}
+
+
+def _reduce(fc, i, keys):
+    """The filtered reduction of d_i described in the module docstring.
+
+    Returns its echelon basis of im d_i and, for each level j in
+    ``keys``, the rank of d_i on the generators of q-degree >= j.
+    """
+    qs = fc.q_degrees(i)
+    position = _positions(fc.q_degrees(i + 1))
+    columns = build_sparse(fc.matrix(i))[1]
+    pending = sorted(range(len(qs)), key=qs.__getitem__)
+    basis = RowBasis()
+    ranks = {}
+    for j in reversed(keys):
+        while pending and qs[pending[-1]] >= j:
+            col = columns.get(pending.pop())
+            if col:
+                basis.add({position[r]: v for r, v in col.items()})
+        ranks[j] = basis.rank
+    return basis, ranks
+
+
+def _degree_profile(fc, i, keys, boundaries, ranks):
+    """dim(Z cap F^j) - dim(B cap F^j) in degree i, for each j in keys.
+
+    ``boundaries`` is the basis from the reduction of d_{i-1}, ``ranks``
+    the level ranks from the reduction of d_i.
+    """
+    qs = sorted(fc.q_degrees(i))
+    pivot_qs = sorted(qs[p] for p in boundaries.pivots)
+    return {j: len(qs) - bisect_left(qs, j) - ranks[j]
+            - len(pivot_qs) + bisect_left(pivot_qs, j) for j in keys}
+
+
+def _class_degree(fc, cls, boundaries, top):
+    """The q of the lowest coordinate left after reducing by boundaries."""
+    qs = fc.q_degrees(cls.hom_degree)
+    position = _positions(qs)
+    rest = boundaries.reduce({position[r]: v for r, v in cls.chain.items()})
+    return sorted(qs)[min(rest)] if rest else top
 
 
 def filtration_profile(fc):
     """Rank of the image of H(F^j) -> H(C) for each level j.
 
-    F^j is spanned by the generators of q-degree >= j.  Per homological
-    degree the image rank is dim(Z cap F^j) - dim(B cap F^j), computed
-    by exact rank arithmetic; degrees with vanishing homology contribute
-    nothing and are skipped.
+    F^j is spanned by the generators of q-degree >= j; the profile sums
+    the filtered reductions of all homological degrees, so links are
+    covered too.
     """
-    betti = lee_homology_betti(fc)
-    levels = filtration_levels(fc)
-    if not levels:
-        return {}
-    out = {}
-    for j in levels + [levels[-1] + 1]:
-        total = 0
-        for i in betti:
-            total += _level_rank(fc, i, j)
-        out[j] = total
+    keys = _levels(fc)
+    out = dict.fromkeys(keys, 0)
+    boundaries = RowBasis()  # nothing maps into the lowest degree
+    for i in range(fc.degrees[0], fc.degrees[-1] + 1):
+        basis, ranks = _reduce(fc, i, keys)
+        for j, r in _degree_profile(fc, i, keys, boundaries, ranks).items():
+            out[j] += r
+        boundaries = basis
     return out
 
 
-def _level_rank(fc, i, j):
-    qs = fc.q_degrees(i)
-    in_level = [q >= j for q in qs]
-    ncols_high = sum(in_level)
-    mat = fc.matrix(i)
-    # cycles inside F^j: kernel of d_i restricted to the F^j columns
-    rank_restricted = sparse_rank(mat, fc.dim(i), col_keep=lambda c: in_level[c])
-    z = ncols_high - rank_restricted
-    # boundaries inside F^j: rank(d_{i-1}) - rank(d_{i-1} with F^j rows removed)
-    prev = fc.matrix(i - 1)
-    if prev:
-        ncols_prev = fc.dim(i - 1)
-        full = sparse_rank(prev, ncols_prev)
-        off = sparse_rank(prev, ncols_prev, row_keep=lambda r: not in_level[r])
-        b = full - off
-    else:
-        b = 0
-    return z - b
-
-
 def class_filtration_degree(fc, cls):
-    """Largest j with [cls] in the image of H(F^j) -> H(C).
+    """Largest level j with [cls] in the image of H(F^j) -> H(C).
 
     The class is represented by a cycle z; [z] lies in that image iff
-    z = z' + d(w) with z' supported in F^j, i.e. iff the part of z below
-    level j is a boundary below level j.
+    z = z' + d(w) with z' supported in F^j.
     """
-    i = cls.hom_degree
-    qs = fc.q_degrees(i)
-    prev = fc.matrix(i - 1)
-    best = None
-    for j in filtration_levels(fc):
-        if in_column_span(prev, cls.chain, row_keep=lambda r: qs[r] < j):
-            best = j
-        else:
-            break
-    return best
+    keys = _levels(fc)
+    boundaries = _reduce(fc, cls.hom_degree - 1, keys)[0]
+    return _class_degree(fc, cls, boundaries, keys[-2])
 
 
 def s_invariant(pd, max_crossings=14, fc=None):
     """The s-invariant of a knot diagram, with its structural checks.
 
     ``fc`` is the Lee complex of ``pd`` when the caller has built it
-    already.  Returns ``(s, detail)`` where detail records s_min, s_max,
-    the filtration profile and the filtration degrees of [s_a], [s_b].
+    already.  Only the oriented-resolution degree is reduced, and its
+    Lee rank must be 2; the rank over all degrees is :func:`lee_rank`.
+    Returns ``(s, detail)`` where detail records s_min, s_max, the
+    filtration profile and the filtration degrees of [s_a], [s_b].
     """
     if link_components(pd) != 1:
         raise NotAKnot("the s-invariant needs a one-component diagram")
     if fc is None:
         fc = build_lee(pd, max_crossings=max_crossings)
-    lee_rank(fc, 1)
-    profile = filtration_profile(fc)
-    s_min = max((j for j, r in profile.items() if r == 2), default=None)
-    s_max = max((j for j, r in profile.items() if r >= 1), default=None)
-    if s_min is None or s_max is None:
-        raise PropositionViolated("filtration profile has no jump levels")
+    sa, sb = oriented_resolution_generators(pd, fc)
+    i = sa.hom_degree
+    keys = _levels(fc)
+    boundaries = _reduce(fc, i - 1, keys)[0]
+    profile = _degree_profile(fc, i, keys, boundaries, _reduce(fc, i, keys)[1])
+    if profile[keys[0]] != 2:
+        raise RankMismatch(
+            "Lee homology in degree %d has rank %d (q-level %d), expected 2"
+            % (i, profile[keys[0]], keys[0])
+        )
+    s_min = max(j for j, r in profile.items() if r == 2)
+    s_max = max(j for j, r in profile.items() if r >= 1)
     if s_max != s_min + 2:
         raise PropositionViolated(
-            "s_max = %d != s_min + 2 = %d" % (s_max, s_min + 2)
+            "degree %d: s_max = %d != s_min + 2 = %d" % (i, s_max, s_min + 2)
         )
     s = s_min + 1
     if s % 2:
-        raise PropositionViolated("s = %d is odd" % s)
-    sa, sb = oriented_resolution_generators(pd, fc)
-    deg_a = class_filtration_degree(fc, sa)
-    deg_b = class_filtration_degree(fc, sb)
+        raise PropositionViolated(
+            "degree %d: s = %d is odd (q-levels %d, %d)" % (i, s, s_min, s_max)
+        )
+    deg_a = _class_degree(fc, sa, boundaries, keys[-2])
+    deg_b = _class_degree(fc, sb, boundaries, keys[-2])
     if deg_a != s_min or deg_b != s_min:
         raise PropositionViolated(
-            "filtration degree of the oriented-resolution classes is "
-            "(%s, %s), expected s_min = %d" % (deg_a, deg_b, s_min)
+            "degree %d: filtration degree of the oriented-resolution classes "
+            "is (%s, %s), expected s_min = %d" % (i, deg_a, deg_b, s_min)
         )
     detail = {
         "s_min": s_min,

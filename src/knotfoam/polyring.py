@@ -196,25 +196,6 @@ class IntPoly2:
         return "IntPoly2(%s)" % self
 
 
-def poly_arith(a, b, op):
-    """Dispatch helper: ``op`` is one of ``add``, ``sub``, ``mul``."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError("unknown op %r" % op)
-
-
-def divide_by_difference_power(p, k):
-    return p.divide_by_difference_power(k)
-
-
-def is_symmetric(p):
-    return p.is_symmetric()
-
-
 def _render_var(name, e):
     if e == 0:
         return ""
@@ -348,16 +329,3 @@ class LaurentQ:
 
     def __repr__(self):
         return "LaurentQ(%s)" % self
-
-
-def laurent_arith(a, b, op):
-    """Dispatch helper: ``op`` is ``add``, ``sub``, ``mul`` or ``pow``."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "pow":
-        return a ** b
-    raise ValueError("unknown op %r" % op)

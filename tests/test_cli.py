@@ -94,6 +94,14 @@ def test_bad_braid_word_exit_code(capsys):
     assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+def test_non_planar_pd_exit_code(capsys):
+    code, out, err = run_cli(["invariants", "--pd", "X[4,2,2,4];X[1,3,1,3]"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["eval-foam", "graph-dim"])
 def test_missing_file_exit_code(tmp_path, capsys, command):
     code, out, err = run_cli([command, str(tmp_path / "missing.json")], capsys)

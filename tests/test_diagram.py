@@ -22,9 +22,9 @@ from knotfoam.errors import InvalidBraid, InvalidDiagram, InvalidSite, ParseErro
 
 
 def test_parse_basic():
-    pd = parse_pd("X[1,4,2,3];X[3,6,4,5];X[5,2,6,1]")
+    pd = parse_pd("X[1,4,2,5];X[3,6,4,1];X[5,2,6,3]")
     assert pd.n == 3
-    assert parse_pd("[[1,4,2,3],[3,6,4,5],[5,2,6,1]]").n == 3
+    assert parse_pd("[[1,4,2,5],[3,6,4,1],[5,2,6,3]]").n == 3
     assert parse_pd("").n == 0
 
 
@@ -187,4 +187,41 @@ def test_components_stable_under_moves():
 def test_regions_euler():
     for word, strands in ([1, 1, 1], 2), ([1, 1], 2), ([1, -2, 1, -2], 3):
         pd = braid_to_pd(word, strands)
-        assert pd.n - 2 * pd.n + len(regions(pd)) == 2
+        diagrams = [pd, mirror(pd)]
+        diagrams += [reidemeister_move(pd, "R2", site) for site in r2_sites(pd)]
+        for moved in diagrams:
+            assert moved.n - 2 * moved.n + len(regions(moved)) == 2
+
+
+def test_non_planar_codes_rejected():
+    # each passes the arc-count and orientation checks, but its regions
+    # give V - E + F = 0: the projection lies on a torus
+    for text in ("X[4,2,2,4];X[1,3,1,3]", "X[1,4,2,3];X[3,6,4,5];X[5,2,6,1]"):
+        with pytest.raises(InvalidDiagram, match="not planar"):
+            parse_pd(text)
+
+
+def test_accepted_codes_split_or_merge_on_every_edge():
+    # random shuffled codes: whatever validate_pd accepts is planar, so
+    # every cube edge changes the circle count by one
+    rng = random.Random(71)
+    accepted = 0
+    for _ in range(3000):
+        n = rng.randint(1, 3)
+        arcs = [a for a in range(1, 2 * n + 1) for _ in (0, 1)]
+        rng.shuffle(arcs)
+        pd = PDCode(tuple(tuple(arcs[4 * k:4 * k + 4]) for k in range(n)))
+        try:
+            validate_pd(pd)
+        except InvalidDiagram:
+            continue
+        accepted += 1
+        counts = [
+            smooth_state(pd, State([(m >> j) & 1 for j in range(n)])).circle_count
+            for m in range(2 ** n)
+        ]
+        for m in range(2 ** n):
+            for j in range(n):
+                if not m >> j & 1:
+                    assert abs(counts[m | 1 << j] - counts[m]) == 1, pd
+    assert accepted > 500

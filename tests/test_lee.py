@@ -3,7 +3,8 @@ import random
 import pytest
 
 from knotfoam.diagram import braid_to_pd, mirror, parse_pd, r2_sites, reidemeister_move
-from knotfoam.errors import NotAKnot, RankMismatch
+from knotfoam._linalg import sparse_rank
+from knotfoam.errors import InvalidBraid, NotAKnot, PropositionViolated, RankMismatch
 from knotfoam.lee import (
     build_lee,
     class_filtration_degree,
@@ -148,6 +149,46 @@ def test_s_with_prebuilt_complex():
         assert s_invariant(pd, fc=build_lee(pd)) == s_invariant(pd)
 
 
+
+def test_s_reduces_only_the_oriented_degree(monkeypatch):
+    import knotfoam.lee as lee
+
+    def no_rank(*_args):
+        raise AssertionError("s_invariant computed a rank")
+
+    monkeypatch.setattr(lee, "sparse_rank", no_rank)
+    monkeypatch.setattr(lee, "lee_rank", no_rank)
+    assert s_invariant(braid_to_pd([1, -2, 1, -2], 3))[0] == 0
+
+
+def test_s_gates_name_the_degree(monkeypatch):
+    import knotfoam.lee as lee
+
+    unknot = parse_pd("")
+
+    def unknot_with_q(qs):
+        # generator 0 is labelled 1, generator 1 is labelled X
+        fc = build_lee(unknot)
+        fc.q_degrees = lambda i: list(qs) if i == 0 else []
+        return fc
+
+    with pytest.raises(PropositionViolated, match="degree 0: s_max = 3"):
+        s_invariant(unknot, fc=unknot_with_q((3, -1)))
+    with pytest.raises(PropositionViolated,
+                       match=r"degree 0: s = 1 is odd \(q-levels 0, 2\)"):
+        s_invariant(unknot, fc=unknot_with_q((2, 0)))
+    # without d_{-1} every degree-0 chain of the negative trefoil survives
+    trefoil = braid_to_pd([-1, -1, -1], 2)
+    fc = build_lee(trefoil)
+    del fc.differentials[-1]
+    with pytest.raises(RankMismatch, match=r"degree 0 has rank 4 \(q-level -9\)"):
+        s_invariant(trefoil, fc=fc)
+    monkeypatch.setattr(lee, "oriented_resolution_generators", lambda pd, fc: (
+        lee.LeeClass(0, {0: 1}), lee.LeeClass(0, {0: 1, 1: -1})))
+    with pytest.raises(PropositionViolated, match=r"degree 0: .* is \(1, -1\)"):
+        s_invariant(unknot)
+
+
 def test_s_mirror_antisymmetry():
     for word, strands in ([1, 1, 1], 2), ([1, 1, 1, 1, 1], 2), ([1, -2, 1, -2], 3):
         pd = braid_to_pd(word, strands)
@@ -191,3 +232,88 @@ def test_slice_genus_bound():
     assert slice_genus_lower_bound(0) == 0
     assert slice_genus_lower_bound(2) == 1
     assert slice_genus_lower_bound(-4) == 2
+
+
+# -- the filtration by rank arithmetic, as a reference ------------------
+
+
+def _restrict(entries, row=lambda r: True, col=lambda c: True):
+    return {(r, c): v for (r, c), v in entries.items() if row(r) and col(c)}
+
+
+def _oracle_profile(fc):
+    """dim(Z cap F^j) - dim(B cap F^j) by separate ranks, per degree."""
+    ranks = {i: sparse_rank(fc.matrix(i)) for i in fc.degrees}
+    homology = [i for i in fc.degrees
+                if fc.dim(i) - ranks[i] - ranks.get(i - 1, 0)]
+    levels = sorted({q for i in fc.degrees for q in fc.q_degrees(i)})
+    out = {}
+    for j in levels + [levels[-1] + 1]:
+        out[j] = 0
+        for i in homology:
+            high = [q >= j for q in fc.q_degrees(i)]
+            cycles = sum(high) - sparse_rank(
+                _restrict(fc.matrix(i), col=lambda c: high[c]))
+            boundaries = ranks.get(i - 1, 0) - sparse_rank(
+                _restrict(fc.matrix(i - 1), row=lambda r: not high[r]))
+            out[j] += cycles - boundaries
+    return out
+
+
+def _in_column_span(entries, vector):
+    if not vector:
+        return True
+    extra = 1 + max((c for _r, c in entries), default=-1)
+    augmented = dict(entries)
+    augmented.update({(r, extra): v for r, v in vector.items()})
+    return sparse_rank(augmented) == sparse_rank(entries)
+
+
+def _oracle_class_degree(fc, cls):
+    """Largest level j whose part of the chain below j is a boundary there."""
+    qs = fc.q_degrees(cls.hom_degree)
+    levels = sorted({q for i in fc.degrees for q in fc.q_degrees(i)})
+    best = None
+    for j in levels:
+        low = [q < j for q in qs]
+        below = _restrict(fc.matrix(cls.hom_degree - 1), row=lambda r: low[r])
+        if not _in_column_span(below, {r: v for r, v in cls.chain.items()
+                                       if low[r]}):
+            break
+        best = j
+    return best
+
+
+def _random_closures(rng, count, max_letters):
+    out = []
+    while len(out) < count:
+        strands = rng.randint(2, 4)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, max_letters))]
+        try:
+            out.append(braid_to_pd(word, strands))
+        except InvalidBraid:
+            continue
+    return out
+
+
+def test_reduction_matches_rank_oracle():
+    from knotfoam.diagram import link_components
+
+    knots = [parse_pd(""), braid_to_pd([1], 2), braid_to_pd([1, 1, 1], 2),
+             braid_to_pd([-1, -1, -1], 2), braid_to_pd([1, -2, 1, -2], 3),
+             braid_to_pd([1, 1, 1, 1, 1], 2)]
+    knots += [mirror(pd) for pd in knots[2:]]
+    links = [braid_to_pd([1, 1], 2), braid_to_pd([1, 1, 1, 1], 2),
+             braid_to_pd([1, 1, 2, 2], 3), braid_to_pd([1, -2, 1, 2], 3)]
+    closures = _random_closures(random.Random(62), 40, 9)
+    knot_count = 0
+    for pd in knots + links + closures:
+        fc = build_lee(pd)
+        assert filtration_profile(fc) == _oracle_profile(fc), pd
+        if link_components(pd) == 1:
+            knot_count += 1
+            for cls in oriented_resolution_generators(pd, fc):
+                assert (class_filtration_degree(fc, cls)
+                        == _oracle_class_degree(fc, cls)), pd
+    assert knot_count >= 20

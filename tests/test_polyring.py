@@ -3,7 +3,7 @@ import random
 import pytest
 
 from knotfoam.errors import NonExactDivision
-from knotfoam.polyring import IntPoly2, LaurentQ, laurent_arith, poly_arith
+from knotfoam.polyring import IntPoly2, LaurentQ
 
 X1 = IntPoly2.x1()
 X2 = IntPoly2.x2()
@@ -18,11 +18,9 @@ def random_poly(rng, max_exp=4, max_terms=6):
 
 
 def test_add_sub_mul():
-    assert poly_arith(X1, X2, "add") == IntPoly2({(1, 0): 1, (0, 1): 1})
-    assert poly_arith(DIFF, IntPoly2.x1_plus_x2(), "mul") == IntPoly2(
-        {(2, 0): 1, (0, 2): -1}
-    )
-    assert poly_arith(random_poly(random.Random(0)), IntPoly2.zero(), "mul").is_zero()
+    assert X1 + X2 == IntPoly2({(1, 0): 1, (0, 1): 1})
+    assert DIFF * IntPoly2.x1_plus_x2() == IntPoly2({(2, 0): 1, (0, 2): -1})
+    assert (random_poly(random.Random(0)) * IntPoly2.zero()).is_zero()
 
 
 def test_zero_terms_dropped():
@@ -88,11 +86,11 @@ def test_rendering():
 
 def test_laurent_arith():
     circ = LaurentQ.circle()
-    assert laurent_arith(circ, circ, "mul") == LaurentQ({2: 1, 0: 2, -2: 1})
+    assert circ * circ == LaurentQ({2: 1, 0: 2, -2: 1})
     p = LaurentQ({3: 2})
-    assert laurent_arith(p, LaurentQ.zero(), "add") == p
-    assert laurent_arith(circ, 0, "pow") == LaurentQ.one()
-    assert laurent_arith(circ, 3, "pow") == circ * circ * circ
+    assert p + LaurentQ.zero() == p
+    assert circ ** 0 == LaurentQ.one()
+    assert circ ** 3 == circ * circ * circ
 
 
 def test_laurent_shift():
