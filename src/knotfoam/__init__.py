@@ -59,7 +59,6 @@ from .khovanov import (
 from .homology import (
     HomologyTable,
     integral_homology,
-    rational_betti,
     smith_normal_form,
 )
 from .lee import (

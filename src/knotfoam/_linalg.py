@@ -1,11 +1,12 @@
-"""Small exact linear algebra helpers over the rationals.
+"""Small exact linear algebra helpers on sparse integer matrices.
 
-Vectors are sparse ``{coordinate: integer}`` dicts; scaling by a
-nonzero rational never matters for the rank and echelon questions
-asked here, so everything stays integral (rows gcd-reduced).  Matrices
-coming from cube differentials are dominated by +-1 entries, so ranks
-are computed by eliminating unit pivots sparsely (shortest rows first)
-and row-reducing only the small leftover core.
+Vectors are sparse ``{coordinate: integer}`` dicts.  ``RowBasis`` is
+the echelon basis behind every rank and span question over Q (the Lee
+filtered reduction); scaling by a nonzero rational never matters there,
+so its rows stay integral and gcd-reduced.  ``eliminate_units`` serves
+Smith normal form over Z only: cube differentials are dominated by +-1
+entries, which it eliminates sparsely (shortest rows first) with
+integer row operations, leaving a small core for the dense routine.
 """
 
 from __future__ import annotations
@@ -127,15 +128,3 @@ def eliminate_units(rows, cols):
         del rows[r0]
         units += 1
     return units
-
-
-def sparse_rank(entries):
-    """Rank over Q of a sparse integer matrix ``{(r, c): v}``."""
-    rows, cols = build_sparse(entries)
-    units = eliminate_units(rows, cols)
-    if not rows:
-        return units
-    basis = RowBasis()
-    for row in rows.values():
-        basis.add(row)
-    return units + basis.rank

@@ -4,14 +4,17 @@ Smith normal form over Z does all the work: for each block the kernel
 rank comes from the rank of the outgoing differential, the image rank
 and torsion from the incoming one.  Arithmetic is exact throughout.
 Cube differentials are sparse and dominated by unit entries, so those
-are eliminated sparsely first; the dense fallback then picks pivots of
-smallest nonzero absolute value to slow entry growth.
+are eliminated sparsely first (``_linalg.eliminate_units``); the small
+core left over goes through a dense pivoting loop that picks entries of
+smallest nonzero absolute value to slow entry growth.  Only invariant
+factors are computed, never the transforms U, V with U A V = D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ._linalg import build_sparse, eliminate_units
 from .errors import NotAComplex
 from .polyring import LaurentQ
 
@@ -20,74 +23,33 @@ from .polyring import LaurentQ
 class SNFResult:
     invariant_factors: tuple  # nonnegative, each dividing the next
     rank: int
-    left: list = None   # U with U A V = D, when requested
-    right: list = None  # V
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _core_factors(m):
+    """Invariant factors of a nonempty dense integer matrix (list of rows).
 
-
-def smith_normal_form(matrix, rows=None, cols=None, with_transforms=False):
-    """Invariant factors of an integer matrix.
-
-    ``matrix`` is either a dense list of rows or a sparse dict
-    ``(row, col) -> value`` (then ``rows`` and ``cols`` are required).
-    Without transforms, unit entries are eliminated sparsely first; the
-    leftover core (usually tiny) goes through the dense routine.
+    Pivots on an entry of smallest absolute value to slow entry growth;
+    ``m`` is reduced in place.
     """
-    if isinstance(matrix, dict):
-        if not with_transforms:
-            return _sparse_snf(matrix)
-        m = [[0] * cols for _ in range(rows)]
-        for (r, c), v in matrix.items():
-            m[r][c] = v
-    else:
-        m = [list(row) for row in matrix]
-        rows = len(m)
-        cols = len(m[0]) if m else 0
-        if not with_transforms:
-            entries = {}
-            for r, row in enumerate(m):
-                for c, v in enumerate(row):
-                    if v:
-                        entries[(r, c)] = v
-            return _sparse_snf(entries)
-    U = _identity(rows) if with_transforms else None
-    V = _identity(cols) if with_transforms else None
+    rows, cols = len(m), len(m[0])
 
     def row_op(i1, i2, q):
         # row i2 -= q * row i1
         r1, r2 = m[i1], m[i2]
         for j in range(cols):
             r2[j] -= q * r1[j]
-        if U is not None:
-            u1, u2 = U[i1], U[i2]
-            for j in range(rows):
-                u2[j] -= q * u1[j]
 
     def col_op(j1, j2, q):
-        for i in range(rows):
-            m[i][j2] -= q * m[i][j1]
-        if V is not None:
-            for i in range(cols):
-                V[i][j2] -= q * V[i][j1]
-
-    def swap_rows(i1, i2):
-        m[i1], m[i2] = m[i2], m[i1]
-        if U is not None:
-            U[i1], U[i2] = U[i2], U[i1]
+        for row in m:
+            row[j2] -= q * row[j1]
 
     def swap_cols(j1, j2):
         for row in m:
             row[j1], row[j2] = row[j2], row[j1]
-        if V is not None:
-            for row in V:
-                row[j1], row[j2] = row[j2], row[j1]
 
     factors = []
     top = 0
-    while True:
+    while top < rows and top < cols:
         pivot = None
         best = None
         for i in range(top, rows):
@@ -103,7 +65,7 @@ def smith_normal_form(matrix, rows=None, cols=None, with_transforms=False):
                 break
         if pivot is None:
             break
-        swap_rows(top, pivot[0])
+        m[top], m[pivot[0]] = m[pivot[0]], m[top]
         swap_cols(top, pivot[1])
 
         while True:
@@ -113,17 +75,15 @@ def smith_normal_form(matrix, rows=None, cols=None, with_transforms=False):
                 v = m[i][top]
                 if not v:
                     continue
-                q = v // m[top][top]
-                row_op(top, i, q)
+                row_op(top, i, v // m[top][top])
                 if m[i][top]:
-                    swap_rows(top, i)
+                    m[top], m[i] = m[i], m[top]
                     dirty = True
             for j in range(top + 1, cols):
                 v = m[top][j]
                 if not v:
                     continue
-                q = v // m[top][top]
-                col_op(top, j, q)
+                col_op(top, j, v // m[top][top])
                 if m[top][j]:
                     swap_cols(top, j)
                     dirty = True
@@ -144,32 +104,21 @@ def smith_normal_form(matrix, rows=None, cols=None, with_transforms=False):
             row_op(offender, top, -1)  # fold the offending row into the pivot row
             continue
         factors.append(abs(p))
-        if U is not None and p < 0:
-            for j in range(cols):
-                m[top][j] = -m[top][j]
-            for j in range(rows):
-                U[top][j] = -U[top][j]
         top += 1
-        if top >= rows or top >= cols:
-            break
-
-    return SNFResult(tuple(factors), len(factors), U, V)
+    return tuple(factors)
 
 
-def _sparse_snf(entries):
-    """Invariant factors via sparse elimination of unit pivots.
+def smith_normal_form(entries):
+    """Invariant factors of a sparse integer matrix ``{(r, c): v}``.
 
     Rows holding a +-1 entry are eliminated with integer row operations;
     whatever remains is small and goes through the dense pivoting
     routine.
     """
-    from ._linalg import build_sparse, eliminate_units
-
     rows, cols = build_sparse(entries)
     units = eliminate_units(rows, cols)
-
     if not rows:
-        return SNFResult((1,) * units, units, None, None)
+        return SNFResult((1,) * units, units)
     # dense fallback on the small leftover core
     row_ids = sorted(rows)
     col_ids = sorted({c for row in rows.values() for c in row})
@@ -178,9 +127,8 @@ def _sparse_snf(entries):
     for i, r in enumerate(row_ids):
         for c, v in rows[r].items():
             core[i][col_pos[c]] = v
-    rest = smith_normal_form(core, with_transforms=True)
-    factors = (1,) * units + rest.invariant_factors
-    return SNFResult(factors, units + rest.rank, None, None)
+    rest = _core_factors(core)
+    return SNFResult((1,) * units + rest, units + len(rest))
 
 
 def _prime_power_orders(n):
@@ -263,12 +211,7 @@ def integral_homology(cx):
     """Homology with integer coefficients, blockwise per (degree, q)."""
     cx.check_d_squared()
     dims, mats = _kh_blocks(cx)
-    snf = {}
-    for key, mat in mats.items():
-        i, q = key
-        rows = dims.get((i + 1, q), 0)
-        cols = dims[key]
-        snf[key] = smith_normal_form(mat, rows=rows, cols=cols)
+    snf = {key: smith_normal_form(mat) for key, mat in mats.items()}
 
     table = HomologyTable()
     for (i, q), dim in sorted(dims.items()):
@@ -284,9 +227,3 @@ def integral_homology(cx):
         if betti or torsion:
             table.entries[(i, q)] = (betti, sorted(torsion))
     return table
-
-
-def rational_betti(cx):
-    """Ranks over Q per (degree, q); agrees with the integral betti."""
-    table = integral_homology(cx)
-    return {key: b for key, (b, _t) in table.entries.items() if b}

@@ -20,6 +20,8 @@ is the number of pivots with q >= j.  The difference of the two is the
 rank of the image of H(F^j) -> H(C) in that degree.  A class reduced
 against the pivots of d_{i-1} keeps a lowest coordinate that no
 boundary can cancel, and its q is the filtration degree of the class.
+The same reduction gives every Lee rank: the rank of d_i over Q, behind
+the Betti numbers and :func:`lee_rank`, is its rank at the lowest level.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from ._linalg import RowBasis, build_sparse, sparse_rank
+from ._linalg import RowBasis
 from .diagram import compute_signs, link_components, oriented_state
 from .errors import NotACycle, NotAKnot, PropositionViolated, RankMismatch
 from .khovanov import LEE, build_complex
@@ -39,8 +41,13 @@ def build_lee(pd, max_crossings=14):
 
 
 def lee_homology_betti(fc):
-    """Rational betti number of the Lee homology per homological degree."""
-    ranks = {i: sparse_rank(fc.matrix(i)) for i in fc.degrees}
+    """Rational betti number of the Lee homology per homological degree.
+
+    The rank of each d_i is that of its filtered reduction at the lowest
+    q-level, where every column has gone in.
+    """
+    lowest = _levels(fc)[:1]
+    ranks = {i: _reduce(fc, i, lowest)[0].rank for i in fc.degrees}
     out = {}
     for i in fc.degrees:
         b = fc.dim(i) - ranks[i] - ranks.get(i - 1, 0)
@@ -168,7 +175,9 @@ def _reduce(fc, i, keys):
     """
     qs = fc.q_degrees(i)
     position = _positions(fc.q_degrees(i + 1))
-    columns = build_sparse(fc.matrix(i))[1]
+    columns = {}
+    for (r, c), v in fc.matrix(i).items():
+        columns.setdefault(c, {})[position[r]] = v
     pending = sorted(range(len(qs)), key=qs.__getitem__)
     basis = RowBasis()
     ranks = {}
@@ -176,7 +185,7 @@ def _reduce(fc, i, keys):
         while pending and qs[pending[-1]] >= j:
             col = columns.get(pending.pop())
             if col:
-                basis.add({position[r]: v for r, v in col.items()})
+                basis.add(col)
         ranks[j] = basis.rank
     return basis, ranks
 

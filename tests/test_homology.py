@@ -3,12 +3,12 @@ import random
 
 import pytest
 
+from knotfoam._linalg import RowBasis
 from knotfoam.diagram import braid_to_pd, parse_pd
 from knotfoam.errors import NotAComplex
 from knotfoam.homology import (
     HomologyTable,
     integral_homology,
-    rational_betti,
     smith_normal_form,
 )
 from knotfoam.khovanov import (
@@ -21,10 +21,15 @@ from knotfoam.khovanov import (
 )
 
 
+def _entries(m):
+    return {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v}
+
+
 def test_snf_examples():
-    assert smith_normal_form([[2, 0], [0, 0]]).invariant_factors == (2,)
-    assert smith_normal_form([[1, 2], [3, 4]]).invariant_factors == (1, 2)
-    assert smith_normal_form([[0, 0], [0, 0]]).invariant_factors == ()
+    assert smith_normal_form({(0, 0): 2}).invariant_factors == (2,)
+    assert smith_normal_form(
+        {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}).invariant_factors == (1, 2)
+    assert smith_normal_form({}).invariant_factors == ()
 
 
 def test_snf_divisibility_chain():
@@ -32,7 +37,7 @@ def test_snf_divisibility_chain():
     for _ in range(100):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = [[rng.randint(-8, 8) for _ in range(cols)] for _ in range(rows)]
-        fs = smith_normal_form(m).invariant_factors
+        fs = smith_normal_form(_entries(m)).invariant_factors
         for a, b in zip(fs, fs[1:]):
             assert a > 0 and b % a == 0
 
@@ -62,46 +67,36 @@ def _minor_gcd(m, k):
     return g
 
 
-def test_snf_matches_minor_gcds():
+def _assert_minor_gcds(m):
     # the product of the first k invariant factors is the gcd of all
     # k x k minors
+    fs = smith_normal_form(_entries(m)).invariant_factors
+    prod = 1
+    for k in range(1, min(len(m), len(m[0])) + 1):
+        g = _minor_gcd(m, k)
+        if k <= len(fs):
+            prod *= fs[k - 1]
+            assert prod == g
+        else:
+            assert g == 0
+
+
+def test_snf_matches_minor_gcds():
     rng = random.Random(51)
     for _ in range(40):
         rows, cols = rng.randint(1, 3), rng.randint(1, 3)
-        m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        fs = smith_normal_form(m).invariant_factors
-        prod = 1
-        for k in range(1, min(rows, cols) + 1):
-            g = _minor_gcd(m, k)
-            if k <= len(fs):
-                prod *= fs[k - 1]
-                assert prod == g
-            else:
-                assert g == 0
+        _assert_minor_gcds(
+            [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
 
 
-def test_snf_transforms():
+def test_snf_unit_free_matches_minor_gcds():
+    # no +-1 entry, so no unit pivot: the whole matrix is the dense core
     rng = random.Random(52)
-
-    def matmul(a, b):
-        return [
-            [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))
-        ]
-
+    values = (0, 2, -2, 3, -3, 4, -4, 6, -6)
     for _ in range(40):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        res = smith_normal_form(m, with_transforms=True)
-        d = matmul(matmul(res.left, m), res.right)
-        for i in range(rows):
-            for j in range(cols):
-                want = (
-                    res.invariant_factors[i]
-                    if i == j and i < len(res.invariant_factors)
-                    else 0
-                )
-                assert d[i][j] == want
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        _assert_minor_gcds(
+            [[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
 
 
 def _two_term_complex(entry):
@@ -146,7 +141,19 @@ def test_prime_power_torsion_orders():
     assert table.entries == {(1, 0): (0, [3, 4])}
 
 
+def _rank_over_q(entries):
+    columns = {}
+    for (r, c), v in entries.items():
+        columns.setdefault(c, {})[r] = v
+    basis = RowBasis()
+    for col in columns.values():
+        basis.add(col)
+    return basis.rank
+
+
 def test_rational_betti_matches_integral():
+    # per degree, the free rank of Kh over Z (SNF) against
+    # dim - rank d_i - rank d_{i-1} over Q (RowBasis)
     rng = random.Random(53)
     from knotfoam.errors import InvalidBraid
 
@@ -158,12 +165,11 @@ def test_rational_betti_matches_integral():
             continue
         cx = build_complex(pd, KH)
         table = integral_homology(cx)
-        ranks = rational_betti(cx)
-        for key, b in ranks.items():
-            assert table.entries[key][0] == b
-        for key, (b, _t) in table.entries.items():
-            if b:
-                assert ranks[key] == b
+        ranks = {i: _rank_over_q(cx.matrix(i)) for i in cx.degrees}
+        for i in cx.degrees:
+            betti = sum(b for (d, _q), (b, _t) in table.entries.items()
+                        if d == i)
+            assert betti == cx.dim(i) - ranks[i] - ranks.get(i - 1, 0)
 
 
 def test_euler_conservation():

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from knotfoam.diagram import braid_to_pd, mirror, parse_pd, r2_sites, reidemeister_move
-from knotfoam._linalg import sparse_rank
 from knotfoam.errors import InvalidBraid, NotAKnot, PropositionViolated, RankMismatch
 from knotfoam.lee import (
     build_lee,
@@ -15,6 +14,7 @@ from knotfoam.lee import (
     s_invariant,
     slice_genus_lower_bound,
 )
+from knotfoam.homology import smith_normal_form
 from knotfoam.khovanov import KH, build_complex
 
 
@@ -156,9 +156,19 @@ def test_s_reduces_only_the_oriented_degree(monkeypatch):
     def no_rank(*_args):
         raise AssertionError("s_invariant computed a rank")
 
-    monkeypatch.setattr(lee, "sparse_rank", no_rank)
+    reduced = []
+    reduce = lee._reduce
+
+    def recording_reduce(fc, i, keys):
+        reduced.append(i)
+        return reduce(fc, i, keys)
+
+    monkeypatch.setattr(lee, "_reduce", recording_reduce)
     monkeypatch.setattr(lee, "lee_rank", no_rank)
-    assert s_invariant(braid_to_pd([1, -2, 1, -2], 3))[0] == 0
+    pd = braid_to_pd([1, -2, 1, -2], 3)
+    i = oriented_resolution_generators(pd)[0].hom_degree
+    assert s_invariant(pd)[0] == 0
+    assert sorted(reduced) == [i - 1, i]
 
 
 def test_s_gates_name_the_degree(monkeypatch):
@@ -241,9 +251,13 @@ def _restrict(entries, row=lambda r: True, col=lambda c: True):
     return {(r, c): v for (r, c), v in entries.items() if row(r) and col(c)}
 
 
+def _rank(entries):
+    return smith_normal_form(entries).rank
+
+
 def _oracle_profile(fc):
     """dim(Z cap F^j) - dim(B cap F^j) by separate ranks, per degree."""
-    ranks = {i: sparse_rank(fc.matrix(i)) for i in fc.degrees}
+    ranks = {i: _rank(fc.matrix(i)) for i in fc.degrees}
     homology = [i for i in fc.degrees
                 if fc.dim(i) - ranks[i] - ranks.get(i - 1, 0)]
     levels = sorted({q for i in fc.degrees for q in fc.q_degrees(i)})
@@ -252,9 +266,9 @@ def _oracle_profile(fc):
         out[j] = 0
         for i in homology:
             high = [q >= j for q in fc.q_degrees(i)]
-            cycles = sum(high) - sparse_rank(
+            cycles = sum(high) - _rank(
                 _restrict(fc.matrix(i), col=lambda c: high[c]))
-            boundaries = ranks.get(i - 1, 0) - sparse_rank(
+            boundaries = ranks.get(i - 1, 0) - _rank(
                 _restrict(fc.matrix(i - 1), row=lambda r: not high[r]))
             out[j] += cycles - boundaries
     return out
@@ -266,7 +280,7 @@ def _in_column_span(entries, vector):
     extra = 1 + max((c for _r, c in entries), default=-1)
     augmented = dict(entries)
     augmented.update({(r, extra): v for r, v in vector.items()})
-    return sparse_rank(augmented) == sparse_rank(entries)
+    return _rank(augmented) == _rank(entries)
 
 
 def _oracle_class_degree(fc, cls):
@@ -310,7 +324,9 @@ def test_reduction_matches_rank_oracle():
     knot_count = 0
     for pd in knots + links + closures:
         fc = build_lee(pd)
-        assert filtration_profile(fc) == _oracle_profile(fc), pd
+        profile = filtration_profile(fc)
+        assert profile == _oracle_profile(fc), pd
+        assert profile[min(profile)] == sum(lee_homology_betti(fc).values())
         if link_components(pd) == 1:
             knot_count += 1
             for cls in oriented_resolution_generators(pd, fc):
