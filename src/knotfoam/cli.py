@@ -18,7 +18,6 @@ Exit codes: 2 for input errors, 3 when the crossing limit is exceeded,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -123,6 +122,10 @@ def _cmd_invariants(args):
     skip = set(args.skip)
     cache_dir = args.cache or os.environ.get("KNOTFOAM_CACHE")
     if cache_dir:
+        # imported only here: hashlib loads OpenSSL, about 3.5 MB of
+        # resident memory that runs without a cache need not pay
+        import hashlib
+
         payload = "|".join((TOOL_VERSION, str(pd), ",".join(sorted(skip))))
         key = hashlib.sha256(payload.encode()).hexdigest()
         path = os.path.join(cache_dir, key + ".json")

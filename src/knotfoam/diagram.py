@@ -18,7 +18,7 @@ negative ones, and its circles are the Seifert circles of the diagram.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidBraid, InvalidDiagram, InvalidSite, ParseError
 
@@ -26,6 +26,8 @@ from .errors import InvalidBraid, InvalidDiagram, InvalidSite, ParseError
 @dataclass(frozen=True)
 class PDCode:
     crossings: tuple = ()
+    # the result of trace_orientations, kept by validate_pd
+    over_from_3: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -64,7 +66,7 @@ def validate_pd(pd):
                 "arc %d appears %d times, expected 2" % (arc, len(places))
             )
     _check_planar(pd, occ)
-    trace_orientations(pd)
+    object.__setattr__(pd, "over_from_3", tuple(_trace(pd, occ)))
     return pd
 
 
@@ -117,7 +119,17 @@ def trace_orientations(pd):
     the first undetermined crossing is then resolved to positive, which
     keeps the result deterministic.
     """
-    occ = _arc_occurrences(pd)
+    return _trace(pd, _arc_occurrences(pd))
+
+
+def _orientations(pd):
+    """The trace kept on a validated code, or a fresh one."""
+    if pd.over_from_3 is None:
+        return trace_orientations(pd)
+    return pd.over_from_3
+
+
+def _trace(pd, occ):
     # status of an arc occurrence: True = the arc flows into the crossing
     # here (its head), False = it leaves (its tail).
     status = {}
@@ -178,7 +190,7 @@ def trace_orientations(pd):
 
 def compute_signs(pd):
     """(n_plus, n_minus, per-crossing signs) from the orientation trace."""
-    over = trace_orientations(pd)
+    over = _orientations(pd)
     signs = [1 if o else -1 for o in over]
     n_plus = sum(1 for s in signs if s > 0)
     return n_plus, pd.n - n_plus, signs
@@ -296,7 +308,7 @@ def mirror(pd):
     The mirrored tuple is rotated to start at the new incoming
     under-strand, which is the old incoming over-strand.
     """
-    over = trace_orientations(pd)
+    over = _orientations(pd)
     crossings = []
     for (a, b, c, d), from_3 in zip(pd.crossings, over):
         if from_3:
@@ -439,7 +451,7 @@ def _r1(pd, positive, arc):
     occ = _arc_occurrences(pd)
     status_head = None
     # find the occurrence where the arc flows into a crossing
-    over = trace_orientations(pd)
+    over = _orientations(pd)
     for (ci, si) in occ[arc]:
         into = (
             si == 0
@@ -477,7 +489,7 @@ def r2_sites(pd):
 def _port_direction(pd, port):
     """True when the arc flows away from the crossing at this port."""
     ci, si = port
-    over = trace_orientations(pd)
+    over = _orientations(pd)
     if si == 2:
         return True
     if si == 0:
@@ -514,7 +526,7 @@ def _r2(pd, site):
     m, m2, x2, y2 = _fresh_labels(pd, 4)
 
     occ = _arc_occurrences(pd)
-    over = trace_orientations(pd)
+    over = _orientations(pd)
 
     def head_occurrence(arc):
         for (ci, si) in occ[arc]:

@@ -19,11 +19,21 @@ facet), Sb is the full blue subsurface, n12 counts bindings whose
 ordered blue pages are colored (1, 2), and P_F is X_c^dots on a blue
 facet and (X1+X2)^dots * (X1*X2)^squares on a red one.  The result is a
 symmetric polynomial with integer coefficients.
+
+The red weights do not depend on the coloring, so their product R is
+shared by every term and applied once: each coloring adds only a sign
+to the monomial X1^a * X2^b of its blue dots, and the evaluation is
+(sum of those signed monomials) / (X1 - X2)^(chi(Sb)/2) * R.  Dividing
+before multiplying by R is exact: X1 - X2 is prime in Z[X1, X2] and
+divides neither X1 + X2 nor X1 * X2, so it divides the blue sum times R
+as often as it divides the blue sum, and a non-exact division fails on
+the same foams either way.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import MalformedFoam, NonBipartiteBinding, OddEuler
@@ -33,7 +43,7 @@ BLUE = "blue"
 RED = "red"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Facet:
     id: str
     color: str
@@ -51,7 +61,7 @@ class Facet:
         return 2 - 2 * self.genus - len(self.slots)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binding:
     id: str
     blue_pages: tuple  # ordered pair of slot ids on blue facets
@@ -61,7 +71,7 @@ class Binding:
         object.__setattr__(self, "blue_pages", tuple(self.blue_pages))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Foam:
     """A foam; closed when every slot is attached to a binding.
 
@@ -82,12 +92,6 @@ class Foam:
             if f.id == facet_id:
                 return f
         raise KeyError(facet_id)
-
-    def slot_owner(self, slot):
-        for f in self.facets:
-            if slot in f.slots:
-                return f
-        raise KeyError(slot)
 
     @property
     def free_boundary(self):
@@ -157,6 +161,12 @@ def validate_foam(foam):
     return foam
 
 
+def _page_facets(foam):
+    """The (first, second) blue-page facet ids of every binding, in order."""
+    owner = {s: f.id for f in foam.facets for s in f.slots}
+    return [(owner[b.blue_pages[0]], owner[b.blue_pages[1]]) for b in foam.bindings]
+
+
 def blue_components(foam):
     """Connected components of the blue subsurface.
 
@@ -172,9 +182,9 @@ def blue_components(foam):
             x = parent[x]
         return x
 
-    for b in foam.bindings:
-        u = find(foam.slot_owner(b.blue_pages[0]).id)
-        v = find(foam.slot_owner(b.blue_pages[1]).id)
+    for first, second in _page_facets(foam):
+        u = find(first)
+        v = find(second)
         if u != v:
             parent[u] = v
     groups = {}
@@ -192,9 +202,7 @@ def enumerate_colorings(foam):
     NonBipartiteBinding when propagation hits a contradiction.
     """
     adj = {f.id: [] for f in foam.blue_facets()}
-    for b in foam.bindings:
-        u = foam.slot_owner(b.blue_pages[0]).id
-        v = foam.slot_owner(b.blue_pages[1]).id
+    for b, (u, v) in zip(foam.bindings, _page_facets(foam)):
         if u == v:
             raise NonBipartiteBinding(
                 "binding %r has both blue pages on facet %r" % (b.id, u)
@@ -238,6 +246,12 @@ SIGMA_1 = "S1"
 SIGMA_B = "Sb"
 
 
+def _even_euler(which, total):
+    if total % 2:
+        raise OddEuler("chi(%s) = %d is odd" % (which, total))
+    return total
+
+
 def chi_subsurface(foam, coloring, which):
     """Euler characteristic of a colored subsurface of a closed foam.
 
@@ -256,27 +270,23 @@ def chi_subsurface(foam, coloring, which):
                 total += f.euler
         else:
             raise ValueError("unknown subsurface selector %r" % which)
-    if total % 2:
-        raise OddEuler("chi(%s) = %d is odd" % (which, total))
-    return total
+    return _even_euler(which, total)
 
 
 def count_n12(foam, coloring):
     """Number of bindings whose ordered blue pages are colored (1, 2)."""
-    n = 0
-    for b in foam.bindings:
-        first = foam.slot_owner(b.blue_pages[0]).id
-        second = foam.slot_owner(b.blue_pages[1]).id
-        if coloring[first] == 1 and coloring[second] == 2:
-            n += 1
-    return n
+    return sum(
+        1
+        for first, second in _page_facets(foam)
+        if coloring[first] == 1 and coloring[second] == 2
+    )
 
 
-def _facet_weight(facet, coloring):
-    if facet.color == BLUE:
-        c = coloring[facet.id]
-        return IntPoly2.x1(facet.dots) if c == 1 else IntPoly2.x2(facet.dots)
-    return IntPoly2.x1_plus_x2() ** facet.dots * IntPoly2.x1_times_x2() ** facet.squares
+def _red_factor(dots, squares):
+    """(X1 + X2)^dots * (X1*X2)^squares, expanded binomially."""
+    return IntPoly2(
+        {(k + squares, dots - k + squares): math.comb(dots, k) for k in range(dots + 1)}
+    )
 
 
 def evaluate_foam(foam):
@@ -284,23 +294,32 @@ def evaluate_foam(foam):
     validate_foam(foam)
     if not foam.is_closed:
         raise MalformedFoam("cannot evaluate a foam with free boundary")
-    numerator = IntPoly2.zero()
-    colorings = enumerate_colorings(foam)
-    denom_exp = None
-    for coloring in colorings:
-        chi1 = chi_subsurface(foam, coloring, SIGMA_1)
-        chib = chi_subsurface(foam, coloring, SIGMA_B)
-        if denom_exp is None:
-            denom_exp = chib // 2
-        sign = -1 if ((chi1 // 2) + count_n12(foam, coloring)) % 2 else 1
-        term = IntPoly2.constant(sign)
-        for f in foam.facets:
-            term = term * _facet_weight(f, coloring)
-        numerator = numerator + term
-    if denom_exp is None:
-        # no blue facets at all: single empty coloring over red facets
-        denom_exp = 0
-    return numerator.divide_by_difference_power(denom_exp)
+    pages = _page_facets(foam)
+    blue = [(f.id, f.euler, f.dots) for f in foam.facets if f.color == BLUE]
+    reds = [f for f in foam.facets if f.color == RED]
+    chi_red = sum(f.euler for f in reds)
+    chi_b = sum(euler for _, euler, _ in blue)
+    # signed monomials X1^a * X2^b of the blue dots, as {(a, b): coefficient}
+    blue_sum = {}
+    for coloring in enumerate_colorings(foam):
+        chi1 = chi_red
+        a = b = 0
+        for fid, euler, dots in blue:
+            if coloring[fid] == 1:
+                chi1 += euler
+                a += dots
+            else:
+                b += dots
+        # both checks on every coloring, in the order of the term-by-term
+        # formula, so a bad foam fails with the same message
+        _even_euler(SIGMA_1, chi1)
+        _even_euler(SIGMA_B, chi_b)
+        n12 = sum(1 for u, v in pages if coloring[u] == 1 and coloring[v] == 2)
+        blue_sum[a, b] = blue_sum.get((a, b), 0) + (-1 if (chi1 // 2 + n12) % 2 else 1)
+    quotient = IntPoly2(blue_sum).divide_by_difference_power(chi_b // 2)
+    return quotient * _red_factor(
+        sum(f.dots for f in reds), sum(f.squares for f in reds)
+    )
 
 
 def cap_closure(foam, caps=None):

@@ -8,10 +8,13 @@ are the orbits of (rotate after crossing an edge); for a genuinely
 planar graph they satisfy v - e + f = 2 per connected component plus
 one.
 
-Any graph containing a red edge has a face that is a bigon or an
-alternating square, and removing it (with a factor q + q^-1 for the
-bigon made of two blue edges) preserves the graded dimension: iterating
-computes deg S(G) = (q + q^-1)^(number of blue loops).
+Removing a face that is a bigon or an alternating square (with a
+factor q + q^-1 for the bigon made of two blue edges) preserves the
+graded dimension, so a reduction that removes every red edge computes
+deg S(G) = (q + q^-1)^(number of blue loops).  Not every graph with a
+red edge has such a face: the smoothing graph of the closure of
+(s1 s2^-1)^3 at state (1,0,1,0,1,0) has none, and graded_dimension
+raises ReductionStuck there.
 """
 
 from __future__ import annotations
@@ -79,7 +82,8 @@ class TrivalentGraph:
         return sorted(out)
 
     def red_edge_count(self):
-        return sum(1 for h, _ in self.edges() if self.colors[h] == RED)
+        # both halves of an edge share its color
+        return sum(1 for h in self.pairing if self.colors[h] == RED) // 2
 
     def _other_blue(self, v, h):
         blues = [x for x in self.rotations[v] if self.colors[x] == BLUE]

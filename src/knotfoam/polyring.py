@@ -14,6 +14,8 @@ instances may be shared freely.
 
 from __future__ import annotations
 
+import math
+
 from .errors import NonExactDivision
 
 
@@ -160,29 +162,35 @@ class IntPoly2:
         division step leaves a remainder.
         """
         if k < 0:
-            return self * IntPoly2.x1_minus_x2() ** (-k)
+            m = -k
+            return self * IntPoly2(
+                {(j, m - j): (-1) ** (m - j) * math.comb(m, j) for j in range(m + 1)}
+            )
         p = self
         for _ in range(k):
             p = p._divide_by_difference_once()
         return p
 
     def _divide_by_difference_once(self):
-        # Long division in X1 over Z[X2]: repeatedly strip the term of
-        # highest X1-degree.  What is left at X1-degree 0 is the remainder.
-        rem = dict(self._terms)
+        # In each homogeneous degree n, (X1 - X2) * sum_j q_j X1^j X2^(n-1-j)
+        # has coefficient q_(j-1) - q_j at X1^j X2^(n-j).  So sweeping from
+        # the highest X1-power down, q_(j-1) is the running sum of the
+        # coefficients at X1^j and above, and the sum over the whole degree
+        # is the remainder, left at X1^0 X2^n.
+        degrees = {}
+        for (e1, e2), c in self._terms.items():
+            degrees.setdefault(e1 + e2, {})[e1] = c
         quot = {}
-        while True:
-            pending = [(e1, e2) for (e1, e2) in rem if e1 > 0]
-            if not pending:
-                break
-            e1, e2 = max(pending)
-            c = rem.pop((e1, e2))
-            qk = (e1 - 1, e2)
-            quot[qk] = quot.get(qk, 0) + c
-            lk = (e1 - 1, e2 + 1)
-            rem[lk] = rem.get(lk, 0) + c
-            if rem[lk] == 0:
-                del rem[lk]
+        rem = {}
+        for n, row in degrees.items():
+            acc = 0
+            for j in range(max(row), 0, -1):
+                acc += row.get(j, 0)
+                if acc:
+                    quot[(j - 1, n - j)] = acc
+            acc += row.get(0, 0)
+            if acc:
+                rem[(0, n)] = acc
         if rem:
             raise NonExactDivision(
                 "remainder %s after division by (X1 - X2)" % _render_xx(rem)

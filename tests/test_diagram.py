@@ -16,6 +16,7 @@ from knotfoam.diagram import (
     reidemeister_move,
     smooth_state,
     state_height,
+    trace_orientations,
     validate_pd,
 )
 from knotfoam.errors import InvalidBraid, InvalidDiagram, InvalidSite, ParseError
@@ -225,3 +226,23 @@ def test_accepted_codes_split_or_merge_on_every_edge():
                 if not m >> j & 1:
                     assert abs(counts[m | 1 << j] - counts[m]) == 1, pd
     assert accepted > 500
+
+
+def test_kept_trace_matches_a_fresh_trace():
+    # validate_pd keeps the orientation trace on the code; it must equal
+    # a fresh trace of an unvalidated copy after every move and mirror,
+    # and must not take part in equality, hashing or printing
+    for word, strands in ([1, 1, 1], 2), ([1, 1], 2), ([1, -2, 1, -2], 3):
+        pd = braid_to_pd(word, strands)
+        moved = [reidemeister_move(pd, mv, arc)
+                 for mv in ("R1+", "R1-") for arc in sorted(pd.arcs())]
+        moved += [reidemeister_move(pd, "R2", site) for site in r2_sites(pd)]
+        for d in [pd] + moved + [mirror(m) for m in [pd] + moved]:
+            bare = PDCode(d.crossings)
+            assert bare.over_from_3 is None
+            fresh = trace_orientations(bare)
+            assert compute_signs(d) == compute_signs(bare)
+            assert compute_signs(d)[2] == [1 if o else -1 for o in fresh]
+            assert oriented_state(d) == oriented_state(bare)
+            assert d == bare and hash(d) == hash(bare)
+            assert str(d) == str(bare) and repr(d) == repr(bare)

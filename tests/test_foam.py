@@ -262,3 +262,87 @@ def test_json_rejects_mismatched_boundary():
     data["free_boundary"] = []
     with pytest.raises(MalformedFoam):
         foam_from_json(data)
+
+
+def _oracle_evaluate(foam):
+    """The evaluation restated term by term: for every coloring, the
+    product of every facet's weight, signed by chi_subsurface and
+    count_n12, then the whole sum divided by (X1 - X2)^(chi(Sb)/2)."""
+    validate_foam(foam)
+    if not foam.is_closed:
+        raise MalformedFoam("cannot evaluate a foam with free boundary")
+    total = IntPoly2.zero()
+    for coloring in enumerate_colorings(foam):
+        chi1 = chi_subsurface(foam, coloring, SIGMA_1)
+        chib = chi_subsurface(foam, coloring, SIGMA_B)
+        sign = -1 if (chi1 // 2 + count_n12(foam, coloring)) % 2 else 1
+        term = IntPoly2.constant(sign)
+        for f in foam.facets:
+            if f.color == BLUE:
+                x = IntPoly2.x1 if coloring[f.id] == 1 else IntPoly2.x2
+                term = term * x(f.dots)
+            else:
+                term = term * E ** f.dots * PI ** f.squares
+        total = total + term
+    return total.divide_by_difference_power(chib // 2)
+
+
+def _outcome(evaluate, foam):
+    try:
+        return evaluate(foam)
+    except (OddEuler, NonBipartiteBinding, MalformedFoam) as exc:
+        return type(exc), str(exc)
+
+
+def test_evaluation_matches_term_by_term_oracle():
+    checked = 0
+    for seed in (31, 32, 33, 34, 35):
+        rng = random.Random(seed)
+        for _ in range(120):
+            foam = random_closed_foam(rng)
+            assert evaluate_foam(foam) == _oracle_evaluate(foam)
+            checked += 1
+    assert checked >= 500
+
+
+def _odd_cycle(genus=0):
+    # three blue facets bound in a triangle: no proper 2-coloring
+    blue = [Facet(x, BLUE, genus=genus, slots=(x + "1", x + "2")) for x in "ABC"]
+    red = Facet("R", RED, slots=("r1", "r2", "r3"))
+    bindings = (
+        Binding("ab", ("A1", "B2"), "r1"),
+        Binding("bc", ("B1", "C2"), "r2"),
+        Binding("ca", ("C1", "A2"), "r3"),
+    )
+    return Foam(tuple(blue) + (red,), bindings)
+
+
+def _with_genus(foam, **genus):
+    return Foam(
+        tuple(Facet(f.id, f.color, genus.get(f.id, f.genus), f.dots, f.squares, f.slots)
+              for f in foam.facets),
+        foam.bindings,
+    )
+
+
+def test_evaluation_raises_like_the_oracle():
+    # a half-integer genus passes validate_foam (JSON may carry one) and
+    # makes a facet's Euler characteristic odd
+    half = 0.5
+    one_facet_pages = Foam(
+        (Facet("b", BLUE, slots=("s1", "s2")), Facet("r", RED, slots=("s3",))),
+        (Binding("x", ("s1", "s2"), "s3"),),
+    )
+    cases = [
+        (_with_genus(theta(), R=half), OddEuler),  # chi(S1) odd throughout
+        (_with_genus(theta(), U=half, L=half), OddEuler),  # only chi(S1) odd
+        (_with_genus(theta(), U=half), OddEuler),  # chi(Sb) odd
+        (_with_genus(blue_sphere(), b=half), OddEuler),
+        (one_facet_pages, NonBipartiteBinding),
+        (_odd_cycle(), NonBipartiteBinding),
+        (_odd_cycle(half), NonBipartiteBinding),  # checked before chi
+    ]
+    for foam, expected in cases:
+        outcome = _outcome(evaluate_foam, foam)
+        assert outcome[0] is expected, foam
+        assert outcome == _outcome(_oracle_evaluate, foam), foam

@@ -201,3 +201,24 @@ def test_json_round_trip():
     g2 = graph_from_json(graph_to_json(g))
     assert graded_dimension(g2) == graded_dimension(g)
     assert blue_loop_count(g2) == 1
+
+
+def test_red_edge_count_matches_edge_list():
+    def red_edges(g):
+        return len([h for h, _ in g.edges() if g.colors[h] == RED])
+
+    rng = random.Random(24)
+    graphs = [theta_graph(), circles_only(2)]
+    graphs += [random_planar_graph(rng) for _ in range(40)]
+    graphs += [smoothing_graph(braid_to_pd(word, strands), State(state))
+               for word, strands, state in (
+                   ([1], 2, (1,)),
+                   ([1, 1, 1], 2, (1, 0, 1)),
+                   ([1, -2, 1, -2], 3, (1, 1, 0, 0)),
+                   ([1, -2] * 3, 3, (1, 0, 1, 0, 1, 0)))]
+    for g in graphs:
+        assert g.red_edge_count() == red_edges(g)
+        # and along every reduction step
+        while (face := find_bigon_or_square(g)) is not None:
+            g, _ = reduce_step(g, face)
+            assert g.red_edge_count() == red_edges(g)

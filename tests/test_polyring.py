@@ -45,11 +45,26 @@ def test_divide_negative_power_multiplies():
 
 def test_divide_round_trip():
     rng = random.Random(2)
-    for _ in range(100):
+    for _ in range(200):
         p = random_poly(rng)
-        k = rng.randint(0, 3)
+        k = rng.randint(0, 4)
         prod = p * DIFF ** k
         assert prod.divide_by_difference_power(k) == p
+
+
+def test_divide_rejects_non_multiples():
+    # X1 - X2 divides p exactly when every homogeneous degree of p has
+    # coefficient sum 0, i.e. when substitute_equal(p) is empty
+    rng = random.Random(3)
+    checked = 0
+    while checked < 100:
+        p = random_poly(rng, max_exp=6, max_terms=10)
+        if not p.substitute_equal():
+            continue
+        k = rng.randint(1, 4)
+        with pytest.raises(NonExactDivision):
+            (p * DIFF ** (k - 1)).divide_by_difference_power(k)
+        checked += 1
 
 
 def test_is_symmetric():
