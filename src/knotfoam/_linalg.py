@@ -1,17 +1,15 @@
 """Small exact linear algebra helpers on sparse integer matrices.
 
-Vectors are sparse ``{coordinate: integer}`` dicts.  ``RowBasis`` is
-the echelon basis behind every rank and span question over Q (the Lee
-filtered reduction); scaling by a nonzero rational never matters there,
-so its rows stay integral and gcd-reduced.  ``eliminate_units`` serves
-Smith normal form over Z only: cube differentials are dominated by +-1
-entries, which it eliminates sparsely (shortest rows first) with
-integer row operations, leaving a small core for the dense routine.
+``cancel_units`` is the one elimination engine behind Khovanov homology
+over Z, Smith normal form, Lee rank and s: Bar-Natan's Gaussian
+elimination lemma (arXiv:math/0606318) on one differential.
+``RowBasis`` is the echelon basis behind the rank and span questions
+over Q of the Lee filtered reduction; vectors are sparse
+``{coordinate: integer}`` dicts, kept integral and gcd-reduced.
 """
 
 from __future__ import annotations
 
-import heapq
 from math import gcd
 
 
@@ -66,65 +64,51 @@ class RowBasis:
         return len(self.pivots)
 
 
-def build_sparse(entries):
-    """Row and column dictionaries of a sparse matrix ``{(r, c): v}``."""
-    rows = {}
-    cols = {}
-    for (r, c), v in entries.items():
-        if v:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, {})[r] = v
-    return rows, cols
+def cancel_units(rows, cols, row_q, col_q, chains=()):
+    """Cancel +-1 entries d[h, g] with row_q[h] == col_q[g], in place.
 
-
-def eliminate_units(rows, cols):
-    """Destructively eliminate rows via +-1 pivots; returns their count.
-
-    Uses integer row operations only, so the remaining rows span the
-    same row space over Q as the original matrix modulo the eliminated
-    pivots.  Rows are taken shortest first through a lazy heap.
+    ``rows`` ({r: {c: v}}) and ``cols`` ({c: {r: v}}) hold one sparse
+    matrix.  Cancelling u = d[h, g] drops row h and column g and
+    subtracts d[r, g] * u * d[h, c] from every other d[r, c]; each of
+    the ``chains``, indexed like the rows, goes to z - z[h] * u * (column
+    g).  One pass over the columns takes in each the unit whose row is
+    shortest, to keep the fill-in small.  Returns the (g, h) pairs.
     """
-    heap = [(len(row), r) for r, row in rows.items()]
-    heapq.heapify(heap)
-    units = 0
-    while heap:
-        ln, r0 = heapq.heappop(heap)
-        row = rows.get(r0)
-        if row is None or len(row) != ln:
+    pairs = []
+    for g in list(cols):
+        col = cols[g]
+        q = col_q[g]
+        h = None
+        for r, v in col.items():
+            if (v == 1 or v == -1) and row_q[r] == q and (
+                    h is None or len(rows[r]) < len(rows[h])):
+                h = r
+        if h is None:
             continue
-        c0 = None
-        best = None
-        for c, v in row.items():
-            if v in (1, -1):
-                cl = len(cols[c])
-                if best is None or cl < best:
-                    best = cl
-                    c0 = c
-        if c0 is None:
-            continue
-        v0 = row[c0]
-        pivot_row = dict(row)
-        for r in list(cols[c0]):
-            if r == r0:
-                continue
-            target = rows[r]
-            f = target[c0] * v0
-            for c, w in pivot_row.items():
-                cur = target.get(c, 0) - f * w
-                if cur:
-                    target[c] = cur
-                    cols[c][r] = cur
+        del cols[g]
+        row = rows.pop(h)
+        u = row.pop(g)
+        del col[h]
+        for r in col:
+            del rows[r][g]
+        for c, b in row.items():
+            target = cols[c]
+            del target[h]
+            f = u * b
+            for r, a in col.items():
+                w = target.get(r, 0) - a * f
+                if w:
+                    target[r] = rows[r][c] = w
                 else:
-                    target.pop(c, None)
-                    cols[c].pop(r, None)
-            if target:
-                heapq.heappush(heap, (len(target), r))
-            else:
-                del rows[r]
-        for c in pivot_row:
-            cols[c].pop(r0, None)
-            if not cols[c]:
-                del cols[c]
-        del rows[r0]
-        units += 1
-    return units
+                    del target[r], rows[r][c]
+        for z in chains:
+            zh = z.pop(h, 0) * u
+            if zh:
+                for r, a in col.items():
+                    w = z.get(r, 0) - zh * a
+                    if w:
+                        z[r] = w
+                    else:
+                        del z[r]
+        pairs.append((g, h))
+    return pairs

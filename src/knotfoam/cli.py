@@ -27,9 +27,10 @@ from . import __version__, errors
 from .diagram import braid_to_pd, link_components, parse_pd, compute_signs
 from .foam import evaluate_foam, foam_from_json
 from .graphs import graded_dimension, graph_evaluation, graph_from_json
-from .homology import integral_homology
-from .khovanov import KH, build_complex, graded_euler_characteristic
-from .lee import build_lee, lee_rank, s_invariant, slice_genus_lower_bound
+from .homology import homology_table, reduce_complex
+from .khovanov import graded_euler_characteristic
+from .lee import (build_lee, lee_invariants, oriented_resolution_generators,
+                  slice_genus_lower_bound)
 from .relations import verify_all_relations
 
 TOOL_VERSION = "knotfoam-" + __version__
@@ -182,13 +183,18 @@ def _write_cache(path, record):
 
 
 def _compute_record(pd, echo, skip, max_crossings):
+    """The record of one diagram, from one Lee complex reduced once."""
     timings = {}
     t0 = time.perf_counter()
     n_plus, n_minus, _ = compute_signs(pd)
     components = link_components(pd)
-    cx = build_complex(pd, KH, max_crossings=max_crossings)
-    jones = graded_euler_characteristic(cx)
-    table = integral_homology(cx)
+    fc = build_lee(pd, max_crossings=max_crossings)
+    jones = graded_euler_characteristic(fc)
+    fc.check_d_squared()
+    with_s = "lee" not in skip and "s" not in skip and components == 1
+    classes = oriented_resolution_generators(pd, fc) if with_s else ()
+    res = reduce_complex(fc, cycles=[(c.hom_degree, c.chain) for c in classes])
+    table = homology_table(res)
     if table.graded_euler() != jones:
         raise errors.PropositionViolated(
             "homology table disagrees with the graded Euler characteristic"
@@ -213,17 +219,12 @@ def _compute_record(pd, echo, skip, max_crossings):
 
     if "lee" not in skip:
         t0 = time.perf_counter()
-        fc = build_lee(pd, max_crossings=max_crossings)
-        record["lee_rank"] = lee_rank(fc, components)
+        record["lee_rank"], knot = lee_invariants(fc, res, components)
+        if knot is not None:
+            s, detail = knot
+            record.update(s=s, s_min=detail["s_min"], s_max=detail["s_max"],
+                          slice_genus_lower_bound=slice_genus_lower_bound(s))
         timings["lee"] = time.perf_counter() - t0
-        if "s" not in skip and components == 1:
-            t0 = time.perf_counter()
-            s, detail = s_invariant(pd, max_crossings=max_crossings, fc=fc)
-            record["s"] = s
-            record["s_min"] = detail["s_min"]
-            record["s_max"] = detail["s_max"]
-            record["slice_genus_lower_bound"] = slice_genus_lower_bound(s)
-            timings["s"] = time.perf_counter() - t0
     return record, timings
 
 

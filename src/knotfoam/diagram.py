@@ -18,6 +18,7 @@ negative ones, and its circles are the Seifert circles of the diagram.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import InvalidBraid, InvalidDiagram, InvalidSite, ParseError
@@ -134,7 +135,7 @@ def _trace(pd, occ):
     # here (its head), False = it leaves (its tail).
     status = {}
     over_from_3 = [None] * pd.n
-    queue = []
+    queue = deque()
 
     def set_status(place, value, arc):
         if place in status:
@@ -164,7 +165,7 @@ def _trace(pd, occ):
 
     while True:
         while queue:
-            arc, place, value = queue.pop(0)
+            arc, place, value = queue.popleft()
             places = occ[arc]
             other = places[0] if places[1] == place else places[1]
             if places[0] == places[1]:

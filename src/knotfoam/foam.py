@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import MalformedFoam, NonBipartiteBinding, OddEuler
@@ -215,9 +216,9 @@ def enumerate_colorings(foam):
     for comp in components:
         root = comp[0]
         base[root] = 1
-        queue = [root]
+        queue = deque([root])
         while queue:
-            cur = queue.pop(0)
+            cur = queue.popleft()
             for nxt in sorted(adj[cur]):
                 want = 3 - base[cur]
                 if nxt in base:
@@ -529,6 +530,11 @@ def foam_from_json(data):
         )
     except (KeyError, TypeError) as exc:
         raise MalformedFoam("bad foam JSON: %s" % exc) from exc
+    for f in facets:
+        for name in ("genus", "dots", "squares"):
+            if type(getattr(f, name)) is not int:  # bool is an int subclass
+                raise MalformedFoam("facet %r: %s must be an integer"
+                                    % (f.id, name))
     foam = validate_foam(Foam(facets, bindings))
     declared = data.get("free_boundary")
     if declared is not None:

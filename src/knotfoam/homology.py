@@ -1,21 +1,28 @@
-"""Integral homology of graded chain complexes.
+"""Integral homology of graded chain complexes, by Gaussian elimination.
 
-Smith normal form over Z does all the work: for each block the kernel
-rank comes from the rank of the outgoing differential, the image rank
-and torsion from the incoming one.  Arithmetic is exact throughout.
-Cube differentials are sparse and dominated by unit entries, so those
-are eliminated sparsely first (``_linalg.eliminate_units``); the small
-core left over goes through a dense pivoting loop that picks entries of
-smallest nonzero absolute value to slow entry growth.  Only invariant
-factors are computed, never the transforms U, V with U A V = D.
+:func:`reduce_complex` does the bulk work for Khovanov homology over Z,
+Lee rank and s: the elimination lemma of Bar-Natan ("Fast Khovanov
+homology computations", arXiv:math/0606318), one differential at a time
+in ascending degree, cancels +-1 entries between generators of equal
+q-degree.  Such an entry is an isomorphism that keeps the q-filtration,
+so the residue is filtered homotopy equivalent to the input (as in
+Schuetz, "A fast algorithm for calculating s-invariants", Glasgow Math.
+J. 2021).  No entry lowers q and fill-in adds the q-jumps of the entries
+it combines, so the q-preserving part of the residue is the reduced
+Khovanov complex over Z, from the Khovanov or the Lee complex alike.
+Smith normal form, the same cancellation on one matrix, finishes its
+small (degree, q) blocks; only invariant factors are computed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from math import gcd
 
-from ._linalg import build_sparse, eliminate_units
+from ._linalg import cancel_units
 from .errors import NotAComplex
+from .khovanov import KH, GradedChainComplex
 from .polyring import LaurentQ
 
 
@@ -26,108 +33,54 @@ class SNFResult:
 
 
 def _core_factors(m):
-    """Invariant factors of a nonempty dense integer matrix (list of rows).
+    """Invariant factors of a dense integer matrix (list of rows).
 
-    Pivots on an entry of smallest absolute value to slow entry growth;
-    ``m`` is reduced in place.
+    Each step clears the row and column of an entry of smallest absolute
+    value by division with remainder; a remainder is the next, smaller
+    pivot, a pivot left alone is split off.  Trading pairs of the
+    diagonal for gcd and lcm then gives a divisibility chain.
     """
-    rows, cols = len(m), len(m[0])
-
-    def row_op(i1, i2, q):
-        # row i2 -= q * row i1
-        r1, r2 = m[i1], m[i2]
-        for j in range(cols):
-            r2[j] -= q * r1[j]
-
-    def col_op(j1, j2, q):
-        for row in m:
-            row[j2] -= q * row[j1]
-
-    def swap_cols(j1, j2):
-        for row in m:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    factors = []
-    top = 0
-    while top < rows and top < cols:
-        pivot = None
-        best = None
-        for i in range(top, rows):
-            row = m[i]
-            for j in range(top, cols):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        m[top], m[pivot[0]] = m[pivot[0]], m[top]
-        swap_cols(top, pivot[1])
-
-        while True:
-            # clear the pivot column, re-pivoting on any smaller remainder
-            dirty = False
-            for i in range(top + 1, rows):
-                v = m[i][top]
-                if not v:
-                    continue
-                row_op(top, i, v // m[top][top])
-                if m[i][top]:
-                    m[top], m[i] = m[i], m[top]
-                    dirty = True
-            for j in range(top + 1, cols):
-                v = m[top][j]
-                if not v:
-                    continue
-                col_op(top, j, v // m[top][top])
-                if m[top][j]:
-                    swap_cols(top, j)
-                    dirty = True
-            if not dirty:
-                break
-        # enforce divisibility: pivot must divide the remaining block
-        p = m[top][top]
-        offender = None
-        for i in range(top + 1, rows):
-            row = m[i]
-            for j in range(top + 1, cols):
-                if row[j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(offender, top, -1)  # fold the offending row into the pivot row
-            continue
-        factors.append(abs(p))
-        top += 1
-    return tuple(factors)
+    diagonal = []
+    while any(any(row) for row in m):
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(m)
+                      for j, v in enumerate(row) if v)
+        p = m[i][j]
+        for k, row in enumerate(m):
+            if k != i and row[j]:
+                f = row[j] // p
+                m[k] = [a - f * b for a, b in zip(row, m[i])]
+        quotients = [v // p if c != j else 0 for c, v in enumerate(m[i])]
+        for k, row in enumerate(m):
+            if row[j]:
+                m[k] = [a - f * row[j] for a, f in zip(row, quotients)]
+        if sum(map(bool, m[i])) == 1 and sum(bool(row[j]) for row in m) == 1:
+            diagonal.append(abs(p))
+            del m[i]
+            for row in m:
+                del row[j]
+    for a in range(len(diagonal)):
+        for b in range(a + 1, len(diagonal)):
+            g = gcd(diagonal[a], diagonal[b])
+            diagonal[a], diagonal[b] = g, diagonal[a] * diagonal[b] // g
+    return tuple(diagonal)
 
 
 def smith_normal_form(entries):
     """Invariant factors of a sparse integer matrix ``{(r, c): v}``.
 
-    Rows holding a +-1 entry are eliminated with integer row operations;
-    whatever remains is small and goes through the dense pivoting
-    routine.
+    As a two-term complex in one q-degree, each cancelled +-1 entry is a
+    factor 1; the small rest goes through the dense routine.
     """
-    rows, cols = build_sparse(entries)
-    units = eliminate_units(rows, cols)
-    if not rows:
-        return SNFResult((1,) * units, units)
-    # dense fallback on the small leftover core
-    row_ids = sorted(rows)
-    col_ids = sorted({c for row in rows.values() for c in row})
-    col_pos = {c: j for j, c in enumerate(col_ids)}
-    core = [[0] * len(col_ids) for _ in row_ids]
-    for i, r in enumerate(row_ids):
-        for c, v in rows[r].items():
-            core[i][col_pos[c]] = v
-    rest = _core_factors(core)
+    rows, cols = {}, {}
+    for (r, c), v in entries.items():
+        if v:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, {})[r] = v
+    units = len(cancel_units(rows, cols, dict.fromkeys(rows, 0),
+                             dict.fromkeys(cols, 0)))
+    left = sorted({c for row in rows.values() for c in row})
+    rest = _core_factors([[row.get(c, 0) for c in left]
+                          for row in rows.values() if row])
     return SNFResult((1,) * units + rest, units + len(rest))
 
 
@@ -180,50 +133,85 @@ class HomologyTable:
         ]
 
 
-def _kh_blocks(cx):
-    """Split a q-preserving complex into (q, degree) blocks.
+class Residue(GradedChainComplex):
+    """What :func:`reduce_complex` leaves: the surviving generators with
+    the q-degrees the input reported, the reduced differentials, and the
+    carried ``cycles``."""
 
-    Returns ``dims[(i, q)]`` and sparse block matrices
-    ``mats[(i, q)]`` for the differential (i, q) -> (i+1, q), with block
-    row/column indices in generator order.
+    def q_degrees(self, i):
+        return self.qs.get(i, [])
+
+
+def reduce_complex(cx, window=None, cycles=()):
+    """The residue of Gaussian elimination on ``cx``, or on its degrees in
+    the range ``window``, holding one differential's row and column maps
+    at a time.  ``cycles`` are (degree, chain) pairs in the window,
+    carried through every cancellation into ``residue.cycles``.  An entry
+    that lowers q, or in a Khovanov complex changes it, is NotAComplex.
     """
-    dims = {}
-    positions = {}
-    for i in cx.degrees:
-        for idx, g in enumerate(cx.generators[i]):
-            key = (i, g.q_degree)
-            positions[(i, idx)] = (key, dims.get(key, 0))
-            dims[key] = dims.get(key, 0) + 1
-    mats = {}
-    for i in cx.degrees:
-        qs = cx.q_degrees(i)
-        qs_next = cx.q_degrees(i + 1) if (i + 1) in cx.generators else []
-        for (r, c), v in cx.matrix(i).items():
-            if qs_next[r] != qs[c]:
-                raise NotAComplex("differential does not preserve q-degree")
-            key, col = positions[(i, c)]
-            _, row = positions[(i + 1, r)]
-            mats.setdefault(key, {})[(row, col)] = v
-    return dims, mats
+    degrees = [i for i in cx.degrees if window is None or i in window]
+    res = Residue(cx.side, cx.n_plus, cx.n_minus)
+    res.qs = {}
+    chains = [(i, dict(chain)) for i, chain in cycles]
+    dead = set()  # generators of degree i cancelled by d_{i-1}
+    above = {}    # what is left of d_{i-1}, its columns renumbered
+    for i in degrees:
+        qs, qn = cx.q_degrees(i), cx.q_degrees(i + 1)
+        rows, cols = {}, {}
+        for (r, c), v in (cx.matrix(i) if i != degrees[-1] else {}).items():
+            if c in dead:
+                continue
+            if qn[r] != qs[c] and (cx.side == KH or qn[r] < qs[c]):
+                raise NotAComplex("d_%d sends q-degree %d to q-degree %d"
+                                  % (i, qs[c], qn[r]))
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, {})[r] = v
+        pairs = cancel_units(rows, cols, qn, qs,
+                             [z for j, z in chains if j == i + 1])
+        dead.update(g for g, _h in pairs)
+        keep = [k for k in range(len(qs)) if k not in dead]
+        new = {k: n for n, k in enumerate(keep)}
+        res.generators[i] = [cx.generators[i][k] for k in keep]
+        res.qs[i] = [qs[k] for k in keep]
+        if i != degrees[0]:
+            res.differentials[i - 1] = {(new[r], c): v for (r, c), v
+                                        in above.items() if r in new}
+        above = {(r, new[c]): v for c, col in cols.items()
+                 for r, v in col.items()}
+        chains = [(j, {new[k]: v for k, v in z.items() if k in new})
+                  if j == i else (j, z) for j, z in chains]
+        dead = {h for _g, h in pairs}
+    res.cycles = chains
+    return res
+
+
+def homology_table(res):
+    """Integral homology of the q-preserving (degree, q) blocks of a
+    residue: ranks out of and into each block, torsion from the latter."""
+    snf = {}
+    for i in res.degrees:
+        qs, qn = res.q_degrees(i), res.q_degrees(i + 1)
+        blocks = {}
+        for (r, c), v in res.matrix(i).items():
+            if qn[r] == qs[c]:
+                blocks.setdefault(qs[c], {})[(r, c)] = v
+        for q, block in blocks.items():
+            snf[(i, q)] = smith_normal_form(block)
+    dims = Counter((i, q) for i in res.degrees for q in res.q_degrees(i))
+    none = SNFResult((), 0)
+    table = HomologyTable()
+    for (i, q), dim in sorted(dims.items()):
+        incoming = snf.get((i - 1, q), none)
+        betti = dim - snf.get((i, q), none).rank - incoming.rank
+        torsion = sorted(p for f in incoming.invariant_factors
+                         for p in _prime_power_orders(f))
+        if betti or torsion:
+            table.entries[(i, q)] = (betti, torsion)
+    return table
 
 
 def integral_homology(cx):
-    """Homology with integer coefficients, blockwise per (degree, q)."""
+    """Homology with integer coefficients of a Khovanov or Lee complex,
+    blockwise per (degree, q)."""
     cx.check_d_squared()
-    dims, mats = _kh_blocks(cx)
-    snf = {key: smith_normal_form(mat) for key, mat in mats.items()}
-
-    table = HomologyTable()
-    for (i, q), dim in sorted(dims.items()):
-        out_rank = snf[(i, q)].rank if (i, q) in snf else 0
-        incoming = snf.get((i - 1, q))
-        in_rank = incoming.rank if incoming else 0
-        betti = dim - out_rank - in_rank
-        torsion = []
-        if incoming:
-            for f in incoming.invariant_factors:
-                if f > 1:
-                    torsion.extend(_prime_power_orders(f))
-        if betti or torsion:
-            table.entries[(i, q)] = (betti, sorted(torsion))
-    return table
+    return homology_table(reduce_complex(cx))

@@ -101,7 +101,8 @@ class GradedChainComplex:
                     for r, w in d2_by_col.get(k, ()):
                         acc[r] = acc.get(r, 0) + v * w
                 if any(acc.values()):
-                    raise NotAComplex("d o d != 0 at degree %d" % i)
+                    raise NotAComplex("d o d != 0 at degree %d in q-block %d"
+                                      % (i, self.q_degrees(i)[c]))
         return True
 
 

@@ -9,29 +9,32 @@ classes sit at the oriented resolution, generated by labelling every
 circle with a = 1 + X or b = 1 - X.  The two filtration jump levels of
 a knot differ by exactly 2, and the s-invariant is the midpoint.
 
-The filtration is read off one filtered, persistence-style column
-reduction per differential.  The columns of d_i go in from the highest
-q down, each reduced until its lowest coordinate, in the (q, index)
-order of degree i + 1, is a new pivot.  The rank reached after level j
-is the rank of d_i on F^j, so dim(Z_i cap F^j) is the number of
-degree-i generators with q >= j minus that rank.  Every nonzero
-boundary has a pivot as its lowest coordinate, so dim(B_{i+1} cap F^j)
-is the number of pivots with q >= j.  The difference of the two is the
-rank of the image of H(F^j) -> H(C) in that degree.  A class reduced
-against the pivots of d_{i-1} keeps a lowest coordinate that no
+Everything is read off the small residue of ``homology.reduce_complex``,
+which has the filtered homology of the input, at the q-levels of the
+input, by one filtered, persistence-style column reduction per
+differential.  The columns of d_i go in from the highest q down, each
+reduced until its lowest coordinate, in the (q, index) order of degree
+i + 1, is a new pivot.  The rank reached after level j is the rank of
+d_i on F^j, so dim(Z_i cap F^j) is the number of degree-i generators
+with q >= j minus that rank.  Every nonzero boundary has a pivot as its
+lowest coordinate, so dim(B_{i+1} cap F^j) is the number of pivots with
+q >= j.  The difference of the two, the profile, is the rank of the
+image of H(F^j) -> H(C) in that degree; at the lowest level it is the
+Betti number.  A class, carried through the cancellations and reduced
+against the pivots of d_{i-1}, keeps a lowest coordinate that no
 boundary can cancel, and its q is the filtration degree of the class.
-The same reduction gives every Lee rank: the rank of d_i over Q, behind
-the Betti numbers and :func:`lee_rank`, is its rank at the lowest level.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 
 from ._linalg import RowBasis
 from .diagram import compute_signs, link_components, oriented_state
 from .errors import NotACycle, NotAKnot, PropositionViolated, RankMismatch
+from .homology import reduce_complex
 from .khovanov import LEE, build_complex
 
 
@@ -41,30 +44,39 @@ def build_lee(pd, max_crossings=14):
 
 
 def lee_homology_betti(fc):
-    """Rational betti number of the Lee homology per homological degree.
-
-    The rank of each d_i is that of its filtered reduction at the lowest
-    q-level, where every column has gone in.
-    """
-    lowest = _levels(fc)[:1]
-    ranks = {i: _reduce(fc, i, lowest)[0].rank for i in fc.degrees}
-    out = {}
-    for i in fc.degrees:
-        b = fc.dim(i) - ranks[i] - ranks.get(i - 1, 0)
-        if b:
-            out[i] = b
-    return out
+    """Rational betti number of the Lee homology per homological degree."""
+    keys, _reduced, profiles = _profiles(fc, reduce_complex(fc))
+    return {i: p[keys[0]] for i, p in profiles.items() if p[keys[0]]}
 
 
 def lee_rank(fc, components):
     """Total Lee homology rank; must equal 2**components."""
-    total = sum(lee_homology_betti(fc).values())
-    expected = 2 ** components
-    if total != expected:
-        raise RankMismatch(
-            "Lee homology has rank %d, expected %d" % (total, expected)
-        )
-    return total
+    return lee_invariants(fc, reduce_complex(fc), components)[0]
+
+
+def lee_invariants(fc, res, components):
+    """Lee rank and (s, detail) or None, each degree reduced once.
+
+    ``res`` is the residue of the Lee complex ``fc``; s comes when it
+    carries the two oriented-resolution classes of a knot.
+    """
+    keys, reduced, profiles = _profiles(fc, res)
+    total = sum(p[keys[0]] for p in profiles.values())
+    if total != 2 ** components:
+        raise RankMismatch("Lee homology has rank %d, expected %d"
+                           % (total, 2 ** components))
+    return total, (_s_from(res, keys, reduced) if res.cycles else None)
+
+
+def _profiles(fc, res):
+    """The levels of ``fc``, the filtered reduction of every d_i of its
+    residue ``res`` (the zero map into the lowest degree included) and
+    the profile of every degree."""
+    keys = _levels(fc)
+    reduced = {i: _reduce(res, i, keys)
+               for i in range(res.degrees[0] - 1, res.degrees[-1] + 1)}
+    return keys, reduced, {i: _degree_profile(res, i, keys, reduced)
+                           for i in res.degrees}
 
 
 @dataclass(frozen=True)
@@ -141,9 +153,9 @@ def _alternating_signs(pd, state_tuple):
         if root in epsilon:
             continue
         epsilon[root] = 1
-        queue = [root]
+        queue = deque([root])
         while queue:
-            cur = queue.pop(0)
+            cur = queue.popleft()
             for nxt in sorted(adj[cur]):
                 if nxt in epsilon:
                     if epsilon[nxt] != -epsilon[cur]:
@@ -190,14 +202,15 @@ def _reduce(fc, i, keys):
     return basis, ranks
 
 
-def _degree_profile(fc, i, keys, boundaries, ranks):
+def _degree_profile(fc, i, keys, reduced):
     """dim(Z cap F^j) - dim(B cap F^j) in degree i, for each j in keys.
 
-    ``boundaries`` is the basis from the reduction of d_{i-1}, ``ranks``
-    the level ranks from the reduction of d_i.
+    ``reduced`` holds the filtered reductions of d_{i-1} (its basis
+    spans the boundaries) and d_i (its level ranks).
     """
     qs = sorted(fc.q_degrees(i))
-    pivot_qs = sorted(qs[p] for p in boundaries.pivots)
+    pivot_qs = sorted(qs[p] for p in reduced[i - 1][0].pivots)
+    ranks = reduced[i][1]
     return {j: len(qs) - bisect_left(qs, j) - ranks[j]
             - len(pivot_qs) + bisect_left(pivot_qs, j) for j in keys}
 
@@ -217,15 +230,8 @@ def filtration_profile(fc):
     the filtered reductions of all homological degrees, so links are
     covered too.
     """
-    keys = _levels(fc)
-    out = dict.fromkeys(keys, 0)
-    boundaries = RowBasis()  # nothing maps into the lowest degree
-    for i in range(fc.degrees[0], fc.degrees[-1] + 1):
-        basis, ranks = _reduce(fc, i, keys)
-        for j, r in _degree_profile(fc, i, keys, boundaries, ranks).items():
-            out[j] += r
-        boundaries = basis
-    return out
+    keys, _reduced, profiles = _profiles(fc, reduce_complex(fc))
+    return {j: sum(p[j] for p in profiles.values()) for j in keys}
 
 
 def class_filtration_degree(fc, cls):
@@ -235,18 +241,20 @@ def class_filtration_degree(fc, cls):
     z = z' + d(w) with z' supported in F^j.
     """
     keys = _levels(fc)
-    boundaries = _reduce(fc, cls.hom_degree - 1, keys)[0]
-    return _class_degree(fc, cls, boundaries, keys[-2])
+    i = cls.hom_degree
+    res = reduce_complex(fc, range(i - 1, i + 1), [(i, cls.chain)])
+    boundaries = _reduce(res, i - 1, keys)[0]
+    return _class_degree(res, LeeClass(*res.cycles[0]), boundaries, keys[-2])
 
 
 def s_invariant(pd, max_crossings=14, fc=None):
     """The s-invariant of a knot diagram, with its structural checks.
 
     ``fc`` is the Lee complex of ``pd`` when the caller has built it
-    already.  Only the oriented-resolution degree is reduced, and its
-    Lee rank must be 2; the rank over all degrees is :func:`lee_rank`.
-    Returns ``(s, detail)`` where detail records s_min, s_max, the
-    filtration profile and the filtration degrees of [s_a], [s_b].
+    already.  Only d_{i-1} and d_i at the oriented-resolution degree i
+    are reduced, and the Lee rank in degree i must be 2.  Returns
+    ``(s, detail)`` where detail records s_min, s_max, the filtration
+    profile and the filtration degrees of [s_a], [s_b].
     """
     if link_components(pd) != 1:
         raise NotAKnot("the s-invariant needs a one-component diagram")
@@ -254,9 +262,19 @@ def s_invariant(pd, max_crossings=14, fc=None):
         fc = build_lee(pd, max_crossings=max_crossings)
     sa, sb = oriented_resolution_generators(pd, fc)
     i = sa.hom_degree
+    res = reduce_complex(fc, range(i - 1, i + 2),
+                         [(i, sa.chain), (i, sb.chain)])
     keys = _levels(fc)
-    boundaries = _reduce(fc, i - 1, keys)[0]
-    profile = _degree_profile(fc, i, keys, boundaries, _reduce(fc, i, keys)[1])
+    return _s_from(res, keys, {j: _reduce(res, j, keys) for j in (i - 1, i)})
+
+
+def _s_from(res, keys, reduced):
+    """s and its detail from the reductions of d_{i-1}, d_i of ``res``,
+    the residue carrying [s_a], [s_b] in degree i."""
+    sa, sb = (LeeClass(*c) for c in res.cycles)
+    i = sa.hom_degree
+    boundaries = reduced[i - 1][0]
+    profile = _degree_profile(res, i, keys, reduced)
     if profile[keys[0]] != 2:
         raise RankMismatch(
             "Lee homology in degree %d has rank %d (q-level %d), expected 2"
@@ -273,8 +291,8 @@ def s_invariant(pd, max_crossings=14, fc=None):
         raise PropositionViolated(
             "degree %d: s = %d is odd (q-levels %d, %d)" % (i, s, s_min, s_max)
         )
-    deg_a = _class_degree(fc, sa, boundaries, keys[-2])
-    deg_b = _class_degree(fc, sb, boundaries, keys[-2])
+    deg_a = _class_degree(res, sa, boundaries, keys[-2])
+    deg_b = _class_degree(res, sb, boundaries, keys[-2])
     if deg_a != s_min or deg_b != s_min:
         raise PropositionViolated(
             "degree %d: filtration degree of the oriented-resolution classes "

@@ -177,6 +177,51 @@ def test_eval_foam_theta(tmp_path, capsys):
     assert out.splitlines()[0] == "0"
 
 
+@pytest.mark.parametrize("field,facet,value", [
+    ("genus", 0, 0.5), ("genus", 0, "1"), ("genus", 0, 1.0), ("genus", 0, True),
+    ("dots", 1, 1.0), ("squares", 2, False),
+])
+def test_eval_foam_rejects_non_integer_decorations(tmp_path, capsys, field,
+                                                   facet, value):
+    theta = Foam(
+        (
+            Facet("U", BLUE, slots=("u",)),
+            Facet("L", BLUE, slots=("l",)),
+            Facet("R", RED, slots=("r",)),
+        ),
+        (Binding("beta", ("u", "l"), "r"),),
+    )
+    data = foam_to_json(theta)
+    data["facets"][facet][field] = value
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["eval-foam", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert field in err
+
+
+def test_invariants_build_one_complex(monkeypatch, capsys):
+    import knotfoam.khovanov
+    import knotfoam.lee
+
+    build = knotfoam.khovanov.build_complex
+    sides = []
+
+    def counting_build(pd, side, **kwargs):
+        sides.append(side)
+        return build(pd, side, **kwargs)
+
+    for module in (knotfoam.cli, knotfoam.lee, knotfoam.khovanov):
+        if hasattr(module, "build_complex"):
+            monkeypatch.setattr(module, "build_complex", counting_build)
+    code, out, _err = run_cli(["invariants", "--braid", "1 1 1", "--strands", "2"],
+                              capsys)
+    assert code == 0 and "s-invariant: 2" in out and "Z/2" in out
+    assert len(sides) == 1
+
+
 def test_eval_foam_schema_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"facets": [{"id": "b", "color": "blue", "squares": 1}]}')

@@ -326,8 +326,8 @@ def _with_genus(foam, **genus):
 
 
 def test_evaluation_raises_like_the_oracle():
-    # a half-integer genus passes validate_foam (JSON may carry one) and
-    # makes a facet's Euler characteristic odd
+    # a half-integer genus passes validate_foam (foam_from_json rejects
+    # one) and makes a facet's Euler characteristic odd
     half = 0.5
     one_facet_pages = Foam(
         (Facet("b", BLUE, slots=("s1", "s2")), Facet("r", RED, slots=("s3",))),

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -191,8 +193,75 @@ def test_not_a_complex():
     g2 = Generator((), (0,), (0,), 2, 0)
     cx.generators[2] = [g2]
     cx.differentials[1] = {(0, 0): 1}
-    with pytest.raises(NotAComplex):
+    with pytest.raises(NotAComplex, match=r"d o d != 0 at degree 0 in q-block 0"):
         integral_homology(cx)
+    # a Khovanov differential must keep q
+    cx = _two_term_complex(1)
+    cx.generators[1] = [Generator((), (0,), (0,), 1, 2)]
+    with pytest.raises(NotAComplex, match=r"d_0 sends q-degree 0 to q-degree 2"):
+        integral_homology(cx)
+
+
+def test_snf_of_dense_matrices_gives_the_determinant():
+    # dense blocks with few unit entries go through the dense routine;
+    # the product of the invariant factors of a square matrix is |det|
+    rng = random.Random(56)
+    for _ in range(60):
+        n = rng.randint(5, 9)
+        m = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(n)]
+        rows = [[Fraction(v) for v in row] for row in m]
+        det = Fraction(1)
+        for k in range(n):
+            pivot = next((r for r in range(k, n) if rows[r][k]), None)
+            if pivot is None:
+                det = Fraction(0)
+                break
+            if pivot != k:
+                rows[k], rows[pivot] = rows[pivot], rows[k]
+                det = -det
+            det *= rows[k][k]
+            for r in range(k + 1, n):
+                f = rows[r][k] / rows[k][k]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
+        snf = smith_normal_form(_entries(m))
+        fs = snf.invariant_factors
+        assert all(b % a == 0 for a, b in zip(fs, fs[1:]))
+        if det:
+            assert snf.rank == n and math.prod(fs) == abs(det)
+        else:
+            assert snf.rank < n
+
+
+def test_mirror_duality():
+    # Kh(mirror): the free part at (i, q) is that of Kh at (-i, -q), the
+    # torsion at (i, q) that of Kh at (1 - i, -q); the mirror goes in as
+    # its Lee complex, whose q-preserving part is its Khovanov complex
+    from knotfoam.diagram import mirror
+    from knotfoam.errors import InvalidBraid
+    from knotfoam.khovanov import LEE
+
+    def parts(table):
+        free = {k: b for k, (b, _t) in table.entries.items() if b}
+        torsion = {k: t for k, (_b, t) in table.entries.items() if t}
+        return free, torsion
+
+    rng = random.Random(57)
+    checked = 0
+    while checked < 25:
+        strands = rng.randint(2, 4)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(2, 8))]
+        try:
+            pd = braid_to_pd(word, strands)
+        except InvalidBraid:
+            continue
+        free, torsion = parts(integral_homology(build_complex(pd, KH)))
+        m_free, m_torsion = parts(
+            integral_homology(build_complex(mirror(pd), LEE)))
+        assert m_free == {(-i, -q): b for (i, q), b in free.items()}, word
+        assert m_torsion == {(1 - i, -q): t
+                             for (i, q), t in torsion.items()}, word
+        checked += 1
 
 
 def test_homology_table_helpers():
