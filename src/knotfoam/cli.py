@@ -285,6 +285,10 @@ def _cmd_graph_dim(args):
 
 
 def _cmd_verify_relations(args):
+    if args.max_dots < 0:
+        print("input error: --max-dots must be at least 0, got %d"
+              % args.max_dots, file=sys.stderr)
+        return 2
     results = verify_all_relations(max_dots=args.max_dots)
     failed = 0
     for name, ok, witness in results:

@@ -232,16 +232,20 @@ def parse_pd(text):
     if not text:
         return PDCode()
     if text.startswith("[") or text.startswith("("):
-        try:
-            import ast
+        import ast
 
+        try:
             data = ast.literal_eval(text)
-            crossings = [tuple(int(v) for v in row) for row in data]
-            if any(len(c) != 4 for c in crossings):
-                raise ValueError
-        except (ValueError, SyntaxError) as exc:
+        except (ValueError, SyntaxError, MemoryError, RecursionError) as exc:
             raise ParseError("malformed PD list", position=0) from exc
-        return validate_pd(PDCode(tuple(crossings)))
+        # rows of four ints; bools, floats and strings are not coerced
+        if not isinstance(data, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) and len(row) == 4
+            and all(type(v) is int for v in row)
+            for row in data
+        ):
+            raise ParseError("PD list must hold rows of four integers", position=0)
+        return validate_pd(PDCode(tuple(data)))
     crossings = []
     pos = 0
     for chunk in text.split(";"):
@@ -370,6 +374,55 @@ def smooth_state(pd, state):
             union(b, c)
     membership = {a: find(a) for a in parent}
     return SmoothingResult(len(set(membership.values())), membership)
+
+
+def _smoothings(pd):
+    """The circles of all 2^n smoothings, from one depth-first walk.
+
+    Returns ``(arcs, members)``: the arc labels in ascending order, and
+    per state, in binary order (crossing j is bit j of the mask), the
+    circle id of each arc in that order -- the smallest arc label of its
+    circle, as in :func:`smooth_state`.  The walk decides the highest
+    crossing first; each branch copies its parent's union-find, a flat
+    list over arc positions, and adds that crossing's two unions, so a
+    state costs two unions rather than one per crossing.
+    """
+    arcs = sorted(pd.arcs())
+    pos = {a: k for k, a in enumerate(arcs)}
+    # per crossing, the arc positions each smoothing joins: 0 and 1
+    joins = [((pos[a], pos[b], pos[c], pos[d]), (pos[a], pos[d], pos[b], pos[c]))
+             for a, b, c, d in pd.crossings]
+    members = []
+    # an explicit stack, the 0-branch on top: a recursive closure would be
+    # a reference cycle, keeping every state alive until the cycle
+    # collector runs
+    stack = [(pd.n - 1, list(range(len(arcs))))]
+    while stack:
+        j, parent = stack.pop()
+        if j < 0:
+            # a root is the smallest position of its tree, so parent[x] <= x
+            # and one ascending pass points every arc at its root
+            for x in range(len(parent)):
+                parent[x] = parent[parent[x]]
+            members.append(tuple([arcs[r] for r in parent]))
+            continue
+        for joined in reversed(joins[j]):
+            branch = parent.copy()
+            for u, v in (joined[:2], joined[2:]):
+                u, v = _find(branch, u), _find(branch, v)
+                # the smaller position, so the smaller label, is the root
+                if u < v:
+                    branch[v] = u
+                elif v < u:
+                    branch[u] = v
+            stack.append((j - 1, branch))
+    return tuple(arcs), members
+
+
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 def oriented_state(pd):

@@ -88,12 +88,6 @@ class Foam:
 
     # -- lookup helpers -------------------------------------------------
 
-    def facet_by_id(self, facet_id):
-        for f in self.facets:
-            if f.id == facet_id:
-                return f
-        raise KeyError(facet_id)
-
     @property
     def free_boundary(self):
         """Ordered list of (slot, color) pairs not attached to any binding."""
@@ -394,8 +388,11 @@ def verify_local_relation(lhs, rhs, max_dots=2):
     every combination, and the evaluations are compared exactly.
     Returns ``(True, None)`` on success and ``(False, witness)`` on the
     first disagreement, where the witness records the dot assignment and
-    both values.
+    both values.  A negative ``max_dots`` would check no closure at all,
+    so it raises ValueError.
     """
+    if max_dots < 0:
+        raise ValueError("max_dots must be at least 0, got %d" % max_dots)
     sig_l = lhs.signature()
     sig_r = rhs.signature()
     if sig_l is None and sig_r is None:

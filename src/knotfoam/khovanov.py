@@ -16,9 +16,9 @@ Labels are encoded as 0 for the unit generator and 1 for X.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .diagram import State, compute_signs, smooth_state
+from .diagram import State, _smoothings, compute_signs, smooth_state
 from .errors import NotAComplex, TooLarge
 from .polyring import LaurentQ
 
@@ -42,8 +42,7 @@ def edge_map(kind, side):
     raise ValueError("kind must be 'merge' or 'split'")
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     state: tuple          # 0/1 per crossing
     circles: tuple        # canonical circle ids, sorted
     labels: tuple         # 0 (unit) or 1 (X) per circle
@@ -83,27 +82,33 @@ class GradedChainComplex:
         return self.differentials.get(i, {})
 
     def check_d_squared(self):
+        # each differential is grouped by column once: as d2 at degree
+        # i - 1, then carried over as d1 at degree i
+        carried = {}
         for i in self.degrees:
-            d1 = self.matrix(i)
-            d2 = self.matrix(i + 1)
+            d1 = carried.get(i) or _by_column(self.matrix(i))
+            d2 = _by_column(self.matrix(i + 1))
+            carried = {i + 1: d2}
             if not d1 or not d2:
                 continue
-            by_col = {}
-            for (r, c), v in d1.items():
-                by_col.setdefault(c, []).append((r, v))
             # compose: (d2 * d1)[r, c] = sum_k d2[r, k] * d1[k, c]
-            d2_by_col = {}
-            for (r, c), v in d2.items():
-                d2_by_col.setdefault(c, []).append((r, v))
-            for c, col in by_col.items():
+            for c, col in d1.items():
                 acc = {}
                 for k, v in col:
-                    for r, w in d2_by_col.get(k, ()):
+                    for r, w in d2.get(k, ()):
                         acc[r] = acc.get(r, 0) + v * w
                 if any(acc.values()):
                     raise NotAComplex("d o d != 0 at degree %d in q-block %d"
                                       % (i, self.q_degrees(i)[c]))
         return True
+
+
+def _by_column(d):
+    """A sparse matrix as column -> [(row, entry)]."""
+    cols = {}
+    for (r, c), v in d.items():
+        cols.setdefault(c, []).append((r, v))
+    return cols
 
 
 def _state_tuple(mask, n):
@@ -121,8 +126,15 @@ def build_complex(pd, side=KH, max_crossings=14):
     state's generators form one run of its degree's list, starting at a
     base offset: a generator's index is that base plus its labels read
     as a bitmask, the first (smallest) circle id being the most
-    significant bit.  The label maps of each cube edge are worked out
-    once per edge, so an entry costs a few integer operations.
+    significant bit.  A circle the edge does not touch keeps its arcs,
+    so it keeps its id and its place among the ids; its bit in the
+    target follows from the bits of the touched circles on both sides.
+    An edge's entries, as (column offset, row offset, entry), are
+    therefore fixed by its shape: the source circle count, the bits of
+    the circles at slots 0 and 2 of the crossing before it and at slots
+    0 and 1 after it (the first two differ on a merge).  Each shape's
+    pattern is worked out once per build, and an edge adds its base
+    offsets and its sign.
     """
     n = pd.n
     if n > max_crossings:
@@ -130,82 +142,81 @@ def build_complex(pd, side=KH, max_crossings=14):
     n_plus, n_minus, _ = compute_signs(pd)
     cx = GradedChainComplex(side, n_plus, n_minus)
 
-    # per state: the circle of each arc, the label bit of each circle
-    # (in circle id order) and the base index
+    # per state: the label bit of each arc's circle (arcs in the order
+    # of _smoothings), the circle count and the base index
+    arcs, members = _smoothings(pd)
     labelings = {}
-    members, bits, base = [], [], []
-    for mask in range(2 ** n):
-        st = _state_tuple(mask, n)
-        membership = smooth_state(pd, State(st)).membership
-        cids = tuple(sorted(set(membership.values()))) if n else (0,)
+    bits, counts, base = [], [], []
+    for mask, member in enumerate(members):
+        cids = tuple(sorted(set(member))) if n else (0,)
         c = len(cids)
-        i = sum(st) - n_minus
+        i = mask.bit_count() - n_minus
         bucket = cx.generators.setdefault(i, [])
-        members.append(membership)
-        bits.append({cid: c - 1 - k for k, cid in enumerate(cids)})
+        bit = {cid: c - 1 - k for k, cid in enumerate(cids)}
+        bits.append(list(map(bit.__getitem__, member)))
+        counts.append(c)
         base.append(len(bucket))
         if c not in labelings:
-            labelings[c] = list(itertools.product((0, 1), repeat=c))
-        q0 = c + i + n_plus - n_minus
-        bucket.extend(Generator(st, cids, labels, i, q0 - 2 * sum(labels))
-                      for labels in labelings[c])
+            labelings[c] = [(labels, 2 * sum(labels))
+                            for labels in itertools.product((0, 1), repeat=c)]
+        st, q0 = _state_tuple(mask, n), c + i + n_plus - n_minus
+        bucket.extend([Generator(st, cids, labels, i, q0 - x)
+                       for labels, x in labelings[c]])
 
-    merge_map = edge_map("merge", side)
-    split_map = edge_map("split", side)
+    maps = edge_map("merge", side), edge_map("split", side)
+    at = {a: k for k, a in enumerate(arcs)}
+    ends = [(at[a], at[b], at[c]) for a, b, c, _d in pd.crossings]
+    patterns = {}
     # every (row, col) key takes its ints from this one list, so equal
     # indices are one object rather than one int per key
     ints = list(range(max(len(gens) for gens in cx.generators.values())))
-
     for mask in range(2 ** n):
-        src, src_bits, col0 = members[mask], bits[mask], base[mask]
-        for j in range(n):
+        src, col0 = bits[mask], base[mask]
+        for j, (a, b, c) in enumerate(ends):
             if mask >> j & 1:
                 continue
-            tmask = mask | 1 << j
-            tgt, tgt_bit, row0 = members[tmask], bits[tmask], base[tmask]
+            tgt, row0 = bits[mask | 1 << j], base[mask | 1 << j]
+            shape = (counts[mask], src[a], src[c], tgt[a], tgt[b])
+            pattern = patterns.get(shape)
+            if pattern is None:
+                pattern = patterns[shape] = _edge_pattern(shape, *maps)
             sign = -1 if (mask & ((1 << j) - 1)).bit_count() % 2 else 1
-            a, b, c, _d = pd.crossings[j]
-            c1, c2 = src[a], src[c]
-            # outs[k]: (target bits of the touched circles, entry) for the
-            # source labels k of the touched circles
-            if c1 != c2:
-                # two circles merge into one
-                touched = {c1: 2, c2: 1}
-                tb = tgt_bit[tgt[a]]
-                outs = [[(lc << tb, coeff * sign)
-                         for lc, coeff in merge_map[(la, lb)].items()]
-                        for la in (0, 1) for lb in (0, 1)]
-            else:
-                # one circle splits in two; on a non-planar PD code it can
-                # stay one circle (t1 == t2), which then takes label lb
-                touched = {c1: 1}
-                t1, t2 = tgt[a], tgt[b]
-                outs = [[(sum(lt << tgt_bit[t]
-                              for t, lt in {t1: la, t2: lb}.items()),
-                          coeff * sign)
-                         for (la, lb), coeff in split_map[lc].items()]
-                        for lc in (0, 1)]
-            # per source labels L: the target bits of the untouched
-            # circles (each matched through its id, an arc of the circle)
-            # and the index into outs; last circle first, so that the
-            # first circle ends up as the most significant bit of L
-            tbits, outs_at = [0], [0]
-            for cid in reversed(src_bits):
-                if cid in touched:
-                    step = touched[cid]
-                    outs_at += [k + step for k in outs_at]
-                    tbits += tbits
-                else:
-                    step = 1 << tgt_bit[tgt[cid]]
-                    tbits += [t + step for t in tbits]
-                    outs_at += outs_at
             # no (row, col) repeats: the edge fixes the target state and
             # the column fixes the source generator
             entries = cx.differentials.setdefault(mask.bit_count() - n_minus, {})
-            for col, t, k in zip(ints[col0:col0 + len(tbits)], tbits, outs_at):
-                for add, v in outs[k]:
-                    entries[ints[row0 + t + add], col] = v
+            for dc, dr, v in pattern:
+                entries[ints[row0 + dr], ints[col0 + dc]] = sign * v
     return cx
+
+
+def _edge_pattern(shape, merge_map, split_map):
+    """The (column offset, row offset, entry) list of an edge, sign +1.
+
+    ``shape`` is as in :func:`build_complex`.  On a non-planar PD code a
+    split can keep one circle (equal target bits), which then takes the
+    second label.
+    """
+    c, sa, sc, ta, tb = shape
+    merge = sa != sc
+    c_tgt = c - 1 if merge else c + (ta != tb)
+    # move[s]: the target bit, as a power of two, of the untouched circle
+    # at source bit s; untouched circles keep their order on both sides
+    move = dict(zip([k for k in reversed(range(c)) if k not in (sa, sc)],
+                    [1 << k for k in reversed(range(c_tgt)) if k not in (ta, tb)]))
+    # rows[col]: the untouched circles' labels in col, at their target bits
+    rows = [0]
+    for k in range(c):
+        rows += [r + move.get(k, 0) for r in rows]
+    # outs[source labels at slots 0 and 2]: (touched target bits, entry)
+    if merge:
+        outs = {key: [(lt << ta, v) for lt, v in m.items()]
+                for key, m in merge_map.items()}
+    else:
+        outs = {(lc, lc): [(sum(lt << t for t, lt in {ta: la, tb: lb}.items()), v)
+                           for (la, lb), v in m.items()]
+                for lc, m in split_map.items()}
+    return [(col, row + add, v) for col, row in enumerate(rows)
+            for add, v in outs[col >> sa & 1, col >> sc & 1]]
 
 
 def graded_euler_characteristic(cx):

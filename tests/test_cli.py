@@ -68,6 +68,19 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [
+    "(1,2,3,4)",         # a bare row, not a list of rows
+    "[[1,2,3,4],5]",     # a row that is not a list
+    "[[1,2,2,1.9]]",     # a float would be truncated
+    "[[1,2,'2',1]]",     # a string would be coerced
+])
+def test_malformed_pd_list_exit_code(capsys, text):
+    code, out, err = run_cli(["invariants", "--pd", text], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 def test_size_limit_exit_code(capsys):
     word = " ".join(["1"] * 15)
     code, _out, err = run_cli(
@@ -250,6 +263,14 @@ def test_verify_relations(capsys):
     assert code == 0
     assert "relations hold" in out
     assert "FAIL" not in out
+
+
+def test_verify_relations_rejects_negative_max_dots(capsys):
+    # range(0) dots would evaluate no closure and report every relation held
+    code, out, err = run_cli(["verify-relations", "--max-dots", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
 
 
 def test_entry_point_subprocess():

@@ -14,6 +14,7 @@ from knotfoam.diagram import (
     r2_sites,
     regions,
     reidemeister_move,
+    _smoothings,
     smooth_state,
     state_height,
     trace_orientations,
@@ -133,6 +134,32 @@ def test_circle_change_is_one_per_edge():
                     st2[j] = 1
                     c1 = smooth_state(pd, State(st2)).circle_count
                     assert abs(c1 - c0) == 1
+
+
+def test_smoothings_walk_matches_smooth_state():
+    # the one-walk smoothings of the cube build against the union-find of
+    # each state on its own, on braids, mirrors, moves and odd labels
+    rng = random.Random(31)
+    pds = [parse_pd(""), parse_pd("X[10,30,40,20];X[30,50,60,40];X[50,10,20,60]")]
+    while len(pds) < 62:
+        strands = rng.randint(2, 4)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 7))]
+        try:
+            pd = braid_to_pd(word, strands)
+        except InvalidBraid:
+            continue
+        pds += [pd, mirror(pd),
+                reidemeister_move(pd, rng.choice(["R1+", "R1-"]),
+                                  rng.choice(sorted(pd.arcs()))),
+                reidemeister_move(pd, "R2", rng.choice(r2_sites(pd)))]
+    for pd in pds:
+        arcs, members = _smoothings(pd)
+        assert arcs == tuple(sorted(pd.arcs()))
+        assert len(members) == 2 ** pd.n
+        for mask, member in enumerate(members):
+            st = State([(mask >> j) & 1 for j in range(pd.n)])
+            assert dict(zip(arcs, member)) == smooth_state(pd, st).membership
 
 
 def test_r1_moves():

@@ -8,9 +8,10 @@ from knotfoam.diagram import (
     braid_to_pd,
     parse_pd,
     smooth_state,
+    trace_orientations,
     validate_pd,
 )
-from knotfoam.errors import TooLarge
+from knotfoam.errors import InvalidDiagram, TooLarge
 from knotfoam.khovanov import (
     KH,
     LEE,
@@ -99,63 +100,102 @@ def test_lee_entries_raise_q_by_zero_or_four():
                     assert kh_mat.get((r, c)) == v
 
 
-@pytest.mark.parametrize("side", [KH, LEE])
-def test_differential_entries_follow_the_edge_maps(side):
+def _assert_entries_follow_the_edge_maps(pd, side):
     """Every entry, with its target labels, read off the cube directly."""
     merge = edge_map("merge", side)
     split = edge_map("split", side)
+    cx = build_complex(pd, side)
+    smoothings = {}
+
+    def membership(state):
+        if state not in smoothings:
+            smoothings[state] = smooth_state(pd, State(state)).membership
+        return smoothings[state]
+
+    def local_map(state, labels, j):
+        """Touched circles and the edge map's outputs at crossing j."""
+        arcs = pd.crossings[j]
+        src = membership(state)
+        c1, c2 = src[arcs[0]], src[arcs[2]]
+        if c1 != c2:
+            return {c1, c2}, merge[(labels[c1], labels[c2])]
+        return {c1}, split[labels[c1]]
+
+    nonzeros = 0
+    for i, mat in cx.differentials.items():
+        for (r, c), v in mat.items():
+            g, h = cx.generators[i][c], cx.generators[i + 1][r]
+            flips = [j for j in range(pd.n) if g.state[j] != h.state[j]]
+            assert len(flips) == 1
+            j = flips[0]
+            assert (g.state[j], h.state[j]) == (0, 1)
+            src_labels = dict(zip(g.circles, g.labels))
+            tgt_labels = dict(zip(h.circles, h.labels))
+            tgt = membership(h.state)
+            a, b, _c, _d = pd.crossings[j]
+            touched, outputs = local_map(g.state, src_labels, j)
+            if len(touched) == 2:
+                coeff = outputs.get(tgt_labels[tgt[a]], 0)
+            else:
+                # on a non-planar code a split can leave one circle
+                # (t1 == t2), which takes the second label
+                t1, t2 = tgt[a], tgt[b]
+                coeff = sum(w for (la, lb), w in outputs.items()
+                            if {t1: la, t2: lb} == {t1: tgt_labels[t1],
+                                                    t2: tgt_labels[t2]})
+            assert coeff != 0
+            assert v == (-1) ** sum(g.state[:j]) * coeff
+            # untouched circles keep their labels, matched by a shared arc
+            for arc, cid in membership(g.state).items():
+                if cid not in touched:
+                    assert tgt_labels[tgt[arc]] == src_labels[cid]
+            nonzeros += 1
+    predicted = 0
+    for gens in cx.generators.values():
+        for g in gens:
+            labels = dict(zip(g.circles, g.labels))
+            for j in range(pd.n):
+                if not g.state[j]:
+                    predicted += len(local_map(g.state, labels, j)[1])
+    assert nonzeros == predicted > 0
+    return cx
+
+
+@pytest.mark.parametrize("side", [KH, LEE])
+def test_differential_entries_follow_the_edge_maps(side):
     rng = random.Random(44)
     for _ in range(20):
-        pd = random_braid_pd(rng, max_letters=5)
-        cx = build_complex(pd, side)
-        smoothings = {}
+        _assert_entries_follow_the_edge_maps(random_braid_pd(rng, max_letters=5), side)
+    # T(2,7) and a 4-strand closure reach 7 and 6 circles, so edges with
+    # many untouched circles are checked entry by entry too
+    for pd in braid_to_pd([1] * 7, 2), braid_to_pd([1, 3, 2, 1, 3, 2, 1, 3], 4):
+        cx = _assert_entries_follow_the_edge_maps(pd, side)
+        assert max(len(g.circles) for gens in cx.generators.values()
+                   for g in gens) >= 5
 
-        def membership(state):
-            if state not in smoothings:
-                smoothings[state] = smooth_state(pd, State(state)).membership
-            return smoothings[state]
 
-        def local_map(state, labels, j):
-            """Touched circles and the edge map's outputs at crossing j."""
-            arcs = pd.crossings[j]
-            src = membership(state)
-            c1, c2 = src[arcs[0]], src[arcs[2]]
-            if c1 != c2:
-                return {c1, c2}, merge[(labels[c1], labels[c2])]
-            return {c1}, split[labels[c1]]
-
-        nonzeros = 0
-        for i, mat in cx.differentials.items():
-            for (r, c), v in mat.items():
-                g, h = cx.generators[i][c], cx.generators[i + 1][r]
-                flips = [j for j in range(pd.n) if g.state[j] != h.state[j]]
-                assert len(flips) == 1
-                j = flips[0]
-                assert (g.state[j], h.state[j]) == (0, 1)
-                src_labels = dict(zip(g.circles, g.labels))
-                tgt_labels = dict(zip(h.circles, h.labels))
-                tgt = membership(h.state)
-                a, b, _c, _d = pd.crossings[j]
-                touched, outputs = local_map(g.state, src_labels, j)
-                if len(touched) == 2:
-                    coeff = outputs.get(tgt_labels[tgt[a]], 0)
-                else:
-                    coeff = outputs.get((tgt_labels[tgt[a]], tgt_labels[tgt[b]]), 0)
-                assert coeff != 0
-                assert v == (-1) ** sum(g.state[:j]) * coeff
-                # untouched circles keep their labels, matched by a shared arc
-                for arc, cid in membership(g.state).items():
-                    if cid not in touched:
-                        assert tgt_labels[tgt[arc]] == src_labels[cid]
-                nonzeros += 1
-        predicted = 0
-        for gens in cx.generators.values():
-            for g in gens:
-                labels = dict(zip(g.circles, g.labels))
-                for j in range(pd.n):
-                    if not g.state[j]:
-                        predicted += len(local_map(g.state, labels, j)[1])
-        assert nonzeros == predicted > 0
+@pytest.mark.parametrize("side", [KH, LEE])
+def test_non_planar_split_that_keeps_one_circle(side):
+    # unvalidated virtual codes: an edge can split a circle into one
+    # circle, whose entries must not share a pattern with a true split
+    rng = random.Random(45)
+    kept = 0
+    while kept < 10:
+        n = rng.randint(1, 3)
+        arcs = [a for a in range(1, 2 * n + 1) for _ in (0, 1)]
+        rng.shuffle(arcs)
+        pd = PDCode(tuple(tuple(arcs[4 * k:4 * k + 4]) for k in range(n)))
+        try:
+            trace_orientations(pd)
+        except InvalidDiagram:
+            continue
+        counts = [smooth_state(pd, State([m >> j & 1 for j in range(n)])).circle_count
+                  for m in range(2 ** n)]
+        if all(counts[m] != counts[m | 1 << j] for m in range(2 ** n)
+               for j in range(n)):
+            continue
+        _assert_entries_follow_the_edge_maps(pd, side)
+        kept += 1
 
 
 def test_two_faces_anticommute():

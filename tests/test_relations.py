@@ -77,6 +77,12 @@ def test_signature_mismatch_raises():
         verify_local_relation(lhs, rhs)
 
 
+def test_negative_max_dots_raises():
+    _name, _desc, lhs, rhs = load_fixture("bubble-blue")
+    with pytest.raises(ValueError, match="max_dots"):
+        verify_local_relation(lhs, rhs, max_dots=-1)
+
+
 def test_fixture_descriptions_present():
     for name, description, lhs, rhs in relation_fixtures():
         assert description
