@@ -80,34 +80,40 @@ def _check_planar(pd, occ):
     exactly when the totals give 2 per piece.  On a non-planar (virtual)
     code a cube edge can keep one circle as one circle.
     """
-    # the walks of regions() over flat lists, as every new diagram comes
-    # through here: port 4 * crossing + slot steps along its arc and turns
-    # one slot counterclockwise at the far end
-    step = [0] * (4 * pd.n)
     piece = list(range(pd.n))
-    for (c1, s1), (c2, s2) in occ.values():
-        step[4 * c1 + s1] = 4 * c2 + (s2 + 1) % 4
-        step[4 * c2 + s2] = 4 * c1 + (s1 + 1) % 4
-        while piece[c1] != c1:
-            c1 = piece[c1]
-        while piece[c2] != c2:
-            c2 = piece[c2]
-        piece[c1] = c2
+    for (c1, _), (c2, _) in occ.values():
+        piece[_find(piece, c1)] = _find(piece, c2)
     pieces = sum(1 for ci in range(pd.n) if piece[ci] == ci)
-    seen = [False] * (4 * pd.n)
-    faces = 0
-    for start in range(4 * pd.n):
-        if not seen[start]:
-            faces += 1
-            port = start
-            while not seen[port]:
-                seen[port] = True
-                port = step[port]
+    faces = len(_faces(pd, occ))
     if pd.n - 2 * pd.n + faces != 2 * pieces:
         raise InvalidDiagram(
             "PD code is not planar: %d crossings in %d pieces bound %d "
             "regions, expected %d" % (pd.n, pieces, faces, pd.n + 2 * pieces)
         )
+
+
+def _faces(pd, occ):
+    """The walks of :func:`regions` over flat ports.
+
+    Port 4 * crossing + slot steps along its arc and turns one slot
+    counterclockwise at the far end.
+    """
+    step = [0] * (4 * pd.n)
+    for (c1, s1), (c2, s2) in occ.values():
+        step[4 * c1 + s1] = 4 * c2 + (s2 + 1) % 4
+        step[4 * c2 + s2] = 4 * c1 + (s1 + 1) % 4
+    seen = [False] * (4 * pd.n)
+    faces = []
+    for start in range(4 * pd.n):
+        if not seen[start]:
+            walk = []
+            port = start
+            while not seen[port]:
+                seen[port] = True
+                walk.append(port)
+                port = step[port]
+            faces.append(walk)
+    return faces
 
 
 def trace_orientations(pd):
@@ -201,23 +207,12 @@ def link_components(pd):
     """Number of link components (1 for the empty unknot diagram)."""
     if pd.n == 0:
         return 1
-    parent = {a: a for a in pd.arcs()}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for (a, b, c, d) in pd.crossings:
-        union(a, c)
-        union(b, d)
-    return len({find(a) for a in parent})
+    pos = {a: k for k, a in enumerate(pd.arcs())}
+    parent = list(range(len(pos)))
+    for a, b, c, d in pd.crossings:
+        for u, v in ((a, c), (b, d)):
+            parent[_find(parent, pos[u])] = _find(parent, pos[v])
+    return sum(1 for k, r in enumerate(parent) if k == r)
 
 
 _PD_TOKEN = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
@@ -274,7 +269,8 @@ def braid_to_pd(word, strands):
     for w in word:
         touched.add(abs(w))
         touched.add(abs(w) + 1)
-    if touched != set(range(1, strands + 1)):
+    # every touched strand is in range, so counting them is enough
+    if len(touched) != strands:
         raise InvalidBraid("closure has a crossingless component")
 
     cur = {pos: pos for pos in range(1, strands + 1)}
@@ -338,12 +334,6 @@ class State:
 class SmoothingResult:
     circle_count: int
     membership: dict  # arc -> circle id (smallest arc in the circle)
-
-    def circles(self):
-        out = {}
-        for arc, cid in self.membership.items():
-            out.setdefault(cid, set()).add(arc)
-        return out
 
 
 def smooth_state(pd, state):
@@ -447,30 +437,8 @@ def regions(pd):
     leaves a crossing through a port's arc and re-enters at the arc's
     other endpoint, turning one slot counterclockwise.
     """
-    occ = _arc_occurrences(pd)
-
-    def step(port):
-        ci, si = port
-        arc = pd.crossings[ci][si]
-        p1, p2 = occ[arc]
-        nci, nsi = p2 if p1 == port else p1
-        return (nci, (nsi + 1) % 4)
-
-    seen = set()
-    out = []
-    for ci in range(pd.n):
-        for si in range(4):
-            port = (ci, si)
-            if port in seen:
-                continue
-            walk = []
-            cur = port
-            while cur not in seen:
-                seen.add(cur)
-                walk.append(cur)
-                cur = step(cur)
-            out.append(walk)
-    return out
+    faces = _faces(pd, _arc_occurrences(pd))
+    return [[divmod(p, 4) for p in walk] for walk in faces]
 
 
 def reidemeister_move(pd, move, site=None):
@@ -502,23 +470,8 @@ def _r1(pd, positive, arc):
     if arc is None or arc not in pd.arcs():
         raise InvalidSite("no arc %r in diagram" % arc)
     y, z = _fresh_labels(pd, 2)
-    occ = _arc_occurrences(pd)
-    status_head = None
-    # find the occurrence where the arc flows into a crossing
-    over = _orientations(pd)
-    for (ci, si) in occ[arc]:
-        into = (
-            si == 0
-            or (si == 3 and over[ci])
-            or (si == 1 and not over[ci])
-        )
-        if into:
-            status_head = (ci, si)
-            break
-    if status_head is None:
-        raise InvalidSite("arc %r has no head occurrence" % arc)
+    ci, si = _head(pd, _arc_occurrences(pd), arc)
     crossings = [list(c) for c in pd.crossings]
-    ci, si = status_head
     crossings[ci][si] = z
     if positive:
         kink = (arc, z, y, y)
@@ -540,17 +493,13 @@ def r2_sites(pd):
     return out
 
 
-def _port_direction(pd, port):
-    """True when the arc flows away from the crossing at this port."""
-    ci, si = port
+def _head(pd, occ, arc):
+    """The port where ``arc`` flows into its crossing."""
     over = _orientations(pd)
-    if si == 2:
-        return True
-    if si == 0:
-        return False
-    if si == 1:
-        return over[ci]
-    return not over[ci]
+    for ci, si in occ[arc]:
+        if si == 0 or (si == 3 and over[ci]) or (si == 1 and not over[ci]):
+            return ci, si
+    raise InvalidSite("arc %r has no head occurrence" % arc)
 
 
 def _r2(pd, site):
@@ -572,28 +521,16 @@ def _r2(pd, site):
     if x == y:
         raise InvalidSite("R2 needs two distinct arcs")
 
-    # Walking the region, a port with the arc flowing away from its
-    # crossing is traversed with the strand; the two segments run
-    # strand-parallel exactly when their walk parities differ.
-    dir_x = _port_direction(pd, px)
-    dir_y = _port_direction(pd, py)
-    m, m2, x2, y2 = _fresh_labels(pd, 4)
-
     occ = _arc_occurrences(pd)
-    over = _orientations(pd)
-
-    def head_occurrence(arc):
-        for (ci, si) in occ[arc]:
-            if (
-                si == 0
-                or (si == 3 and over[ci])
-                or (si == 1 and not over[ci])
-            ):
-                return (ci, si)
-        raise InvalidSite("arc %r has no head occurrence" % arc)
-
-    hx = head_occurrence(x)
-    hy = head_occurrence(y)
+    hx = _head(pd, occ, x)
+    hy = _head(pd, occ, y)
+    # Walking the region, a port with the arc flowing away from its
+    # crossing (any port but the arc's head) is traversed with the
+    # strand; the two segments run strand-parallel exactly when their
+    # walk parities differ.
+    dir_x = px != hx
+    dir_y = py != hy
+    m, m2, x2, y2 = _fresh_labels(pd, 4)
     crossings = [list(c) for c in pd.crossings]
     crossings[hx[0]][hx[1]] = x2
     crossings[hy[0]][hy[1]] = y2

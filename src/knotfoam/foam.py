@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import MalformedFoam, NonBipartiteBinding, OddEuler
@@ -169,23 +168,40 @@ def blue_components(foam):
     binding.  Returns a list of sorted facet-id lists, sorted by their
     smallest member, so the component count k is ``len(result)``.
     """
-    parent = {f.id: f.id for f in foam.blue_facets()}
+    return _blue_walk(foam, _page_facets(foam))[0]
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for first, second in _page_facets(foam):
-        u = find(first)
-        v = find(second)
-        if u != v:
-            parent[u] = v
-    groups = {}
-    for fid in parent:
-        groups.setdefault(find(fid), []).append(fid)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+def _blue_walk(foam, pages):
+    """Breadth-first 2-coloring of the blue facets, component by component.
+
+    Each walk starts at the smallest unvisited id with color 1 and visits
+    neighbours in id order.  Returns ``(components, base, conflict)``: the
+    components as in :func:`blue_components`, the color of every blue
+    facet, and the first pair of adjacent facets that got the same color
+    (None when there is none).
+    """
+    adj = {f.id: [] for f in foam.blue_facets()}
+    for u, v in pages:
+        adj[u].append(v)
+        adj[v].append(u)
+    components = []
+    base = {}
+    conflict = None
+    for root in sorted(adj):
+        if root in base:
+            continue
+        base[root] = 1
+        comp = [root]
+        for cur in comp:  # comp is the walk's queue and grows as it goes
+            want = 3 - base[cur]
+            for nxt in sorted(adj[cur]):
+                if nxt not in base:
+                    base[nxt] = want
+                    comp.append(nxt)
+                elif base[nxt] != want and conflict is None:
+                    conflict = (cur, nxt)
+        components.append(sorted(comp))
+    return components, base, conflict
 
 
 def enumerate_colorings(foam):
@@ -196,33 +212,17 @@ def enumerate_colorings(foam):
     propagation and then flipped independently.  Raises
     NonBipartiteBinding when propagation hits a contradiction.
     """
-    adj = {f.id: [] for f in foam.blue_facets()}
-    for b, (u, v) in zip(foam.bindings, _page_facets(foam)):
+    pages = _page_facets(foam)
+    for b, (u, v) in zip(foam.bindings, pages):
         if u == v:
             raise NonBipartiteBinding(
                 "binding %r has both blue pages on facet %r" % (b.id, u)
             )
-        adj[u].append(v)
-        adj[v].append(u)
-
-    base = {}
-    components = blue_components(foam)
-    for comp in components:
-        root = comp[0]
-        base[root] = 1
-        queue = deque([root])
-        while queue:
-            cur = queue.popleft()
-            for nxt in sorted(adj[cur]):
-                want = 3 - base[cur]
-                if nxt in base:
-                    if base[nxt] != want:
-                        raise NonBipartiteBinding(
-                            "facets %r and %r force conflicting colors" % (cur, nxt)
-                        )
-                else:
-                    base[nxt] = want
-                    queue.append(nxt)
+    components, base, conflict = _blue_walk(foam, pages)
+    if conflict:
+        raise NonBipartiteBinding(
+            "facets %r and %r force conflicting colors" % conflict
+        )
 
     colorings = []
     k = len(components)
@@ -372,7 +372,7 @@ class FoamCombination:
         return sigs.pop() if sigs else None
 
 
-def _closure_value(combination, signature, dots):
+def _closure_value(combination, dots):
     total = IntPoly2.zero()
     for coeff, foam in combination.terms:
         slots = [s for s, _ in foam.free_boundary]
@@ -406,8 +406,8 @@ def verify_local_relation(lhs, rhs, max_dots=2):
     else:
         sig = sig_l
     for dots in itertools.product(range(max_dots + 1), repeat=len(sig)):
-        lv = _closure_value(lhs, sig, dots)
-        rv = _closure_value(rhs, sig, dots)
+        lv = _closure_value(lhs, dots)
+        rv = _closure_value(rhs, dots)
         if lv != rv:
             return False, {"dots": dots, "lhs": lv, "rhs": rv}
     return True, None
@@ -525,18 +525,24 @@ def foam_from_json(data):
             Binding(d["id"], tuple(d["blue_pages"]), d["red_page"])
             for d in data.get("bindings", ())
         )
+        declared = data.get("free_boundary")
+        if declared is not None:
+            declared = [(d["slot"], d["color"]) for d in declared]
     except (KeyError, TypeError) as exc:
         raise MalformedFoam("bad foam JSON: %s" % exc) from exc
+    # names are hashed and sorted together, so all must be strings
+    names = [x for f in facets for x in (f.id, *f.slots)]
+    names += [x for b in bindings for x in (b.id, *b.blue_pages, b.red_page)]
+    names += [x for pair in declared or () for x in pair]
+    if not all(type(x) is str for x in names):
+        raise MalformedFoam("bad foam JSON: ids, slots, pages and free-boundary "
+                            "entries must be strings")
     for f in facets:
         for name in ("genus", "dots", "squares"):
             if type(getattr(f, name)) is not int:  # bool is an int subclass
                 raise MalformedFoam("facet %r: %s must be an integer"
                                     % (f.id, name))
     foam = validate_foam(Foam(facets, bindings))
-    declared = data.get("free_boundary")
-    if declared is not None:
-        computed = foam.free_boundary
-        given = [(d["slot"], d["color"]) for d in declared]
-        if sorted(given) != sorted(computed):
-            raise MalformedFoam("declared free boundary does not match structure")
+    if declared is not None and sorted(declared) != sorted(foam.free_boundary):
+        raise MalformedFoam("declared free boundary does not match structure")
     return foam

@@ -11,10 +11,12 @@ one.
 Removing a face that is a bigon or an alternating square (with a
 factor q + q^-1 for the bigon made of two blue edges) preserves the
 graded dimension, so a reduction that removes every red edge computes
-deg S(G) = (q + q^-1)^(number of blue loops).  Not every graph with a
-red edge has such a face: the smoothing graph of the closure of
-(s1 s2^-1)^3 at state (1,0,1,0,1,0) has none, and graded_dimension
-raises ReductionStuck there.
+deg S(G) = (q + q^-1)^(number of blue loops).  A side bigon and a
+square are removed by one move with factor 1: erase the face's red
+edges and smooth every vertex on it.  Not every graph with a red edge
+has such a face: the smoothing graph of the closure of (s1 s2^-1)^3 at
+state (1,0,1,0,1,0) has none, and graded_dimension raises
+ReductionStuck there.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import State, compute_signs
+from .diagram import State, _arc_occurrences, compute_signs
 from .errors import InvalidFace, MalformedFoam, ReductionStuck
 from .polyring import LaurentQ
 
@@ -235,22 +237,16 @@ def reduce_step(g, face):
         remove_vertex(v1)
         remove_vertex(v2)
         factor = LaurentQ.circle()
-    elif face.kind == "side-bigon":
-        hr = next(h for h in face.darts if g.colors[h] == RED)
-        v1, v2 = g.vertex_of(hr), g.vertex_of(g.pairing[hr])
-        kill_halves([hr, g.pairing[hr]])
-        smooth_vertex(v1)
-        smooth_vertex(v2)
-        factor = LaurentQ.one()
     else:
-        red_darts = [h for h in face.darts if g.colors[h] == RED]
+        # a side bigon or a square: erase its red edges, smooth its vertices
         vertices = []
         for h in face.darts:
             for v in (g.vertex_of(h), g.vertex_of(g.pairing[h])):
                 if v not in vertices:
                     vertices.append(v)
-        for h in red_darts:
-            kill_halves([h, g.pairing[h]])
+        for h in face.darts:
+            if g.colors[h] == RED:
+                kill_halves([h, g.pairing[h]])
         for v in vertices:
             smooth_vertex(v)
         factor = LaurentQ.one()
@@ -304,10 +300,7 @@ def smoothing_graph(pd, state):
     if pd.n == 0:
         return TrivalentGraph({}, {}, {}, circles=1)
     _, _, signs = compute_signs(pd)
-    occ = {}
-    for ci, c in enumerate(pd.crossings):
-        for si, arc in enumerate(c):
-            occ.setdefault(arc, []).append((ci, si))
+    occ = _arc_occurrences(pd)
 
     rotations = {}
     colors = {}
@@ -438,4 +431,12 @@ def graph_from_json(data):
         circles = data.get("circles", 0)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFoam("bad graph JSON: %s" % exc) from exc
+    # names are hashed and sorted together, so all must be strings
+    names = [*rotations, *pairing, *(h for hs in rotations.values() for h in hs)]
+    if not all(type(x) is str for x in names):
+        raise MalformedFoam(
+            "bad graph JSON: vertex ids and half-edges must be strings"
+        )
+    if type(circles) is not int:  # bool is an int subclass
+        raise MalformedFoam("bad graph JSON: circles must be an integer")
     return TrivalentGraph(rotations, pairing, colors, circles)

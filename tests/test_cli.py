@@ -282,3 +282,58 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["jones"] == "q + q^-1"
+
+
+def _theta_foam_json():
+    return foam_to_json(Foam(
+        (
+            Facet("U", BLUE, slots=("u",)),
+            Facet("L", BLUE, slots=("l",)),
+            Facet("R", RED, slots=("r",)),
+        ),
+        (Binding("beta", ("u", "l"), "r"),),
+    ))
+
+
+def _theta_graph_json():
+    return {
+        "vertices": [{"id": "v1", "rotation": ["ri1", "l1", "r1"]},
+                     {"id": "v2", "rotation": ["ri2", "r2", "l2"]}],
+        "edges": [{"halves": ["l1", "l2"], "color": "blue"},
+                  {"halves": ["ri1", "ri2"], "color": "blue"},
+                  {"halves": ["r1", "r2"], "color": "red"}],
+        "circles": 0,
+    }
+
+
+def _set(path, value):
+    def edit(data):
+        *keys, last = path
+        for key in keys:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("command,make,edit", [
+    ("graph-dim", _theta_graph_json, _set(("vertices", 0, "rotation", 0), ["ri1"])),
+    ("graph-dim", _theta_graph_json, _set(("circles",), "3")),
+    ("graph-dim", _theta_graph_json, _set(("circles",), 1.5)),
+    ("eval-foam", _theta_foam_json, _set(("facets", 0, "id"), ["U"])),
+    ("eval-foam", _theta_foam_json, _set(("facets", 0, "slots", 0), ["u"])),
+    ("eval-foam", _theta_foam_json, _set(("bindings", 0, "blue_pages", 0), ["u"])),
+    ("eval-foam", _theta_foam_json, _set(("free_boundary",), [{"slot": "u"}])),
+    ("eval-foam", _theta_foam_json, _set(("free_boundary",), "x")),
+    ("eval-foam", _theta_foam_json, _set(("facets", 0, "id"), 1)),
+], ids=["rotation-list", "circles-str", "circles-float", "facet-id-list",
+        "slot-list", "page-list", "free-boundary-no-color", "free-boundary-str",
+        "facet-ids-int-and-str"])
+def test_malformed_json_exit_code(tmp_path, capsys, command, make, edit):
+    data = make()
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1

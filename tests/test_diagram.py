@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -63,6 +64,19 @@ def test_braid_errors():
         braid_to_pd([1], 3)  # third strand has no crossings
     with pytest.raises(InvalidBraid):
         braid_to_pd([], 2)
+
+
+def test_untouched_strands_rejected_in_little_memory():
+    # a word that leaves strands untouched fails before any per-strand
+    # table is built, so the strand count does not bound memory
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidBraid, match="crossingless"):
+            braid_to_pd([1], 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_signs():
@@ -273,3 +287,59 @@ def test_kept_trace_matches_a_fresh_trace():
             assert oriented_state(d) == oriented_state(bare)
             assert d == bare and hash(d) == hash(bare)
             assert str(d) == str(bare) and repr(d) == repr(bare)
+
+
+def _random_braids(rng, count):
+    """``count`` random (word, strands, diagram) triples on 2-4 strands."""
+    out = []
+    while len(out) < count:
+        strands = rng.randint(2, 4)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 8))]
+        try:
+            out.append((word, strands, braid_to_pd(word, strands)))
+        except InvalidBraid:
+            continue
+    return out
+
+
+def test_components_are_cycles_of_the_braid_permutation():
+    rng = random.Random(41)
+    for word, strands, pd in _random_braids(rng, 60):
+        perm = list(range(strands))
+        for w in word:
+            k = abs(w) - 1
+            perm[k], perm[k + 1] = perm[k + 1], perm[k]
+        cycles = 0
+        seen = set()
+        for start in range(strands):
+            if start not in seen:
+                cycles += 1
+                while start not in seen:
+                    seen.add(start)
+                    start = perm[start]
+        moved = [mirror(pd),
+                 reidemeister_move(pd, rng.choice(["R1+", "R1-"]),
+                                   rng.choice(sorted(pd.arcs()))),
+                 reidemeister_move(pd, "R2", rng.choice(r2_sites(pd)))]
+        for d in [pd] + moved:
+            assert link_components(d) == cycles, (word, strands)
+
+
+def test_regions_walk_every_port_once():
+    rng = random.Random(43)
+    diagrams = [parse_pd("")]
+    for _, _, pd in _random_braids(rng, 40):
+        diagrams += [pd, mirror(pd),
+                     reidemeister_move(pd, "R2", rng.choice(r2_sites(pd)))]
+    for pd in diagrams:
+        walks = regions(pd)
+        ports = sorted(p for walk in walks for p in walk)
+        assert ports == [(ci, si) for ci in range(pd.n) for si in range(4)]
+        for walk in walks:
+            for (ci, si), nxt in zip(walk, walk[1:] + walk[:1]):
+                arc = pd.crossings[ci][si]
+                ends = [(cj, sj) for cj, c in enumerate(pd.crossings)
+                        for sj, a in enumerate(c) if a == arc]
+                cj, sj = ends[1] if ends[0] == (ci, si) else ends[0]
+                assert nxt == (cj, (sj + 1) % 4)
