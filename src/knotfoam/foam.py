@@ -312,6 +312,10 @@ def evaluate_foam(foam):
         n12 = sum(1 for u, v in pages if coloring[u] == 1 and coloring[v] == 2)
         blue_sum[a, b] = blue_sum.get((a, b), 0) + (-1 if (chi1 // 2 + n12) % 2 else 1)
     quotient = IntPoly2(blue_sum).divide_by_difference_power(chi_b // 2)
+    if not quotient:
+        # zero whatever the red decorations; (X1 + X2)^dots alone has
+        # dots + 1 terms
+        return quotient
     return quotient * _red_factor(
         sum(f.dots for f in reds), sum(f.squares for f in reds)
     )

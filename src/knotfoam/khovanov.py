@@ -55,7 +55,8 @@ class GradedChainComplex:
 
     ``generators[i]`` lists the degree-i generators in a fixed order and
     ``differentials[i]`` is the sparse matrix (row, col) -> entry of the
-    map from degree i to degree i+1.
+    map from degree i to degree i+1.  ``omitted_qs`` holds the q-degrees
+    of the generators a build left out (see :func:`build_complex`).
     """
 
     def __init__(self, side, n_plus, n_minus):
@@ -64,6 +65,7 @@ class GradedChainComplex:
         self.n_minus = n_minus
         self.generators = {}
         self.differentials = {}
+        self.omitted_qs = set()
 
     @property
     def degrees(self):
@@ -115,12 +117,22 @@ def _state_tuple(mask, n):
     return tuple((mask >> j) & 1 for j in range(n))
 
 
-def build_complex(pd, side=KH, max_crossings=14):
-    """Build the Khovanov or Lee complex of a diagram.
+def build_complex(pd, side=KH, max_crossings=14, degrees=None):
+    """Build the Khovanov or Lee complex of a diagram, or a window of it.
 
     The Lee complex carries the same generators and q-degrees; its
     differential decomposes as the Khovanov part plus a part raising
     q-degree by 4.
+
+    ``degrees``, a range (or any container) of homological degrees,
+    restricts the build to the states of those degrees: only they get
+    generators, and only edges between two of them get entries.  A built
+    degree keeps the generator order and indices of the whole complex,
+    so the result is the whole complex restricted to the window.  Every
+    state's circle count still comes from the one walk of
+    :func:`_smoothings`, and the q-degrees of the states left out go to
+    ``omitted_qs``, so the q-levels of the whole cube stay known.
+    ``None`` builds every degree.
 
     States are taken in binary order (crossing j is bit j) and each
     state's generators form one run of its degree's list, starting at a
@@ -141,27 +153,36 @@ def build_complex(pd, side=KH, max_crossings=14):
         raise TooLarge("%d crossings exceeds limit %d" % (n, max_crossings))
     n_plus, n_minus, _ = compute_signs(pd)
     cx = GradedChainComplex(side, n_plus, n_minus)
+    # per height (number of 1s in the state): is its degree built
+    built = [degrees is None or h - n_minus in degrees for h in range(n + 2)]
 
-    # per state: the label bit of each arc's circle (arcs in the order
-    # of _smoothings), the circle count and the base index
+    # per built state: the label bit of each arc's circle (arcs in the
+    # order of _smoothings), the circle count and the base index
     arcs, members = _smoothings(pd)
     labelings = {}
-    bits, counts, base = [], [], []
+    omitted = set()  # (degree, circle count) of the states left out
+    size = len(members)
+    bits, counts, base = [None] * size, [0] * size, [0] * size
     for mask, member in enumerate(members):
+        h = mask.bit_count()
+        i = h - n_minus
+        if not built[h]:
+            omitted.add((i, len(set(member)) if n else 1))
+            continue
         cids = tuple(sorted(set(member))) if n else (0,)
-        c = len(cids)
-        i = mask.bit_count() - n_minus
+        c = counts[mask] = len(cids)
         bucket = cx.generators.setdefault(i, [])
         bit = {cid: c - 1 - k for k, cid in enumerate(cids)}
-        bits.append(list(map(bit.__getitem__, member)))
-        counts.append(c)
-        base.append(len(bucket))
+        bits[mask] = list(map(bit.__getitem__, member))
+        base[mask] = len(bucket)
         if c not in labelings:
             labelings[c] = [(labels, 2 * sum(labels))
                             for labels in itertools.product((0, 1), repeat=c)]
         st, q0 = _state_tuple(mask, n), c + i + n_plus - n_minus
         bucket.extend([Generator(st, cids, labels, i, q0 - x)
                        for labels, x in labelings[c]])
+    cx.omitted_qs = {c + i + n_plus - n_minus - 2 * x
+                     for i, c in omitted for x in range(c + 1)}
 
     maps = edge_map("merge", side), edge_map("split", side)
     at = {a: k for k, a in enumerate(arcs)}
@@ -169,8 +190,11 @@ def build_complex(pd, side=KH, max_crossings=14):
     patterns = {}
     # every (row, col) key takes its ints from this one list, so equal
     # indices are one object rather than one int per key
-    ints = list(range(max(len(gens) for gens in cx.generators.values())))
+    ints = list(range(max(map(len, cx.generators.values()), default=0)))
     for mask in range(2 ** n):
+        h = mask.bit_count()
+        if not (built[h] and built[h + 1]):
+            continue
         src, col0 = bits[mask], base[mask]
         for j, (a, b, c) in enumerate(ends):
             if mask >> j & 1:
@@ -183,7 +207,7 @@ def build_complex(pd, side=KH, max_crossings=14):
             sign = -1 if (mask & ((1 << j) - 1)).bit_count() % 2 else 1
             # no (row, col) repeats: the edge fixes the target state and
             # the column fixes the source generator
-            entries = cx.differentials.setdefault(mask.bit_count() - n_minus, {})
+            entries = cx.differentials.setdefault(h - n_minus, {})
             for dc, dr, v in pattern:
                 entries[ints[row0 + dr], ints[col0 + dc]] = sign * v
     return cx

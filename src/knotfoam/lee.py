@@ -23,6 +23,11 @@ image of H(F^j) -> H(C) in that degree; at the lowest level it is the
 Betti number.  A class, carried through the cancellations and reduced
 against the pivots of d_{i-1}, keeps a lowest coordinate that no
 boundary can cancel, and its q is the filtration degree of the class.
+
+s reads only the degrees i - 1, i and i + 1 around the oriented
+resolution's degree i (as in Schuetz, "A fast algorithm for calculating
+s-invariants", Glasgow Math. J. 2021), so on its own it builds only
+that window of the cube; the levels still span the whole cube.
 """
 
 from __future__ import annotations
@@ -38,9 +43,10 @@ from .homology import reduce_complex
 from .khovanov import LEE, build_complex
 
 
-def build_lee(pd, max_crossings=14):
-    """The Lee complex of a diagram (generators and q-degrees as in Kh)."""
-    return build_complex(pd, LEE, max_crossings=max_crossings)
+def build_lee(pd, max_crossings=14, degrees=None):
+    """The Lee complex of a diagram (generators and q-degrees as in Kh),
+    or its window of homological ``degrees`` as in ``build_complex``."""
+    return build_complex(pd, LEE, max_crossings=max_crossings, degrees=degrees)
 
 
 def lee_homology_betti(fc):
@@ -108,13 +114,12 @@ def oriented_resolution_generators(pd, fc=None):
     exists because two circles joined by a crossing never coincide and
     the circle adjacency graph is bipartite; s_a roots the smallest
     circle at +1 and s_b is its complement.  Both chains are verified to
-    be Lee cycles.
+    be Lee cycles.  Without ``fc`` only the degrees i and i + 1 of the
+    Lee complex are built, i being the oriented resolution's degree.
     """
+    st, degree = _oriented_degree(pd)
     if fc is None:
-        fc = build_lee(pd)
-    st = oriented_state(pd).assignment
-    n_plus, n_minus, _ = compute_signs(pd)
-    degree = sum(st) - n_minus
+        fc = build_lee(pd, degrees=range(degree, degree + 2))
     epsilon = _alternating_signs(pd, st)
 
     chain_a = {}
@@ -132,6 +137,12 @@ def oriented_resolution_generators(pd, fc=None):
         if _apply(fc.matrix(degree), chain):
             raise NotACycle("%s is not a Lee cycle" % name)
     return LeeClass(degree, chain_a), LeeClass(degree, chain_b)
+
+
+def _oriented_degree(pd):
+    """The oriented resolution's state and its homological degree."""
+    st = oriented_state(pd).assignment
+    return st, sum(st) - compute_signs(pd)[1]
 
 
 def _alternating_signs(pd, state_tuple):
@@ -168,8 +179,11 @@ def _alternating_signs(pd, state_tuple):
 
 
 def _levels(fc):
-    """The q-levels where the filtration can jump, and one above the top."""
-    qs = sorted({q for i in fc.degrees for q in fc.q_degrees(i)})
+    """The q-levels where the filtration can jump, and one above the top:
+    those of the whole cube, the degrees a window build left out
+    included."""
+    qs = sorted({q for i in fc.degrees for q in fc.q_degrees(i)}
+                | fc.omitted_qs)
     return qs + [qs[-1] + 1]
 
 
@@ -252,14 +266,19 @@ def s_invariant(pd, max_crossings=14, fc=None):
 
     ``fc`` is the Lee complex of ``pd`` when the caller has built it
     already.  Only d_{i-1} and d_i at the oriented-resolution degree i
-    are reduced, and the Lee rank in degree i must be 2.  Returns
-    ``(s, detail)`` where detail records s_min, s_max, the filtration
-    profile and the filtration degrees of [s_a], [s_b].
+    are reduced, and the Lee rank in degree i must be 2.  They read
+    only the degrees i - 1, i and i + 1, so without ``fc`` only that
+    window of the Lee complex is built; it keeps the q-levels of the
+    whole cube, so the profile is the same.  Returns ``(s, detail)``
+    where detail records s_min, s_max, the filtration profile and the
+    filtration degrees of [s_a], [s_b].
     """
     if link_components(pd) != 1:
         raise NotAKnot("the s-invariant needs a one-component diagram")
     if fc is None:
-        fc = build_lee(pd, max_crossings=max_crossings)
+        i = _oriented_degree(pd)[1]
+        fc = build_lee(pd, max_crossings=max_crossings,
+                       degrees=range(i - 1, i + 2))
     sa, sb = oriented_resolution_generators(pd, fc)
     i = sa.hom_degree
     res = reduce_complex(fc, range(i - 1, i + 2),

@@ -1,6 +1,8 @@
 import json
+import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -186,6 +188,22 @@ def test_eval_foam_theta(tmp_path, capsys):
     path = tmp_path / "theta.json"
     path.write_text(json.dumps(foam_to_json(theta)))
     code, out, _err = run_cli(["eval-foam", str(path)], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "0"
+
+
+def test_eval_foam_zero_quotient_with_many_red_dots(tmp_path, capsys):
+    # the blue quotient of the theta foam is 0, so its red factor, with
+    # one term per red dot, must never be expanded
+    demo = pathlib.Path(__file__).parent.parent / "demos" / "data" / "theta_foam.json"
+    data = json.loads(demo.read_text())
+    [red] = [f for f in data["facets"] if f["color"] == "red"]
+    red["dots"] = 20000
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, _err = run_cli(["eval-foam", str(path)], capsys)
+    assert time.perf_counter() - start < 5
     assert code == 0
     assert out.splitlines()[0] == "0"
 

@@ -6,12 +6,13 @@ from knotfoam.diagram import (
     PDCode,
     State,
     braid_to_pd,
+    mirror,
     parse_pd,
     smooth_state,
     trace_orientations,
     validate_pd,
 )
-from knotfoam.errors import InvalidDiagram, TooLarge
+from knotfoam.errors import InvalidBraid, InvalidDiagram, TooLarge
 from knotfoam.khovanov import (
     KH,
     LEE,
@@ -20,6 +21,7 @@ from knotfoam.khovanov import (
     graded_euler_characteristic,
     kauffman_oracle,
 )
+from knotfoam.lee import _levels
 from knotfoam.polyring import LaurentQ
 
 CIRCLE = LaurentQ.circle()
@@ -269,3 +271,44 @@ def test_too_large():
         build_complex(pd, KH)
     with pytest.raises(TooLarge):
         kauffman_oracle(pd)
+
+
+@pytest.mark.parametrize("side", [KH, LEE])
+def test_window_build_is_the_full_build_restricted(side):
+    rng = random.Random(46)
+    diagrams = [parse_pd("")]
+    while len(diagrams) < 41:
+        strands = rng.randint(2, 4)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 9))]
+        try:
+            pd = braid_to_pd(word, strands)
+        except InvalidBraid:
+            continue
+        diagrams += [pd, mirror(pd)]
+    for pd in diagrams:
+        full = build_complex(pd, side)
+        assert full.omitted_qs == set()
+        lo, hi = full.degrees[0], full.degrees[-1]
+        mid = (lo + hi) // 2
+        windows = [range(lo, lo + 1), range(lo - 2, lo + 2),   # bottom
+                   range(hi - 1, hi + 1), range(hi, hi + 3),   # top
+                   range(mid - 1, mid + 2), range(lo, hi + 1),
+                   range(lo - 3, lo), range(hi + 1, hi + 4)]   # past the ends
+        for window in windows:
+            part = build_complex(pd, side, degrees=window)
+            assert part.degrees == [i for i in full.degrees if i in window]
+            for i in part.degrees:
+                assert part.generators[i] == full.generators[i]
+                assert part.q_degrees(i) == full.q_degrees(i)
+            assert sorted(part.differentials) == [
+                j for j in sorted(full.differentials)
+                if j in window and j + 1 in window]
+            for j in part.differentials:
+                assert part.matrix(j) == full.matrix(j)
+            assert _levels(part) == _levels(full), (pd, window)
+
+
+def test_window_build_keeps_the_size_limit():
+    with pytest.raises(TooLarge):
+        build_complex(braid_to_pd([1] * 15, 2), LEE, degrees=range(0, 1))

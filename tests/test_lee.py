@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from knotfoam.diagram import braid_to_pd, mirror, parse_pd, r2_sites, reidemeister_move
+from knotfoam.diagram import (braid_to_pd, link_components, mirror, parse_pd,
+                              r2_sites, reidemeister_move)
 from knotfoam.errors import InvalidBraid, NotAKnot, PropositionViolated, RankMismatch
 from knotfoam.lee import (
     build_lee,
@@ -144,10 +145,37 @@ def test_s_structure():
 
 
 def test_s_with_prebuilt_complex():
-    for word, strands in ([1, 1, 1], 2), ([1, -2, 1, -2], 3), ([-1, -1, -1], 2):
-        pd = braid_to_pd(word, strands)
-        assert s_invariant(pd, fc=build_lee(pd)) == s_invariant(pd)
+    # without fc, s builds only degrees i - 1 .. i + 1 of the Lee complex;
+    # the whole (s, detail) must match the one read off the full build
+    knots = [braid_to_pd([1, 1, 1], 2), braid_to_pd([1, -2, 1, -2], 3),
+             braid_to_pd([-1, -1, -1], 2)]
+    rng = random.Random(63)
+    while len(knots) < 103:
+        knots += [pd for pd in _random_closures(rng, 1, 7)
+                  if link_components(pd) == 1]
+    for pd in knots:
+        for diagram in pd, mirror(pd):
+            assert s_invariant(diagram, fc=build_lee(diagram)) == s_invariant(diagram)
 
+
+def test_s_of_t_2_13_from_its_window():
+    # the whole cube of T(2,13) holds 3^13 + 3 generators
+    pd = braid_to_pd([1] * 13, 2)
+    assert s_invariant(pd)[0] == 12
+    assert s_invariant(mirror(pd))[0] == -12
+
+
+def test_generators_without_a_prebuilt_complex():
+    # without fc only degrees i and i + 1 are built
+    rng = random.Random(64)
+    knots = [parse_pd("")]
+    while len(knots) < 21:
+        knots += [pd for pd in _random_closures(rng, 1, 7)
+                  if link_components(pd) == 1]
+    for pd in knots:
+        for diagram in pd, mirror(pd):
+            assert (oriented_resolution_generators(diagram)
+                    == oriented_resolution_generators(diagram, build_lee(diagram)))
 
 
 def test_s_reduces_only_the_oriented_degree(monkeypatch):
