@@ -174,8 +174,6 @@ def _trace(pd, occ):
             arc, place, value = queue.popleft()
             places = occ[arc]
             other = places[0] if places[1] == place else places[1]
-            if places[0] == places[1]:
-                raise InvalidDiagram("arc %d occurs twice in one slot" % arc)
             want = not value  # one head and one tail per arc
             ci, si = other
             if si == 0:
@@ -326,9 +324,6 @@ class State:
     def __post_init__(self):
         object.__setattr__(self, "assignment", tuple(self.assignment))
 
-    def height_sum(self):
-        return sum(self.assignment)
-
 
 @dataclass(frozen=True)
 class SmoothingResult:
@@ -419,12 +414,6 @@ def oriented_state(pd):
     """The orientation-respecting state: 0 at positive, 1 at negative."""
     _, _, signs = compute_signs(pd)
     return State(tuple(0 if s > 0 else 1 for s in signs))
-
-
-def state_height(pd, state):
-    """Homological height: sum of the state minus the negative count."""
-    _, n_minus, _ = compute_signs(pd)
-    return state.height_sum() - n_minus
 
 
 # -- diagram regions (used to pick valid R2 sites) ----------------------

@@ -1,12 +1,13 @@
 """Exact polynomial arithmetic.
 
 Two small rings are implemented with plain dictionaries and Python's
-arbitrary-precision integers:
+arbitrary-precision integers.  Both are one sparse term ring, ``_Poly``,
+a map ``exponent -> coefficient``; they differ in the exponent type:
 
 * ``IntPoly2`` -- polynomials in Z[X1, X2], the value ring of foam
-  evaluations.
+  evaluations, with exponent pairs ``(e1, e2)``.
 * ``LaurentQ`` -- Laurent polynomials in q, used for graded dimensions
-  and the Jones polynomial.
+  and the Jones polynomial, with integer exponents.
 
 Values are immutable after construction and all operations are pure, so
 instances may be shared freely.
@@ -23,23 +24,19 @@ def _clean(terms):
     return {k: c for k, c in terms.items() if c != 0}
 
 
-class IntPoly2:
-    """A polynomial in Z[X1, X2].
+class _Poly:
+    """Terms ``exponent -> coefficient`` with no zero coefficients.
 
-    Terms are stored as a map ``(e1, e2) -> coefficient`` with no zero
-    coefficients and nonnegative exponents.
+    Every result is built with ``type(self)``, so it stays in the ring
+    of its operands.  A ring sets ``_UNIT``, the exponent of 1; the
+    product here adds exponents with ``+``, which a ring whose exponents
+    are tuples replaces with its own ``__mul__``.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        terms = _clean(dict(terms or {}))
-        for (e1, e2) in terms:
-            if e1 < 0 or e2 < 0:
-                raise ValueError("exponents must be nonnegative")
-        self._terms = terms
-
-    # -- constructors -------------------------------------------------
+        self._terms = _clean(dict(terms or {}))
 
     @classmethod
     def zero(cls):
@@ -47,46 +44,17 @@ class IntPoly2:
 
     @classmethod
     def one(cls):
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def constant(cls, c):
-        return cls({(0, 0): c})
-
-    @classmethod
-    def x1(cls, power=1):
-        return cls({(power, 0): 1})
-
-    @classmethod
-    def x2(cls, power=1):
-        return cls({(0, power): 1})
-
-    @classmethod
-    def x1_plus_x2(cls):
-        return cls({(1, 0): 1, (0, 1): 1})
-
-    @classmethod
-    def x1_times_x2(cls):
-        return cls({(1, 1): 1})
-
-    @classmethod
-    def x1_minus_x2(cls):
-        return cls({(1, 0): 1, (0, 1): -1})
-
-    # -- ring operations ----------------------------------------------
+        return cls({cls._UNIT: 1})
 
     @property
     def terms(self):
         return dict(self._terms)
 
-    def is_zero(self):
-        return not self._terms
-
     def __bool__(self):
         return bool(self._terms)
 
     def __eq__(self, other):
-        if not isinstance(other, IntPoly2):
+        if type(other) is not type(self):
             return NotImplemented
         return self._terms == other._terms
 
@@ -97,33 +65,32 @@ class IntPoly2:
         out = dict(self._terms)
         for k, c in other._terms.items():
             out[k] = out.get(k, 0) + c
-        return IntPoly2(out)
+        return type(self)(out)
 
     def __sub__(self, other):
         out = dict(self._terms)
         for k, c in other._terms.items():
             out[k] = out.get(k, 0) - c
-        return IntPoly2(out)
+        return type(self)(out)
 
     def __neg__(self):
-        return IntPoly2({k: -c for k, c in self._terms.items()})
+        return type(self)({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPoly2({k: c * other for k, c in self._terms.items()})
+            return type(self)({k: c * other for k, c in self._terms.items()})
         out = {}
-        for (a1, a2), c in self._terms.items():
-            for (b1, b2), d in other._terms.items():
-                k = (a1 + b1, a2 + b2)
-                out[k] = out.get(k, 0) + c * d
-        return IntPoly2(out)
+        for a, c in self._terms.items():
+            for b, d in other._terms.items():
+                out[a + b] = out.get(a + b, 0) + c * d
+        return type(self)(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
-        result = IntPoly2.one()
+        result = self.one()
         base = self
         while n:
             if n & 1:
@@ -131,6 +98,56 @@ class IntPoly2:
             base = base * base
             n >>= 1
         return result
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+class IntPoly2(_Poly):
+    """A polynomial in Z[X1, X2].
+
+    Terms are stored as a map ``(e1, e2) -> coefficient`` with no zero
+    coefficients and nonnegative exponents.
+    """
+
+    __slots__ = ()
+    _UNIT = (0, 0)
+
+    def __init__(self, terms=None):
+        super().__init__(terms)
+        for (e1, e2) in self._terms:
+            if e1 < 0 or e2 < 0:
+                raise ValueError("exponents must be nonnegative")
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def constant(cls, c):
+        return cls({(0, 0): c})
+
+    @classmethod
+    def x1(cls, power=1):
+        return cls({(power, 0): 1})
+
+    @classmethod
+    def x1_plus_x2(cls):
+        return cls({(1, 0): 1, (0, 1): 1})
+
+    @classmethod
+    def x1_times_x2(cls):
+        return cls({(1, 1): 1})
+
+    # -- ring operations ----------------------------------------------
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return super().__mul__(other)
+        out = {}
+        for (a1, a2), c in self._terms.items():
+            for (b1, b2), d in other._terms.items():
+                k = (a1 + b1, a2 + b2)
+                out[k] = out.get(k, 0) + c * d
+        return IntPoly2(out)
 
     # -- structure ----------------------------------------------------
 
@@ -200,9 +217,6 @@ class IntPoly2:
     def __str__(self):
         return _render_xx(self._terms)
 
-    def __repr__(self):
-        return "IntPoly2(%s)" % self
-
 
 def _render_var(name, e):
     if e == 0:
@@ -238,21 +252,11 @@ def _signed(c, body, first):
     return " %s %s" % (sign or "+", core)
 
 
-class LaurentQ:
+class LaurentQ(_Poly):
     """A Laurent polynomial in q with integer coefficients."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        self._terms = _clean(dict(terms or {}))
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
+    __slots__ = ()
+    _UNIT = 0
 
     @classmethod
     def q(cls, power=1):
@@ -262,62 +266,6 @@ class LaurentQ:
     def circle(cls):
         """q + q^-1, the graded dimension of a single circle."""
         return cls({1: 1, -1: 1})
-
-    @property
-    def terms(self):
-        return dict(self._terms)
-
-    def is_zero(self):
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentQ):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return LaurentQ(out)
-
-    def __sub__(self, other):
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) - c
-        return LaurentQ(out)
-
-    def __neg__(self):
-        return LaurentQ({k: -c for k, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentQ({k: c * other for k, c in self._terms.items()})
-        out = {}
-        for a, c in self._terms.items():
-            for b, d in other._terms.items():
-                out[a + b] = out.get(a + b, 0) + c * d
-        return LaurentQ(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        result = LaurentQ.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shifted(self, k):
         """Multiply by q**k (k may be negative)."""
@@ -334,6 +282,3 @@ class LaurentQ:
                 body = ""
             parts.append(_signed(c, body, first=not parts))
         return "".join(parts)
-
-    def __repr__(self):
-        return "LaurentQ(%s)" % self

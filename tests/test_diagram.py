@@ -17,11 +17,12 @@ from knotfoam.diagram import (
     reidemeister_move,
     _smoothings,
     smooth_state,
-    state_height,
     trace_orientations,
     validate_pd,
 )
 from knotfoam.errors import InvalidBraid, InvalidDiagram, InvalidSite, ParseError
+from knotfoam.khovanov import build_complex
+from knotfoam.lee import _oriented_degree
 
 
 def test_parse_basic():
@@ -117,18 +118,24 @@ def test_oriented_state_gives_seifert_circles():
         assert smooth_state(pd, st).circle_count == strands
 
 
+def _all_generators(pd):
+    return [g for gens in build_complex(pd).generators.values() for g in gens]
+
+
 def test_state_height():
     t = braid_to_pd([-1, -1, -1], 2)
-    assert state_height(t, State((0, 0, 0))) == -3
-    assert state_height(t, oriented_state(t)) == 0
+    assert _oriented_degree(t)[1] == 0
+    zero = [g for g in _all_generators(t) if g.state == (0, 0, 0)]
+    assert zero and all(g.hom_degree == -3 for g in zero)
 
 
 def test_heights_of_all_states():
     pd = braid_to_pd([1, -1], 2)
     _, n_minus, _ = compute_signs(pd)
-    for mask in range(4):
-        st = State(((mask >> 0) & 1, (mask >> 1) & 1))
-        assert state_height(pd, st) == sum(st.assignment) - n_minus
+    gens = _all_generators(pd)
+    assert {g.state for g in gens} == {(0, 0), (1, 0), (0, 1), (1, 1)}
+    for g in gens:
+        assert g.hom_degree == sum(g.state) - n_minus
 
 
 def test_circle_change_is_one_per_edge():

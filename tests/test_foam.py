@@ -136,7 +136,7 @@ def test_count_n12():
 
 def test_sphere_evaluations():
     assert evaluate_foam(red_sphere()) == IntPoly2.constant(-1)
-    assert evaluate_foam(blue_sphere()).is_zero()
+    assert not evaluate_foam(blue_sphere())
     assert evaluate_foam(blue_sphere(dots=1)) == IntPoly2.constant(-1)
     assert evaluate_foam(blue_sphere(dots=2)) == -1 * E
 
@@ -149,7 +149,7 @@ def test_red_sphere_decorations():
 
 
 def test_theta_evaluations():
-    assert evaluate_foam(theta()).is_zero()
+    assert not evaluate_foam(theta())
     assert evaluate_foam(theta(dots_u=1)) == IntPoly2.one()
     assert evaluate_foam(theta(dots_l=1)) == IntPoly2.constant(-1)
     # reversing the page order flips the sign
@@ -164,7 +164,7 @@ def test_evaluate_requires_closed():
 
 def test_cap_closure_cylinder():
     cyl = Foam((Facet("c", BLUE, slots=("t", "b")),), ())
-    assert evaluate_foam(cap_closure(cyl)).is_zero()
+    assert not evaluate_foam(cap_closure(cyl))
     assert evaluate_foam(cap_closure(cyl, {"t": 1})) == IntPoly2.constant(-1)
     assert evaluate_foam(cap_closure(cyl, {"t": 1, "b": 1})) == -1 * E
 
@@ -279,8 +279,8 @@ def _oracle_evaluate(foam):
         term = IntPoly2.constant(sign)
         for f in foam.facets:
             if f.color == BLUE:
-                x = IntPoly2.x1 if coloring[f.id] == 1 else IntPoly2.x2
-                term = term * x(f.dots)
+                exp = (f.dots, 0) if coloring[f.id] == 1 else (0, f.dots)
+                term = term * IntPoly2({exp: 1})
             else:
                 term = term * E ** f.dots * PI ** f.squares
         total = total + term

@@ -26,3 +26,63 @@ def test_no_runtime_dependencies():
                 if top != "knotfoam" and top not in sys.stdlib_module_names:
                     outside.append("%s:%d %s" % (path.name, node.lineno, name))
     assert not outside, outside
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# public names that only tests call, each with the reason it stays
+TEST_ONLY = {
+    "chi_subsurface": "with count_n12, the term-by-term oracle of evaluate_foam",
+    "count_n12": "with chi_subsurface, the term-by-term oracle of evaluate_foam",
+    "class_filtration_degree": "the degree of an arbitrary Lee class, checked "
+                               "against the rank oracle",
+    "lee_homology_betti": "Lee homology in an arbitrary degree, checked against "
+                          "the rank oracle",
+    "graph_to_json": "the writer side of graph_from_json",
+    "blue_components": "the component count k that the 2**k colorings of "
+                       "enumerate_colorings are checked against",
+}
+
+
+def _names(nodes):
+    """Every name the nodes read, call, import or take as an attribute."""
+    found = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.rpartition(".")[2])
+    return found
+
+
+def test_no_public_helpers_only_tests_call():
+    # every public module-level def or class of src/knotfoam is named
+    # outside tests/: elsewhere in src/ (its own definition and the
+    # __init__.py re-export aside), or in demos/, scripts/ or perfbench/
+    modules = {p: ast.parse(p.read_text(), str(p))
+               for p in sorted((ROOT / "src" / "knotfoam").glob("*.py"))
+               if p.name != "__init__.py"}
+    outside = set()
+    for folder in ("demos", "scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            outside |= _names([ast.parse(path.read_text(), str(path))])
+    assert len(modules) > 10 and outside
+    in_src = {path: _names(tree.body) for path, tree in modules.items()}
+    defined = set()
+    test_only = []
+    for path, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined.add(node.name)
+            if node.name.startswith("_") or node.name in TEST_ONLY:
+                continue
+            used = outside.union(*(n for p, n in in_src.items() if p != path))
+            used |= _names([n for n in tree.body if n is not node])
+            if node.name not in used:
+                test_only.append("%s:%d %s" % (path.name, node.lineno, node.name))
+    assert not test_only, test_only
+    assert set(TEST_ONLY) <= defined, set(TEST_ONLY) - defined
