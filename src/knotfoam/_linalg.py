@@ -72,10 +72,12 @@ def cancel_units(rows, cols, row_q, col_q, chains=()):
     subtracts d[r, g] * u * d[h, c] from every other d[r, c]; each of
     the ``chains``, indexed like the rows, goes to z - z[h] * u * (column
     g).  One pass over the columns takes in each the unit whose row is
-    shortest, to keep the fill-in small.  Returns the (g, h) pairs.
+    shortest.  Columns go in ascending q, ties in reverse ``cols`` order:
+    on Lee complexes this was measured to cut the fill-in, and the time,
+    several-fold against plain index order.  Returns the (g, h) pairs.
     """
     pairs = []
-    for g in list(cols):
+    for g in sorted(reversed(list(cols)), key=col_q.__getitem__):
         col = cols[g]
         q = col_q[g]
         h = None

@@ -12,7 +12,8 @@ Subcommands:
 Results on stdout are byte-identical across repeated runs: timing
 information goes to stderr, and cached records are replayed verbatim.
 Exit codes: 2 for input errors, 3 when the crossing limit is exceeded,
-4 when an internal structural invariant fails.
+4 when an internal structural invariant fails (``invariants`` names
+the diagram).
 """
 
 from __future__ import annotations
@@ -136,7 +137,11 @@ def _cmd_invariants(args):
             print("cache hit: %s" % path, file=sys.stderr)
             return 0
 
-    record, timings = _compute_record(pd, echo, skip, args.max_crossings)
+    try:
+        record, timings = _compute_record(pd, echo, skip, args.max_crossings)
+    except _INTERNAL_ERRORS as exc:
+        exc.args = ("%s, in diagram %r" % (exc, str(pd)),)
+        raise
     if cache_dir:
         _write_cache(path, record)
     sys.stdout.write(_render(record, args.format))

@@ -173,6 +173,9 @@ def _trace(pd, occ):
         while queue:
             arc, place, value = queue.popleft()
             places = occ[arc]
+            if len(places) != 2:
+                raise InvalidDiagram("arc %d appears %d times, expected 2"
+                                     % (arc, len(places)))
             other = places[0] if places[1] == place else places[1]
             want = not value  # one head and one tail per arc
             ci, si = other

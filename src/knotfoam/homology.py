@@ -145,9 +145,11 @@ class Residue(GradedChainComplex):
 def reduce_complex(cx, window=None, cycles=()):
     """The residue of Gaussian elimination on ``cx``, or on its degrees in
     the range ``window``, holding one differential's row and column maps
-    at a time.  ``cycles`` are (degree, chain) pairs in the window,
-    carried through every cancellation into ``residue.cycles``.  An entry
-    that lowers q, or in a Khovanov complex changes it, is NotAComplex.
+    at a time; ``cx`` is left as it is, and the residue's differentials
+    are column maps too.  ``cycles`` are (degree, chain) pairs in the
+    window, carried through every cancellation into ``residue.cycles``.
+    An entry that lowers q, or in a Khovanov complex changes it, is
+    NotAComplex.
     """
     degrees = [i for i in cx.degrees if window is None or i in window]
     res = Residue(cx.side, cx.n_plus, cx.n_minus)
@@ -158,14 +160,16 @@ def reduce_complex(cx, window=None, cycles=()):
     for i in degrees:
         qs, qn = cx.q_degrees(i), cx.q_degrees(i + 1)
         rows, cols = {}, {}
-        for (r, c), v in (cx.matrix(i) if i != degrees[-1] else {}).items():
+        for c, col in (cx.matrix(i) if i != degrees[-1] else {}).items():
             if c in dead:
                 continue
-            if qn[r] != qs[c] and (cx.side == KH or qn[r] < qs[c]):
-                raise NotAComplex("d_%d sends q-degree %d to q-degree %d"
-                                  % (i, qs[c], qn[r]))
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, {})[r] = v
+            q = qs[c]
+            for r, v in col.items():
+                if qn[r] != q and (cx.side == KH or qn[r] < q):
+                    raise NotAComplex("d_%d sends q-degree %d to q-degree %d"
+                                      % (i, q, qn[r]))
+                rows.setdefault(r, {})[c] = v
+            cols[c] = dict(col)
         pairs = cancel_units(rows, cols, qn, qs,
                              [z for j, z in chains if j == i + 1])
         dead.update(g for g, _h in pairs)
@@ -174,10 +178,10 @@ def reduce_complex(cx, window=None, cycles=()):
         res.generators[i] = [cx.generators[i][k] for k in keep]
         res.qs[i] = [qs[k] for k in keep]
         if i != degrees[0]:
-            res.differentials[i - 1] = {(new[r], c): v for (r, c), v
-                                        in above.items() if r in new}
-        above = {(r, new[c]): v for c, col in cols.items()
-                 for r, v in col.items()}
+            left = ((c, {new[r]: v for r, v in col.items() if r in new})
+                    for c, col in above.items())
+            res.differentials[i - 1] = {c: col for c, col in left if col}
+        above = {new[c]: col for c, col in cols.items() if col}
         chains = [(j, {new[k]: v for k, v in z.items() if k in new})
                   if j == i else (j, z) for j, z in chains]
         dead = {h for _g, h in pairs}
@@ -192,9 +196,10 @@ def homology_table(res):
     for i in res.degrees:
         qs, qn = res.q_degrees(i), res.q_degrees(i + 1)
         blocks = {}
-        for (r, c), v in res.matrix(i).items():
-            if qn[r] == qs[c]:
-                blocks.setdefault(qs[c], {})[(r, c)] = v
+        for c, col in res.matrix(i).items():
+            for r, v in col.items():
+                if qn[r] == qs[c]:
+                    blocks.setdefault(qs[c], {})[(r, c)] = v
         for q, block in blocks.items():
             snf[(i, q)] = smith_normal_form(block)
     dims = Counter((i, q) for i in res.degrees for q in res.q_degrees(i))

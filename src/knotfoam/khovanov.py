@@ -54,9 +54,10 @@ class GradedChainComplex:
     """Finitely generated free chain complex with a q-degree per generator.
 
     ``generators[i]`` lists the degree-i generators in a fixed order and
-    ``differentials[i]`` is the sparse matrix (row, col) -> entry of the
-    map from degree i to degree i+1.  ``omitted_qs`` holds the q-degrees
-    of the generators a build left out (see :func:`build_complex`).
+    ``differentials[i]`` is the column map ``{col: {row: entry}}`` of d_i,
+    from degree i to degree i+1, with only nonzero entries and no empty
+    column.  ``omitted_qs`` holds the q-degrees of the generators a build
+    left out (see :func:`build_complex`).
     """
 
     def __init__(self, side, n_plus, n_minus):
@@ -84,33 +85,18 @@ class GradedChainComplex:
         return self.differentials.get(i, {})
 
     def check_d_squared(self):
-        # each differential is grouped by column once: as d2 at degree
-        # i - 1, then carried over as d1 at degree i
-        carried = {}
         for i in self.degrees:
-            d1 = carried.get(i) or _by_column(self.matrix(i))
-            d2 = _by_column(self.matrix(i + 1))
-            carried = {i + 1: d2}
-            if not d1 or not d2:
-                continue
+            d1, d2 = self.matrix(i), self.matrix(i + 1)
             # compose: (d2 * d1)[r, c] = sum_k d2[r, k] * d1[k, c]
             for c, col in d1.items():
                 acc = {}
-                for k, v in col:
-                    for r, w in d2.get(k, ()):
+                for k, v in col.items():
+                    for r, w in d2.get(k, {}).items():
                         acc[r] = acc.get(r, 0) + v * w
                 if any(acc.values()):
                     raise NotAComplex("d o d != 0 at degree %d in q-block %d"
                                       % (i, self.q_degrees(i)[c]))
         return True
-
-
-def _by_column(d):
-    """A sparse matrix as column -> [(row, entry)]."""
-    cols = {}
-    for (r, c), v in d.items():
-        cols.setdefault(c, []).append((r, v))
-    return cols
 
 
 def _state_tuple(mask, n):
@@ -145,8 +131,10 @@ def build_complex(pd, side=KH, max_crossings=14, degrees=None):
     therefore fixed by its shape: the source circle count, the bits of
     the circles at slots 0 and 2 of the crossing before it and at slots
     0 and 1 after it (the first two differ on a merge).  Each shape's
-    pattern is worked out once per build, and an edge adds its base
-    offsets and its sign.
+    pattern is worked out once per build, and an edge writes it, with
+    its base offsets and sign, straight into the columns of the source
+    state's generators; these join d_i in ascending index, empty ones
+    left out.
     """
     n = pd.n
     if n > max_crossings:
@@ -188,14 +176,12 @@ def build_complex(pd, side=KH, max_crossings=14, degrees=None):
     at = {a: k for k, a in enumerate(arcs)}
     ends = [(at[a], at[b], at[c]) for a, b, c, _d in pd.crossings]
     patterns = {}
-    # every (row, col) key takes its ints from this one list, so equal
-    # indices are one object rather than one int per key
-    ints = list(range(max(map(len, cx.generators.values()), default=0)))
     for mask in range(2 ** n):
         h = mask.bit_count()
         if not (built[h] and built[h + 1]):
             continue
         src, col0 = bits[mask], base[mask]
+        cols = [{} for _ in range(1 << counts[mask])]
         for j, (a, b, c) in enumerate(ends):
             if mask >> j & 1:
                 continue
@@ -205,11 +191,12 @@ def build_complex(pd, side=KH, max_crossings=14, degrees=None):
             if pattern is None:
                 pattern = patterns[shape] = _edge_pattern(shape, *maps)
             sign = -1 if (mask & ((1 << j) - 1)).bit_count() % 2 else 1
-            # no (row, col) repeats: the edge fixes the target state and
-            # the column fixes the source generator
-            entries = cx.differentials.setdefault(h - n_minus, {})
+            # no row repeats in a column: the edge fixes the target state
             for dc, dr, v in pattern:
-                entries[ints[row0 + dr], ints[col0 + dc]] = sign * v
+                cols[dc][row0 + dr] = sign * v
+        filled = [(col0 + k, col) for k, col in enumerate(cols) if col]
+        if filled:
+            cx.differentials.setdefault(h - n_minus, {}).update(filled)
     return cx
 
 

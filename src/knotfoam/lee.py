@@ -95,9 +95,8 @@ class LeeClass:
 
 def _apply(matrix, chain):
     out = {}
-    for (r, c), v in matrix.items():
-        coeff = chain.get(c)
-        if coeff:
+    for c, coeff in chain.items():
+        for r, v in matrix.get(c, {}).items():
             out[r] = out.get(r, 0) + v * coeff
     return {k: v for k, v in out.items() if v}
 
@@ -201,17 +200,14 @@ def _reduce(fc, i, keys):
     """
     qs = fc.q_degrees(i)
     position = _positions(fc.q_degrees(i + 1))
-    columns = {}
-    for (r, c), v in fc.matrix(i).items():
-        columns.setdefault(c, {})[position[r]] = v
     pending = sorted(range(len(qs)), key=qs.__getitem__)
     basis = RowBasis()
     ranks = {}
     for j in reversed(keys):
         while pending and qs[pending[-1]] >= j:
-            col = columns.get(pending.pop())
+            col = fc.matrix(i).get(pending.pop())
             if col:
-                basis.add(col)
+                basis.add({position[r]: v for r, v in col.items()})
         ranks[j] = basis.rank
     return basis, ranks
 

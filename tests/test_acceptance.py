@@ -148,18 +148,20 @@ def test_criterion_5_complex_well_formedness():
             for i in kh.degrees:
                 qs = kh.q_degrees(i)
                 qs_next = kh.q_degrees(i + 1)
-                for (r, c), _v in kh.matrix(i).items():
-                    assert qs_next[r] == qs[c]
+                for c, col in kh.matrix(i).items():
+                    for r in col:
+                        assert qs_next[r] == qs[c]
                 kh_mat = kh.matrix(i)
                 lqs = lee.q_degrees(i)
                 lqs_next = lee.q_degrees(i + 1)
-                for (r, c), v in lee.matrix(i).items():
-                    jump = lqs_next[r] - lqs[c]
-                    assert jump in (0, 4)
-                    if jump == 0:
-                        assert kh_mat.get((r, c)) == v
-                    else:
-                        assert (r, c) not in kh_mat
+                for c, col in lee.matrix(i).items():
+                    for r, v in col.items():
+                        jump = lqs_next[r] - lqs[c]
+                        assert jump in (0, 4)
+                        if jump == 0:
+                            assert kh_mat.get(c, {}).get(r) == v
+                        else:
+                            assert r not in kh_mat.get(c, {})
 
 
 def _test_diagram_set():

@@ -253,6 +253,26 @@ def test_invariants_build_one_complex(monkeypatch, capsys):
     assert len(sides) == 1
 
 
+def test_internal_invariant_failure_names_the_diagram(monkeypatch, capsys):
+    from knotfoam import errors
+    from knotfoam.khovanov import GradedChainComplex
+
+    def broken(self):
+        raise errors.NotAComplex("d o d != 0 at degree 1 in q-block 5")
+
+    monkeypatch.setattr(GradedChainComplex, "check_d_squared", broken)
+    prefix = ("internal invariant violated: NotAComplex: d o d != 0 at "
+              "degree 1 in q-block 5, in diagram ")
+    for argv, diagram in (
+            (["--braid", "1 1 1", "--strands", "2"],
+             "'X[1,3,4,2];X[3,5,6,4];X[5,1,2,6]'"),
+            (["--pd", "", "--format", "json"], "''")):
+        code, out, err = run_cli(["invariants"] + argv, capsys)
+        assert code == 4
+        assert out == ""
+        assert err == prefix + diagram + "\n"
+
+
 def test_eval_foam_schema_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"facets": [{"id": "b", "color": "blue", "squares": 1}]}')

@@ -296,6 +296,21 @@ def test_kept_trace_matches_a_fresh_trace():
             assert str(d) == str(bare) and repr(d) == repr(bare)
 
 
+@pytest.mark.parametrize("crossings, arc, count", [
+    (((1, 2, 3, 4),), 1, 1),               # every arc once
+    (((1, 2, 2, 3), (3, 4, 4, 5)), 1, 1),  # arcs 1 and 5 once
+    (((1, 1, 1, 2), (2, 3, 3, 4)), 1, 3),  # arc 1 three times
+])
+def test_unvalidated_code_with_a_loose_arc_is_an_invalid_diagram(
+        crossings, arc, count):
+    # a code built directly skips validate_pd; every public entry to the
+    # orientation trace must still name the arc, not fail on indexing
+    message = "arc %d appears %d times, expected 2" % (arc, count)
+    for fn in trace_orientations, compute_signs, oriented_state, mirror:
+        with pytest.raises(InvalidDiagram, match=message):
+            fn(PDCode(crossings))
+
+
 def _random_braids(rng, count):
     """``count`` random (word, strands, diagram) triples on 2-4 strands."""
     out = []

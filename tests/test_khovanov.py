@@ -12,7 +12,8 @@ from knotfoam.diagram import (
     trace_orientations,
     validate_pd,
 )
-from knotfoam.errors import InvalidBraid, InvalidDiagram, TooLarge
+from knotfoam.errors import InvalidBraid, InvalidDiagram, NotAComplex, TooLarge
+from knotfoam.homology import reduce_complex
 from knotfoam.khovanov import (
     KH,
     LEE,
@@ -77,8 +78,9 @@ def test_d_squared_and_degrees():
         for i in cx.degrees:
             qs = cx.q_degrees(i)
             qs_next = cx.q_degrees(i + 1)
-            for (r, c), _v in cx.matrix(i).items():
-                assert qs_next[r] == qs[c]
+            for c, col in cx.matrix(i).items():
+                for r in col:
+                    assert qs_next[r] == qs[c]
 
 
 def test_lee_entries_raise_q_by_zero_or_four():
@@ -92,14 +94,77 @@ def test_lee_entries_raise_q_by_zero_or_four():
             qs = lee.q_degrees(i)
             qs_next = lee.q_degrees(i + 1)
             kh_mat = kh.matrix(i)
-            for (r, c), v in lee.matrix(i).items():
-                jump = qs_next[r] - qs[c]
-                assert jump in (0, 4)
-                if jump == 4:
-                    # the deformation part never overlaps the Kh part
-                    assert (r, c) not in kh_mat
-                else:
-                    assert kh_mat.get((r, c)) == v
+            for c, col in lee.matrix(i).items():
+                for r, v in col.items():
+                    jump = qs_next[r] - qs[c]
+                    assert jump in (0, 4)
+                    if jump == 4:
+                        # the deformation part never overlaps the Kh part
+                        assert r not in kh_mat.get(c, {})
+                    else:
+                        assert kh_mat.get(c, {}).get(r) == v
+
+
+@pytest.mark.parametrize("side", [KH, LEE])
+def test_differentials_are_column_maps(side):
+    # d_i is {col: {row: entry}}: columns index degree-i generators, rows
+    # degree-(i+1) generators, with no empty column and no zero entry
+    rng = random.Random(47)
+    diagrams = [parse_pd("")] + [random_braid_pd(rng) for _ in range(12)]
+    complexes = [build_complex(pd, side) for pd in diagrams]
+    mid = complexes[-1].degrees[len(complexes[-1].degrees) // 2]
+    complexes.append(build_complex(diagrams[-1], side,
+                                   degrees=range(mid - 1, mid + 2)))
+    assert sorted(complexes[-1].differentials) == [mid - 1, mid]
+    for cx in complexes:
+        # the residue is laid out the same, and reducing leaves cx as is
+        before = {i: {c: dict(col) for c, col in d.items()}
+                  for i, d in cx.differentials.items()}
+        res = reduce_complex(cx)
+        assert cx.differentials == before
+        for x in cx, res:
+            assert set(x.differentials) <= set(x.degrees)
+            for i, d in x.differentials.items():
+                assert d == x.matrix(i)
+                for c, col in d.items():
+                    assert isinstance(c, int) and 0 <= c < x.dim(i)
+                    assert col
+                    for r, v in col.items():
+                        assert isinstance(r, int) and 0 <= r < x.dim(i + 1)
+                        assert isinstance(v, int) and v != 0
+
+
+@pytest.mark.parametrize("side", [KH, LEE])
+def test_a_flipped_entry_breaks_d_squared(side):
+    # flipping d_i[r, c], where d_{i+1} has a nonzero column r, changes
+    # d_{i+1} d_i in column c, and d_i d_{i-1} in every column of d_{i-1}
+    # with an entry in row c; the check names the first of these
+    rng = random.Random(48)
+    flipped = 0
+    braids = []
+    while len(braids) < 5:
+        pd = random_braid_pd(rng, max_letters=7)
+        if pd.n >= 4:
+            braids.append(pd)
+    for pd in braids:
+        cx = build_complex(pd, side)
+        cx.check_d_squared()
+        entries = [(i, r, c) for i, d in cx.differentials.items()
+                   for c, col in d.items() for r in col
+                   if r in cx.matrix(i + 1)]
+        for i, r, c in rng.sample(entries, 5):
+            before = [(i - 1, cx.q_degrees(i - 1)[k])
+                      for k, col in cx.matrix(i - 1).items() if c in col]
+            degree, q = (before or [(i, cx.q_degrees(i)[c])])[0]
+            col = cx.differentials[i][c]
+            col[r] = -col[r]
+            with pytest.raises(NotAComplex, match=r"^d o d != 0 at degree "
+                               r"%d in q-block %d$" % (degree, q)):
+                cx.check_d_squared()
+            col[r] = -col[r]
+            cx.check_d_squared()
+            flipped += 1
+    assert flipped >= 20
 
 
 def _assert_entries_follow_the_edge_maps(pd, side):
@@ -125,33 +190,34 @@ def _assert_entries_follow_the_edge_maps(pd, side):
 
     nonzeros = 0
     for i, mat in cx.differentials.items():
-        for (r, c), v in mat.items():
-            g, h = cx.generators[i][c], cx.generators[i + 1][r]
-            flips = [j for j in range(pd.n) if g.state[j] != h.state[j]]
-            assert len(flips) == 1
-            j = flips[0]
-            assert (g.state[j], h.state[j]) == (0, 1)
-            src_labels = dict(zip(g.circles, g.labels))
-            tgt_labels = dict(zip(h.circles, h.labels))
-            tgt = membership(h.state)
-            a, b, _c, _d = pd.crossings[j]
-            touched, outputs = local_map(g.state, src_labels, j)
-            if len(touched) == 2:
-                coeff = outputs.get(tgt_labels[tgt[a]], 0)
-            else:
-                # on a non-planar code a split can leave one circle
-                # (t1 == t2), which takes the second label
-                t1, t2 = tgt[a], tgt[b]
-                coeff = sum(w for (la, lb), w in outputs.items()
-                            if {t1: la, t2: lb} == {t1: tgt_labels[t1],
-                                                    t2: tgt_labels[t2]})
-            assert coeff != 0
-            assert v == (-1) ** sum(g.state[:j]) * coeff
-            # untouched circles keep their labels, matched by a shared arc
-            for arc, cid in membership(g.state).items():
-                if cid not in touched:
-                    assert tgt_labels[tgt[arc]] == src_labels[cid]
-            nonzeros += 1
+        for c, col in mat.items():
+            for r, v in col.items():
+                g, h = cx.generators[i][c], cx.generators[i + 1][r]
+                flips = [j for j in range(pd.n) if g.state[j] != h.state[j]]
+                assert len(flips) == 1
+                j = flips[0]
+                assert (g.state[j], h.state[j]) == (0, 1)
+                src_labels = dict(zip(g.circles, g.labels))
+                tgt_labels = dict(zip(h.circles, h.labels))
+                tgt = membership(h.state)
+                a, b, _c, _d = pd.crossings[j]
+                touched, outputs = local_map(g.state, src_labels, j)
+                if len(touched) == 2:
+                    coeff = outputs.get(tgt_labels[tgt[a]], 0)
+                else:
+                    # on a non-planar code a split can leave one circle
+                    # (t1 == t2), which takes the second label
+                    t1, t2 = tgt[a], tgt[b]
+                    coeff = sum(w for (la, lb), w in outputs.items()
+                                if {t1: la, t2: lb} == {t1: tgt_labels[t1],
+                                                        t2: tgt_labels[t2]})
+                assert coeff != 0
+                assert v == (-1) ** sum(g.state[:j]) * coeff
+                # untouched circles keep their labels, matched by a shared arc
+                for arc, cid in membership(g.state).items():
+                    if cid not in touched:
+                        assert tgt_labels[tgt[arc]] == src_labels[cid]
+                nonzeros += 1
     predicted = 0
     for gens in cx.generators.values():
         for g in gens:
@@ -227,13 +293,14 @@ def test_two_faces_anticommute():
                    if g.state in (sj, sk)}
             tgt = {idx: g for idx, g in enumerate(cx.generators[i + 2])
                    if g.state == sjk} if (i + 2) in cx.generators else {}
-            for (r1, c1), v1 in d1.items():
-                if c1 not in src or r1 not in mid:
-                    continue
-                for (r2, c2), v2 in d2.items():
-                    if c2 != r1 or r2 not in tgt:
+            for c1, col1 in d1.items():
+                for r1, v1 in col1.items():
+                    if c1 not in src or r1 not in mid:
                         continue
-                    comp[(r2, c1)] = comp.get((r2, c1), 0) + v1 * v2
+                    for r2, v2 in d2.get(r1, {}).items():
+                        if r2 not in tgt:
+                            continue
+                        comp[(r2, c1)] = comp.get((r2, c1), 0) + v1 * v2
             assert all(v == 0 for v in comp.values())
             checked += 1
             if checked > 4:

@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 
-from knotfoam.diagram import (braid_to_pd, link_components, mirror, parse_pd,
-                              r2_sites, reidemeister_move)
+from knotfoam import cli
+from knotfoam.diagram import (braid_to_pd, compute_signs, link_components,
+                              mirror, parse_pd, r2_sites, reidemeister_move)
 from knotfoam.errors import InvalidBraid, NotAKnot, PropositionViolated, RankMismatch
 from knotfoam.lee import (
     build_lee,
@@ -67,11 +69,12 @@ def test_phi_raises_q_by_four():
         for i in fc.degrees:
             qs = fc.q_degrees(i)
             qs_next = fc.q_degrees(i + 1)
-            for (r, c), v in fc.matrix(i).items():
-                jump = qs_next[r] - qs[c]
-                assert jump in (0, 4)
-                if jump == 0:
-                    assert kh.matrix(i).get((r, c)) == v
+            for c, col in fc.matrix(i).items():
+                for r, v in col.items():
+                    jump = qs_next[r] - qs[c]
+                    assert jump in (0, 4)
+                    if jump == 0:
+                        assert kh.matrix(i).get(c, {}).get(r) == v
 
 
 def test_unknot_generators():
@@ -248,6 +251,43 @@ def test_s_invariant_under_moves():
         assert s_invariant(pd)[0] == s0
 
 
+def test_slice_bennequin_bounds(capsys):
+    # a knot closing a braid word of writhe w on b strands has
+    # w - b + 1 <= s <= w + b - 1 (the slice-Bennequin inequality for
+    # the knot and for its mirror); a positive word attains the lower
+    # bound.  Every fourth knot's s also comes through the CLI, which
+    # reduces the whole Lee complex instead of a window of it.
+    rng = random.Random(62)
+    knots = []
+    while len(knots) < 40:
+        strands = rng.randint(2, 4)
+        signs = [1] if len(knots) % 3 == 0 else [1, -1]
+        word = [rng.choice(signs) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(3, 8))]
+        try:
+            pd = braid_to_pd(word, strands)
+        except InvalidBraid:
+            continue
+        if link_components(pd) == 1:
+            knots.append((word, strands, pd))
+    positive = 0
+    for k, (word, strands, pd) in enumerate(knots):
+        n_plus, n_minus, _ = compute_signs(pd)
+        w = n_plus - n_minus
+        assert w == sum(1 if x > 0 else -1 for x in word)
+        s = s_invariant(pd)[0]
+        assert w - strands + 1 <= s <= w + strands - 1, (word, strands)
+        if min(word) > 0:
+            assert s == w - strands + 1, (word, strands)
+            positive += 1
+        if k % 4 == 0:
+            argv = ["invariants", "--braid", " ".join(map(str, word)),
+                    "--strands", str(strands), "--format", "json"]
+            assert cli.main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["s"] == s
+    assert positive >= 10
+
+
 def test_s_rejects_links():
     with pytest.raises(NotAKnot):
         s_invariant(braid_to_pd([1, 1], 2))
@@ -275,8 +315,10 @@ def test_slice_genus_bound():
 # -- the filtration by rank arithmetic, as a reference ------------------
 
 
-def _restrict(entries, row=lambda r: True, col=lambda c: True):
-    return {(r, c): v for (r, c), v in entries.items() if row(r) and col(c)}
+def _restrict(columns, row=lambda r: True, col=lambda c: True):
+    """The entries of a column map as the {(r, c): v} that SNF takes."""
+    return {(r, c): v for c, entries in columns.items() if col(c)
+            for r, v in entries.items() if row(r)}
 
 
 def _rank(entries):
@@ -285,7 +327,7 @@ def _rank(entries):
 
 def _oracle_profile(fc):
     """dim(Z cap F^j) - dim(B cap F^j) by separate ranks, per degree."""
-    ranks = {i: _rank(fc.matrix(i)) for i in fc.degrees}
+    ranks = {i: _rank(_restrict(fc.matrix(i))) for i in fc.degrees}
     homology = [i for i in fc.degrees
                 if fc.dim(i) - ranks[i] - ranks.get(i - 1, 0)]
     levels = sorted({q for i in fc.degrees for q in fc.q_degrees(i)})
