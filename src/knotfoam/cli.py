@@ -19,6 +19,7 @@ the diagram).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -55,7 +56,9 @@ _INTERNAL_ERRORS = (
 )
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on the first ``main`` call of a process."""
     parser = argparse.ArgumentParser(prog="knotfoam")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -78,8 +81,11 @@ def main(argv=None):
 
     vr = sub.add_parser("verify-relations", help="run the local-relation harness")
     vr.add_argument("--max-dots", type=int, default=2)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         if args.command == "invariants":
             return _cmd_invariants(args)
@@ -101,6 +107,9 @@ def main(argv=None):
 
 
 def _cmd_invariants(args):
+    if args.max_crossings < 0:
+        raise errors.ParseError("--max-crossings must be at least 0, got %d"
+                                % args.max_crossings)
     if (args.pd is None) == (args.braid is None):
         print("input error: provide exactly one of --pd / --braid",
               file=sys.stderr)
@@ -142,9 +151,14 @@ def _cmd_invariants(args):
     except _INTERNAL_ERRORS as exc:
         exc.args = ("%s, in diagram %r" % (exc, str(pd)),)
         raise
+    text = _render(record, args.format)
     if cache_dir:
-        _write_cache(path, record)
-    sys.stdout.write(_render(record, args.format))
+        try:
+            _write_cache(path, text if args.format == "json"
+                         else _render(record, "json"))
+        except OSError as exc:
+            print("cache write failed: %s" % exc, file=sys.stderr)
+    sys.stdout.write(text)
     for stage, dt in timings.items():
         print("timing %-10s %.3fs" % (stage, dt), file=sys.stderr)
     return 0
@@ -161,7 +175,7 @@ def _read_cache(path, fmt):
             record = json.load(fh)
         if isinstance(record, dict) and record.get("tool_version") == TOOL_VERSION:
             return _render(record, fmt)
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         return None
     except (OSError, ValueError, KeyError, TypeError):
         pass
@@ -170,21 +184,22 @@ def _read_cache(path, fmt):
     return None
 
 
-def _write_cache(path, record):
-    """Write the entry to a file of this process, then move it into place.
+def _write_cache(path, text):
+    """Write the JSON ``text`` to a file of this process, then move it.
 
-    Readers, concurrent writers included, see a whole entry or none.
+    Readers, concurrent writers included, see a whole entry or none.  A failed
+    write or move removes the file; any ``OSError`` reaches the caller.
     """
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         with open(tmp, "w") as fh:
-            json.dump(record, fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        raise
 
 
 def _compute_record(pd, echo, skip, max_crossings):

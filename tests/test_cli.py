@@ -311,6 +311,78 @@ def test_verify_relations_rejects_negative_max_dots(capsys):
     assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+def test_invariants_rejects_negative_max_crossings(capsys):
+    # a negative limit is bad input, not a diagram over the size limit
+    code, out, err = run_cli(["invariants", "--braid", "1 1 1", "--strands",
+                              "2", "--max-crossings", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: --max-crossings must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_unusable_cache_dir_still_prints_the_result(tmp_path, capsys, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    cache = blocker if where == "file" else blocker / "sub"
+    argv = ["invariants", "--braid", "1 1 1", "--strands", "2"]
+    _code, cold, _err = run_cli(argv, capsys)
+    code, out, err = run_cli(argv + ["--cache", str(cache)], capsys)
+    assert (code, out) == (0, cold)
+    (line,) = [l for l in err.splitlines() if not l.startswith("timing ")]
+    assert line.startswith("cache write failed: ")
+    assert blocker.read_text() == "not a directory"
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+def test_cache_entry_bytes_are_the_json_stdout(tmp_path, capsys):
+    argv = ["invariants", "--braid", "1 -2 1 -2", "--strands", "3"]
+    _code, table, _err = run_cli(argv, capsys)
+    cached = argv + ["--cache", str(tmp_path)]
+    code, out, err = run_cli(cached + ["--format", "json"], capsys)
+    assert code == 0 and "cache hit" not in err
+    (entry,) = tmp_path.iterdir()
+    assert entry.read_bytes() == out.encode()
+    code, out, err = run_cli(cached + ["--format", "table"], capsys)
+    assert (code, out) == (0, table) and "cache hit" in err
+
+
+def test_reused_parser_is_stateless(capsys):
+    """One process serves many ``main`` calls: no call's arguments or
+    defaults leak into the next, in either order."""
+    from knotfoam import cli
+
+    foam = pathlib.Path(__file__).parent.parent / "demos" / "data" / "theta_foam.json"
+    trefoil = ["invariants", "--braid", "1 1 1", "--strands", "2"]
+    sequence = [
+        trefoil + ["--skip", "s"],
+        trefoil,
+        trefoil + ["--format", "json"],
+        trefoil + ["--format", "table"],
+        trefoil + ["--no-such-flag"],
+        ["invariants", "--pd", ""],
+        ["eval-foam", str(foam)],
+        trefoil + ["--skip", "lee", "--format", "json"],
+    ]
+
+    def run_all(calls):
+        cli._parser.cache_clear()
+        outs = {}
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            outs[tuple(argv)] = (code, capsys.readouterr().out)
+        return outs
+
+    forward = run_all(sequence)
+    assert forward == run_all(sequence[::-1])
+    assert "s-invariant:" not in forward[tuple(sequence[0])][1]
+    assert "s-invariant:" in forward[tuple(sequence[1])][1]
+    assert forward[tuple(sequence[4])] == (2, "")
+    assert forward[tuple(sequence[2])][1] != forward[tuple(sequence[3])][1]
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "knotfoam.cli", "invariants", "--pd", "",
