@@ -167,14 +167,16 @@ def _cmd_invariants(args):
 def _read_cache(path, fmt):
     """The rendered cache entry at ``path``, or None on a miss.
 
-    An entry that cannot be read, decoded or rendered, or that another
-    tool version wrote, counts as a miss and is recomputed.
+    The entry is the ``--format json`` stdout, so that format gets the
+    text as read.  An entry that cannot be read, decoded or rendered, or
+    that another tool version wrote, counts as a miss and is recomputed.
     """
     try:
         with open(path) as fh:
-            record = json.load(fh)
+            text = fh.read()
+        record = json.loads(text)
         if isinstance(record, dict) and record.get("tool_version") == TOOL_VERSION:
-            return _render(record, fmt)
+            return text if fmt == "json" else _render(record, fmt)
     except (FileNotFoundError, NotADirectoryError):
         return None
     except (OSError, ValueError, KeyError, TypeError):

@@ -134,12 +134,9 @@ class HomologyTable:
 
 
 class Residue(GradedChainComplex):
-    """What :func:`reduce_complex` leaves: the surviving generators with
-    the q-degrees the input reported, the reduced differentials, and the
-    carried ``cycles``."""
-
-    def q_degrees(self, i):
-        return self.qs.get(i, [])
+    """What :func:`reduce_complex` leaves: the q-degrees the input
+    reported for the surviving generators, the reduced differentials, and
+    the carried ``cycles``."""
 
 
 def reduce_complex(cx, window=None, cycles=()):
@@ -153,7 +150,6 @@ def reduce_complex(cx, window=None, cycles=()):
     """
     degrees = [i for i in cx.degrees if window is None or i in window]
     res = Residue(cx.side, cx.n_plus, cx.n_minus)
-    res.qs = {}
     chains = [(i, dict(chain)) for i, chain in cycles]
     dead = set()  # generators of degree i cancelled by d_{i-1}
     above = {}    # what is left of d_{i-1}, its columns renumbered
@@ -175,7 +171,6 @@ def reduce_complex(cx, window=None, cycles=()):
         dead.update(g for g, _h in pairs)
         keep = [k for k in range(len(qs)) if k not in dead]
         new = {k: n for n, k in enumerate(keep)}
-        res.generators[i] = [cx.generators[i][k] for k in keep]
         res.qs[i] = [qs[k] for k in keep]
         if i != degrees[0]:
             left = ((c, {new[r]: v for r, v in col.items() if r in new})

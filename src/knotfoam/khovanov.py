@@ -15,7 +15,9 @@ Labels are encoded as 0 for the unit generator and 1 for X.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .diagram import State, _smoothings, compute_signs, smooth_state
@@ -53,36 +55,57 @@ class Generator(NamedTuple):
 class GradedChainComplex:
     """Finitely generated free chain complex with a q-degree per generator.
 
-    ``generators[i]`` lists the degree-i generators in a fixed order and
-    ``differentials[i]`` is the column map ``{col: {row: entry}}`` of d_i,
-    from degree i to degree i+1, with only nonzero entries and no empty
-    column.  ``omitted_qs`` holds the q-degrees of the generators a build
-    left out (see :func:`build_complex`).
+    ``qs[i]`` lists the q-degrees of the degree-i generators in a fixed
+    order and ``differentials[i]`` is the column map ``{col: {row: entry}}``
+    of d_i, from degree i to degree i+1, with only nonzero entries and no
+    empty column.  A cube build also sets ``runs`` and ``q_levels`` (see
+    :func:`build_complex`); :meth:`generator` reads the former.
     """
 
     def __init__(self, side, n_plus, n_minus):
         self.side = side
         self.n_plus = n_plus
         self.n_minus = n_minus
-        self.generators = {}
+        self.qs = {}
+        self.runs = {}
         self.differentials = {}
-        self.omitted_qs = set()
+        self.q_levels = None
 
     @property
     def degrees(self):
-        return sorted(self.generators)
+        return sorted(self.qs)
 
     def dim(self, i):
-        return len(self.generators.get(i, ()))
+        return len(self.qs.get(i, ()))
 
     def q_degrees(self, i):
-        return [g.q_degree for g in self.generators.get(i, ())]
+        return self.qs.get(i, [])
 
     def total_dim(self):
-        return sum(len(v) for v in self.generators.values())
+        return sum(len(v) for v in self.qs.values())
 
     def matrix(self, i):
         return self.differentials.get(i, {})
+
+    def state_run(self, i, state):
+        """The indices of the degree-i generators of ``state``."""
+        mask = sum(b << j for j, b in enumerate(state))
+        runs = self.runs.get(i, [])
+        k = bisect_left(runs, mask, key=itemgetter(1))
+        if k == len(runs) or runs[k][1] != mask:
+            return range(0)
+        base, _mask, cids = runs[k]
+        return range(base, base + (1 << len(cids)))
+
+    def generator(self, i, k):
+        """The k-th generator of degree i: its labels are the bits of k
+        minus its state's base index, the first circle's the highest."""
+        runs = self.runs[i]
+        base, mask, cids = runs[bisect_right(runs, k, key=itemgetter(0)) - 1]
+        c = len(cids)
+        return Generator(_state_tuple(mask, self.n_plus + self.n_minus), cids,
+                         tuple((k - base) >> (c - 1 - j) & 1 for j in range(c)),
+                         i, self.qs[i][k])
 
     def check_d_squared(self):
         for i in self.degrees:
@@ -114,27 +137,32 @@ def build_complex(pd, side=KH, max_crossings=14, degrees=None):
     restricts the build to the states of those degrees: only they get
     generators, and only edges between two of them get entries.  A built
     degree keeps the generator order and indices of the whole complex,
-    so the result is the whole complex restricted to the window.  Every
-    state's circle count still comes from the one walk of
-    :func:`_smoothings`, and the q-degrees of the states left out go to
-    ``omitted_qs``, so the q-levels of the whole cube stay known.
-    ``None`` builds every degree.
+    so the result is the whole complex restricted to the window.
+    ``None`` builds every degree.  Either way ``q_levels`` is the range of
+    q-levels of the whole cube: a state of height h with c circles has the
+    q-degrees h - c .. h + c in steps of 2, plus n_plus - 2 n_minus.  On a
+    planar diagram c changes by one along a cube edge, so h - c and h + c
+    never fall and consecutive ranges overlap: the levels run in steps of
+    2 from the all-0 state's lowest to the all-1 state's highest.
 
     States are taken in binary order (crossing j is bit j) and each
     state's generators form one run of its degree's list, starting at a
     base offset: a generator's index is that base plus its labels read
     as a bitmask, the first (smallest) circle id being the most
-    significant bit.  A circle the edge does not touch keeps its arcs,
-    so it keeps its id and its place among the ids; its bit in the
-    target follows from the bits of the touched circles on both sides.
-    An edge's entries, as (column offset, row offset, entry), are
-    therefore fixed by its shape: the source circle count, the bits of
-    the circles at slots 0 and 2 of the crossing before it and at slots
-    0 and 1 after it (the first two differ on a merge).  Each shape's
-    pattern is worked out once per build, and an edge writes it, with
-    its base offsets and sign, straight into the columns of the source
-    state's generators; these join d_i in ascending index, empty ones
-    left out.
+    significant bit; ``runs[i]`` holds each state's (base, mask, circle
+    ids), and no generator is stored as an object.  A circle the edge does
+    not touch keeps its arcs, so it keeps its id and its place among the
+    ids; its bit in the target follows from the bits of the touched
+    circles on both sides.  An edge's entries, as (column offset, row
+    offset, entry), are therefore fixed by its shape: the source circle
+    count, the bits of the circles at slots 0 and 2 of the crossing before
+    it and at slots 0 and 1 after it (the first two differ on a merge).
+    Each shape's pattern is worked out once per build, and an edge writes
+    it, with its base offsets and sign, straight into the columns of the
+    source state's generators; these join d_i in ascending index, empty
+    ones left out.  Every row and column key of degree i comes from one
+    list of the indices 0 .. dim(i) - 1: one int object per index, however
+    many entries name it.
     """
     n = pd.n
     if n > max_crossings:
@@ -147,30 +175,32 @@ def build_complex(pd, side=KH, max_crossings=14, degrees=None):
     # per built state: the label bit of each arc's circle (arcs in the
     # order of _smoothings), the circle count and the base index
     arcs, members = _smoothings(pd)
-    labelings = {}
-    omitted = set()  # (degree, circle count) of the states left out
+    shift = n_plus - 2 * n_minus
+    # the 0-crossing diagram's one state has no arcs and one circle
+    cx.q_levels = range(shift - (len(set(members[0])) or 1),
+                        shift + n + (len(set(members[-1])) or 1) + 1, 2)
+    state_qs = {}  # (circle count, top q) -> the q-degrees of one state
     size = len(members)
     bits, counts, base = [None] * size, [0] * size, [0] * size
     for mask, member in enumerate(members):
         h = mask.bit_count()
-        i = h - n_minus
         if not built[h]:
-            omitted.add((i, len(set(member)) if n else 1))
             continue
-        cids = tuple(sorted(set(member))) if n else (0,)
+        i = h - n_minus
+        cids = tuple(sorted(set(member))) or (0,)
         c = counts[mask] = len(cids)
-        bucket = cx.generators.setdefault(i, [])
+        qs = cx.qs.setdefault(i, [])
         bit = {cid: c - 1 - k for k, cid in enumerate(cids)}
         bits[mask] = list(map(bit.__getitem__, member))
-        base[mask] = len(bucket)
-        if c not in labelings:
-            labelings[c] = [(labels, 2 * sum(labels))
-                            for labels in itertools.product((0, 1), repeat=c)]
-        st, q0 = _state_tuple(mask, n), c + i + n_plus - n_minus
-        bucket.extend([Generator(st, cids, labels, i, q0 - x)
-                       for labels, x in labelings[c]])
-    cx.omitted_qs = {c + i + n_plus - n_minus - 2 * x
-                     for i, c in omitted for x in range(c + 1)}
+        base[mask] = len(qs)
+        cx.runs.setdefault(i, []).append((len(qs), mask, cids))
+        top = c + h + shift
+        run = state_qs.get((c, top))
+        if run is None:
+            run = state_qs[c, top] = [top - 2 * k.bit_count()
+                                      for k in range(1 << c)]
+        qs += run
+    index = {i: list(range(len(qs))) for i, qs in cx.qs.items()}
 
     maps = edge_map("merge", side), edge_map("split", side)
     at = {a: k for k, a in enumerate(arcs)}
@@ -181,6 +211,7 @@ def build_complex(pd, side=KH, max_crossings=14, degrees=None):
         if not (built[h] and built[h + 1]):
             continue
         src, col0 = bits[mask], base[mask]
+        rows = index.get(h + 1 - n_minus)  # None at the top state only
         cols = [{} for _ in range(1 << counts[mask])]
         for j, (a, b, c) in enumerate(ends):
             if mask >> j & 1:
@@ -193,8 +224,9 @@ def build_complex(pd, side=KH, max_crossings=14, degrees=None):
             sign = -1 if (mask & ((1 << j) - 1)).bit_count() % 2 else 1
             # no row repeats in a column: the edge fixes the target state
             for dc, dr, v in pattern:
-                cols[dc][row0 + dr] = sign * v
-        filled = [(col0 + k, col) for k, col in enumerate(cols) if col]
+                cols[dc][rows[row0 + dr]] = sign * v
+        keys = index[h - n_minus][col0:col0 + len(cols)]
+        filled = [(k, col) for k, col in zip(keys, cols) if col]
         if filled:
             cx.differentials.setdefault(h - n_minus, {}).update(filled)
     return cx
@@ -233,12 +265,10 @@ def _edge_pattern(shape, merge_map, split_map):
 def graded_euler_characteristic(cx):
     """Sum of (-1)^i q^(q-degree) over all generators."""
     total = LaurentQ.zero()
-    for i, gens in cx.generators.items():
+    for i in cx.degrees:
         sign = -1 if i % 2 else 1
-        terms = {}
-        for g in gens:
-            terms[g.q_degree] = terms.get(g.q_degree, 0) + sign
-        total = total + LaurentQ(terms)
+        total = total + LaurentQ({q: sign * m
+                                  for q, m in Counter(cx.q_degrees(i)).items()})
     return total
 
 

@@ -123,9 +123,8 @@ def oriented_resolution_generators(pd, fc=None):
 
     chain_a = {}
     chain_b = {}
-    for idx, g in enumerate(fc.generators[degree]):
-        if g.state != st:
-            continue
+    for idx in fc.state_run(degree, st):
+        g = fc.generator(degree, idx)
         coeff = 1
         for cid, label in zip(g.circles, g.labels):
             if label:
@@ -181,9 +180,7 @@ def _levels(fc):
     """The q-levels where the filtration can jump, and one above the top:
     those of the whole cube, the degrees a window build left out
     included."""
-    qs = sorted({q for i in fc.degrees for q in fc.q_degrees(i)}
-                | fc.omitted_qs)
-    return qs + [qs[-1] + 1]
+    return [*fc.q_levels, fc.q_levels[-1] + 1]
 
 
 def _positions(qs):

@@ -346,6 +346,19 @@ def test_cache_entry_bytes_are_the_json_stdout(tmp_path, capsys):
     assert (code, out) == (0, table) and "cache hit" in err
 
 
+def test_json_cache_hit_prints_the_entry_as_read(tmp_path, capsys, monkeypatch):
+    # a --format json hit writes the entry text, with no second encoding
+    argv = ["invariants", "--braid", "1 1 1", "--strands", "2", "--format",
+            "json", "--cache", str(tmp_path)]
+    run_cli(argv, capsys)
+    (entry,) = tmp_path.iterdir()
+    spaced = json.dumps(json.loads(entry.read_text()), indent=1) + "\n"
+    entry.write_text(spaced)
+    monkeypatch.setattr(json, "dumps", None)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (0, spaced) and "cache hit" in err
+
+
 def test_reused_parser_is_stateless(capsys):
     """One process serves many ``main`` calls: no call's arguments or
     defaults leak into the next, in either order."""

@@ -119,7 +119,8 @@ def test_oriented_state_gives_seifert_circles():
 
 
 def _all_generators(pd):
-    return [g for gens in build_complex(pd).generators.values() for g in gens]
+    cx = build_complex(pd)
+    return [cx.generator(i, k) for i in cx.degrees for k in range(cx.dim(i))]
 
 
 def test_state_height():

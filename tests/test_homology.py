@@ -15,7 +15,6 @@ from knotfoam.homology import (
 )
 from knotfoam.khovanov import (
     KH,
-    Generator,
     GradedChainComplex,
     build_complex,
     graded_euler_characteristic,
@@ -104,10 +103,8 @@ def test_snf_unit_free_matches_minor_gcds():
 def _two_term_complex(entry):
     # 0 -> Z --entry--> Z -> 0 concentrated in degrees 0, 1 at q = 0
     cx = GradedChainComplex(KH, 0, 0)
-    g0 = Generator((), (0,), (0,), 0, 0)
-    g1 = Generator((), (0,), (0,), 1, 0)
-    cx.generators[0] = [g0]
-    cx.generators[1] = [g1]
+    cx.qs[0] = [0]
+    cx.qs[1] = [0]
     cx.differentials[0] = {0: {0: entry}}
     return cx
 
@@ -187,14 +184,13 @@ def test_euler_conservation():
 
 def test_not_a_complex():
     cx = _two_term_complex(1)
-    g2 = Generator((), (0,), (0,), 2, 0)
-    cx.generators[2] = [g2]
+    cx.qs[2] = [0]
     cx.differentials[1] = {0: {0: 1}}
     with pytest.raises(NotAComplex, match=r"d o d != 0 at degree 0 in q-block 0"):
         integral_homology(cx)
     # a Khovanov differential must keep q
     cx = _two_term_complex(1)
-    cx.generators[1] = [Generator((), (0,), (0,), 1, 2)]
+    cx.qs[1] = [2]
     with pytest.raises(NotAComplex, match=r"d_0 sends q-degree 0 to q-degree 2"):
         integral_homology(cx)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from knotfoam.homology import reduce_complex
 from knotfoam.khovanov import (
     KH,
     LEE,
+    Generator,
     build_complex,
     edge_map,
     graded_euler_characteristic,
@@ -26,6 +28,10 @@ from knotfoam.lee import _levels
 from knotfoam.polyring import LaurentQ
 
 CIRCLE = LaurentQ.circle()
+
+
+def _generators(cx, i):
+    return [cx.generator(i, k) for k in range(cx.dim(i))]
 
 
 def random_braid_pd(rng, max_letters=6, strands=3):
@@ -192,7 +198,7 @@ def _assert_entries_follow_the_edge_maps(pd, side):
     for i, mat in cx.differentials.items():
         for c, col in mat.items():
             for r, v in col.items():
-                g, h = cx.generators[i][c], cx.generators[i + 1][r]
+                g, h = cx.generator(i, c), cx.generator(i + 1, r)
                 flips = [j for j in range(pd.n) if g.state[j] != h.state[j]]
                 assert len(flips) == 1
                 j = flips[0]
@@ -219,8 +225,8 @@ def _assert_entries_follow_the_edge_maps(pd, side):
                         assert tgt_labels[tgt[arc]] == src_labels[cid]
                 nonzeros += 1
     predicted = 0
-    for gens in cx.generators.values():
-        for g in gens:
+    for i in cx.degrees:
+        for g in _generators(cx, i):
             labels = dict(zip(g.circles, g.labels))
             for j in range(pd.n):
                 if not g.state[j]:
@@ -238,8 +244,8 @@ def test_differential_entries_follow_the_edge_maps(side):
     # many untouched circles are checked entry by entry too
     for pd in braid_to_pd([1] * 7, 2), braid_to_pd([1, 3, 2, 1, 3, 2, 1, 3], 4):
         cx = _assert_entries_follow_the_edge_maps(pd, side)
-        assert max(len(g.circles) for gens in cx.generators.values()
-                   for g in gens) >= 5
+        assert max(len(g.circles) for i in cx.degrees
+                   for g in _generators(cx, i)) >= 5
 
 
 @pytest.mark.parametrize("side", [KH, LEE])
@@ -273,7 +279,7 @@ def test_two_faces_anticommute():
         cx = build_complex(pd, KH)
         by_state = {}
         for i in cx.degrees:
-            for idx, g in enumerate(cx.generators[i]):
+            for idx, g in enumerate(_generators(cx, i)):
                 by_state.setdefault(g.state, []).append((i, idx))
         checked = 0
         for st in by_state:
@@ -288,11 +294,9 @@ def test_two_faces_anticommute():
             i = sum(st) - cx.n_minus
             d1 = cx.matrix(i)
             d2 = cx.matrix(i + 1)
-            src = {idx: g for idx, g in enumerate(cx.generators[i]) if g.state == st}
-            mid = {idx: g for idx, g in enumerate(cx.generators[i + 1])
-                   if g.state in (sj, sk)}
-            tgt = {idx: g for idx, g in enumerate(cx.generators[i + 2])
-                   if g.state == sjk} if (i + 2) in cx.generators else {}
+            src = set(cx.state_run(i, st))
+            mid = {*cx.state_run(i + 1, sj), *cx.state_run(i + 1, sk)}
+            tgt = set(cx.state_run(i + 2, sjk))
             for c1, col1 in d1.items():
                 for r1, v1 in col1.items():
                     if c1 not in src or r1 not in mid:
@@ -355,7 +359,6 @@ def test_window_build_is_the_full_build_restricted(side):
         diagrams += [pd, mirror(pd)]
     for pd in diagrams:
         full = build_complex(pd, side)
-        assert full.omitted_qs == set()
         lo, hi = full.degrees[0], full.degrees[-1]
         mid = (lo + hi) // 2
         windows = [range(lo, lo + 1), range(lo - 2, lo + 2),   # bottom
@@ -366,7 +369,7 @@ def test_window_build_is_the_full_build_restricted(side):
             part = build_complex(pd, side, degrees=window)
             assert part.degrees == [i for i in full.degrees if i in window]
             for i in part.degrees:
-                assert part.generators[i] == full.generators[i]
+                assert _generators(part, i) == _generators(full, i)
                 assert part.q_degrees(i) == full.q_degrees(i)
             assert sorted(part.differentials) == [
                 j for j in sorted(full.differentials)
@@ -379,3 +382,70 @@ def test_window_build_is_the_full_build_restricted(side):
 def test_window_build_keeps_the_size_limit():
     with pytest.raises(TooLarge):
         build_complex(braid_to_pd([1] * 15, 2), LEE, degrees=range(0, 1))
+
+
+def _rebuilt_generators(pd, i, n_minus, n_plus):
+    """The degree-i generators in build order, from smooth_state alone."""
+    out = []
+    for mask in range(2 ** pd.n):
+        st = tuple(mask >> j & 1 for j in range(pd.n))
+        if sum(st) - n_minus != i:
+            continue
+        membership = smooth_state(pd, State(st)).membership
+        cids = tuple(sorted(set(membership.values()))) if pd.n else (0,)
+        for labels in itertools.product((0, 1), repeat=len(cids)):
+            q = len(cids) - 2 * sum(labels) + i + n_plus - n_minus
+            out.append(Generator(st, cids, labels, i, q))
+    return out
+
+
+def test_generator_view_equals_a_rebuild_from_smooth_state():
+    diagrams = [parse_pd(""), braid_to_pd([1, 1, 1], 2),
+                braid_to_pd([1, -2, 1, -2], 3), braid_to_pd([1, 1], 2),
+                braid_to_pd([1, 1, 2, 2, 2], 3), braid_to_pd([-1, 2, -1, 2, 2], 3)]
+    for pd in diagrams:
+        for side in KH, LEE:
+            cx = build_complex(pd, side)
+            for i in cx.degrees:
+                gens = _generators(cx, i)
+                assert gens == _rebuilt_generators(pd, i, cx.n_minus, cx.n_plus)
+                assert [g.q_degree for g in gens] == cx.q_degrees(i)
+                runs = {}
+                for k, g in enumerate(gens):
+                    runs.setdefault(g.state, []).append(k)
+                for st, run in runs.items():
+                    assert list(cx.state_run(i, st)) == run
+
+
+def test_each_index_is_one_int_object():
+    # every row key of d_i is one of dim(i + 1) objects and every column
+    # key one of dim(i), however many entries name them
+    for pd in braid_to_pd([1] * 7, 2), braid_to_pd([1, -2] * 4, 3):
+        full = build_complex(pd, LEE)
+        mid = full.degrees[len(full.degrees) // 2]
+        for cx in full, build_complex(pd, LEE, degrees=range(mid - 1, mid + 2)):
+            assert max(cx.dim(i) for i in cx.degrees) > 256
+            for i, d in cx.differentials.items():
+                assert len({id(c) for c in d}) <= cx.dim(i)
+                assert len({id(r) for col in d.values() for r in col}) \
+                    <= cx.dim(i + 1)
+
+
+def test_closed_form_levels_are_the_cube_q_set():
+    # windows keep these levels: test_window_build_is_the_full_build_restricted
+    rng = random.Random(49)
+    diagrams = [parse_pd(""), braid_to_pd([1], 2), braid_to_pd([-1], 2)]
+    while len(diagrams) < 63:
+        strands = rng.randint(2, 5)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 9))]
+        try:
+            pd = braid_to_pd(word, strands)
+        except InvalidBraid:
+            continue
+        diagrams += [pd, mirror(pd)]
+    for pd in diagrams:
+        full = build_complex(pd, KH)
+        qs = sorted({q for i in full.degrees for q in full.q_degrees(i)})
+        assert list(full.q_levels) == qs, pd
+        assert _levels(full) == qs + [qs[-1] + 1]

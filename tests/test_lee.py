@@ -81,7 +81,7 @@ def test_unknot_generators():
     pd = parse_pd("")
     fc = build_lee(pd)
     sa, sb = oriented_resolution_generators(pd, fc)
-    gens = fc.generators[0]
+    gens = [fc.generator(0, k) for k in range(fc.dim(0))]
     coeff_a = {gens[i].labels: v for i, v in sa.chain.items()}
     coeff_b = {gens[i].labels: v for i, v in sb.chain.items()}
     assert coeff_a == {(0,): 1, (1,): 1}     # 1 + X
@@ -210,7 +210,8 @@ def test_s_gates_name_the_degree(monkeypatch):
     def unknot_with_q(qs):
         # generator 0 is labelled 1, generator 1 is labelled X
         fc = build_lee(unknot)
-        fc.q_degrees = lambda i: list(qs) if i == 0 else []
+        fc.qs[0] = list(qs)
+        fc.q_levels = range(min(qs), max(qs) + 1, 2)
         return fc
 
     with pytest.raises(PropositionViolated, match="degree 0: s_max = 3"):
