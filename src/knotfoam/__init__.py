@@ -52,7 +52,7 @@ from .khovanov import (
     KH,
     LEE,
     build_complex,
-    edge_map,
+    frobenius,
     graded_euler_characteristic,
     kauffman_oracle,
 )

@@ -37,24 +37,6 @@ from .relations import verify_all_relations
 
 TOOL_VERSION = "knotfoam-" + __version__
 
-_INPUT_ERRORS = (
-    errors.ParseError,
-    errors.InvalidDiagram,
-    errors.InvalidBraid,
-    errors.InvalidSite,
-    errors.MalformedFoam,
-)
-_INTERNAL_ERRORS = (
-    errors.PropositionViolated,
-    errors.RankMismatch,
-    errors.NotACycle,
-    errors.NotAComplex,
-    errors.OddEuler,
-    errors.NonExactDivision,
-    errors.NonBipartiteBinding,
-    errors.ReductionStuck,
-)
-
 
 @functools.cache
 def _parser():
@@ -97,11 +79,11 @@ def main(argv=None):
     except errors.TooLarge as exc:
         print("size limit: %s" % exc, file=sys.stderr)
         return 3
-    except _INTERNAL_ERRORS as exc:
+    except errors.InternalError as exc:
         print("internal invariant violated: %s: %s"
               % (type(exc).__name__, exc), file=sys.stderr)
         return 4
-    except _INPUT_ERRORS as exc:
+    except errors.InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
 
@@ -148,7 +130,7 @@ def _cmd_invariants(args):
 
     try:
         record, timings = _compute_record(pd, echo, skip, args.max_crossings)
-    except _INTERNAL_ERRORS as exc:
+    except errors.InternalError as exc:
         exc.args = ("%s, in diagram %r" % (exc, str(pd)),)
         raise
     text = _render(record, args.format)

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 
 from .diagram import State, _arc_occurrences, compute_signs
-from .errors import InvalidFace, MalformedFoam, ReductionStuck
+from .errors import InvalidBraid, InvalidFace, MalformedFoam, ReductionStuck
 from .polyring import LaurentQ
 
 BLUE = "blue"
@@ -394,7 +394,7 @@ def random_planar_graph(rng, max_vertices=12):
             word.append(k if rng.random() < 0.5 else -k)
         try:
             pd = braid_to_pd(word, strands)
-        except Exception:
+        except InvalidBraid:
             continue
         state = State(tuple(rng.randint(0, 1) for _ in range(pd.n)))
         g = smoothing_graph(pd, state)

@@ -5,10 +5,11 @@ generator is a smoothing together with a {1, X} label on each of its
 circles; its homological degree is (sum of the state) - n_minus and its
 q-degree is (#1-labels - #X-labels) + degree + n_plus - n_minus.  The
 differential flips one crossing from 0 to 1, applying the merge map m or
-the split map Delta of the rank-two Frobenius algebra (X^2 = 0), with
-the sign (-1)^(number of 1-coordinates before the flipped one).  The Lee
-variant deforms the algebra to X^2 = 1; its extra terms raise q-degree
-by exactly 4 while the undeformed part preserves it.
+the split map Delta of the U(2)-equivariant Frobenius algebra
+Z[X1, X2][X]/((X - X1)(X - X2)), with the sign (-1)^(number of
+1-coordinates before the flipped one).  Kh takes X1 = X2 = 0 and Lee
+X1 = 1, X2 = -1; the table's e1 = X1 + X2 terms raise q-degree by 2 and
+its e2 = X1 X2 terms by 4, so Lee's extra terms raise it by exactly 4.
 
 Labels are encoded as 0 for the unit generator and 1 for X.
 """
@@ -27,21 +28,27 @@ from .polyring import LaurentQ
 KH = "Kh"
 LEE = "Lee"
 
-# merge: (label, label) -> {label: coefficient}
-_MERGE_KH = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {}}
-_MERGE_LEE = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}}
-# split: label -> {(label, label): coefficient}
-_SPLIT_KH = {0: {(0, 1): 1, (1, 0): 1}, 1: {(1, 1): 1}}
-_SPLIT_LEE = {0: {(0, 1): 1, (1, 0): 1}, 1: {(0, 0): 1, (1, 1): 1}}
+
+def frobenius(e1, e2):
+    """The merge and split maps of Z[X1, X2][X]/((X - X1)(X - X2)).
+
+    e1 = X1 + X2 and e2 = X1 X2 are ints or ``IntPoly2``s.  ``merge`` maps
+    (label, label) to {label: coefficient} and ``split`` maps a label to
+    {(label, label): coefficient}; writing a (x) b as (a, b), m(X, X) =
+    e1 X - e2, Delta(1) = (1, X) + (X, 1) - e1 (1, 1) and Delta(X) =
+    (X, X) - e2 (1, 1).  Zero coefficients are dropped.  Sign convention:
+    with the counit e(1) = 0, e(X) = 1 and the handle h = m(Delta(1)) =
+    2X - e1, ``foam.evaluate_foam`` gives a closed blue surface of genus g
+    with d dots (-1)^(chi/2) e(X^d h^g), chi = 2 - 2g: -e on spheres.
+    """
+    merge = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: -e2, 1: e1}}
+    split = {0: {(0, 0): -e1, (0, 1): 1, (1, 0): 1}, 1: {(0, 0): -e2, (1, 1): 1}}
+    return tuple({k: {lt: v for lt, v in m.items() if v} for k, m in table.items()}
+                 for table in (merge, split))
 
 
-def edge_map(kind, side):
-    """The label-level merge or split map of the chosen theory."""
-    if kind == "merge":
-        return _MERGE_KH if side == KH else _MERGE_LEE
-    if kind == "split":
-        return _SPLIT_KH if side == KH else _SPLIT_LEE
-    raise ValueError("kind must be 'merge' or 'split'")
+# each side's (merge, split): Kh at X1 = X2 = 0, Lee at X1 = 1, X2 = -1
+_MAPS = {KH: frobenius(0, 0), LEE: frobenius(0, -1)}
 
 
 class Generator(NamedTuple):
@@ -164,6 +171,8 @@ def build_complex(pd, side=KH, max_crossings=14, degrees=None):
     list of the indices 0 .. dim(i) - 1: one int object per index, however
     many entries name it.
     """
+    if side not in _MAPS:
+        raise ValueError("side must be 'Kh' or 'Lee', got %r" % (side,))
     n = pd.n
     if n > max_crossings:
         raise TooLarge("%d crossings exceeds limit %d" % (n, max_crossings))
@@ -202,7 +211,6 @@ def build_complex(pd, side=KH, max_crossings=14, degrees=None):
         qs += run
     index = {i: list(range(len(qs))) for i, qs in cx.qs.items()}
 
-    maps = edge_map("merge", side), edge_map("split", side)
     at = {a: k for k, a in enumerate(arcs)}
     ends = [(at[a], at[b], at[c]) for a, b, c, _d in pd.crossings]
     patterns = {}
@@ -220,7 +228,7 @@ def build_complex(pd, side=KH, max_crossings=14, degrees=None):
             shape = (counts[mask], src[a], src[c], tgt[a], tgt[b])
             pattern = patterns.get(shape)
             if pattern is None:
-                pattern = patterns[shape] = _edge_pattern(shape, *maps)
+                pattern = patterns[shape] = _edge_pattern(shape, *_MAPS[side])
             sign = -1 if (mask & ((1 << j) - 1)).bit_count() % 2 else 1
             # no row repeats in a column: the edge fixes the target state
             for dc, dr, v in pattern:

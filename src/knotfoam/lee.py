@@ -1,10 +1,10 @@
 """The Lee complex, its filtration, and the s-invariant.
 
-The Lee differential is the Khovanov one deformed by X^2 = 1; the
-deformation strictly raises the q-degree by 4, so the q-degrees of the
-undeformed theory induce a descending filtration F^j = span of
-generators with q-degree >= j, preserved by the differential.  The
-homology has rank 2^(number of link components); for a knot the two
+The Lee differential takes ``khovanov.frobenius`` at X1 = 1, X2 = -1
+(X^2 = 1); its e2 terms strictly raise the q-degree by 4, so the
+q-degrees of the undeformed theory induce a descending filtration F^j =
+span of generators with q-degree >= j, preserved by the differential.
+The homology has rank 2^(number of link components); for a knot the two
 classes sit at the oriented resolution, generated by labelling every
 circle with a = 1 + X or b = 1 - X.  The two filtration jump levels of
 a knot differ by exactly 2, and the s-invariant is the midpoint.

@@ -273,6 +273,44 @@ def test_internal_invariant_failure_names_the_diagram(monkeypatch, capsys):
         assert err == prefix + diagram + "\n"
 
 
+def test_each_error_class_carries_its_exit_code(monkeypatch, capsys):
+    # every error is TooLarge or subclasses exactly one of InputError and
+    # InternalError, and the CLI reports each by that base, whatever it is
+    from knotfoam import errors
+    from knotfoam.khovanov import GradedChainComplex
+
+    reports = {
+        errors.InputError: (2, "input error: boom\n"),
+        errors.InternalError: (4, "internal invariant violated: %s: boom, in "
+                                  "diagram 'X[1,3,4,2];X[3,5,6,4];X[5,1,2,6]'\n"),
+        errors.TooLarge: (3, "size limit: boom\n"),
+    }
+    assert set(errors.KnotfoamError.__subclasses__()) == set(reports)
+    walked, todo = [], list(reports)
+    while todo:
+        cls = todo.pop()
+        walked.append(cls)
+        todo += cls.__subclasses__()
+    defined = [c for c in vars(errors).values() if isinstance(c, type)
+               and issubclass(c, errors.KnotfoamError)]
+    assert sorted(map(repr, walked)) == sorted(
+        repr(c) for c in defined if c is not errors.KnotfoamError)
+    assert issubclass(errors.InvalidFace, errors.InternalError)
+    assert issubclass(errors.NotAKnot, errors.InputError)
+    for cls in walked:
+        [base] = [b for b in reports if issubclass(cls, b)]
+
+        def broken(self, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(GradedChainComplex, "check_d_squared", broken)
+        code, out, err = run_cli(["invariants", "--braid", "1 1 1",
+                                  "--strands", "2"], capsys)
+        expected_code, message = reports[base]
+        assert (code, out) == (expected_code, "")
+        assert err == (message % cls.__name__ if "%s" in message else message)
+
+
 def test_eval_foam_schema_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"facets": [{"id": "b", "color": "blue", "squares": 1}]}')

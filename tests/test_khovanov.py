@@ -14,18 +14,21 @@ from knotfoam.diagram import (
     validate_pd,
 )
 from knotfoam.errors import InvalidBraid, InvalidDiagram, NotAComplex, TooLarge
+from knotfoam.foam import Facet, Foam, evaluate_foam
 from knotfoam.homology import reduce_complex
 from knotfoam.khovanov import (
     KH,
     LEE,
     Generator,
+    _MAPS,
     build_complex,
-    edge_map,
+    frobenius,
     graded_euler_characteristic,
     kauffman_oracle,
 )
 from knotfoam.lee import _levels
-from knotfoam.polyring import LaurentQ
+from knotfoam.polyring import IntPoly2, LaurentQ
+from knotfoam.relations import load_fixture
 
 CIRCLE = LaurentQ.circle()
 
@@ -46,17 +49,85 @@ def random_braid_pd(rng, max_letters=6, strands=3):
 
 
 def test_edge_map_tables():
-    m = edge_map("merge", KH)
+    m, d = frobenius(0, 0)
     assert m[(1, 1)] == {}
     assert m[(0, 0)] == {0: 1}
     assert m[(0, 1)] == {1: 1} and m[(1, 0)] == {1: 1}
-    m_lee = edge_map("merge", LEE)
+    m_lee, d_lee = frobenius(0, -1)
     assert m_lee[(1, 1)] == {0: 1}
-    d = edge_map("split", KH)
     assert d[0] == {(0, 1): 1, (1, 0): 1}
     assert d[1] == {(1, 1): 1}
-    d_lee = edge_map("split", LEE)
     assert d_lee[1] == {(0, 0): 1, (1, 1): 1}
+    # the whole tables, and the per-side lookup the cube reads
+    assert m == {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {}}
+    assert m_lee == {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                     (1, 1): {0: 1}}
+    assert d == {0: {(0, 1): 1, (1, 0): 1}, 1: {(1, 1): 1}}
+    assert d_lee == {0: {(0, 1): 1, (1, 0): 1}, 1: {(0, 0): 1, (1, 1): 1}}
+    assert _MAPS == {KH: (m, d), LEE: (m_lee, d_lee)}
+
+
+def test_equivariant_table():
+    # at e1 = X1 + X2 and e2 = X1 X2 every coefficient of the table shows
+    e1, e2 = IntPoly2.x1_plus_x2(), IntPoly2.x1_times_x2()
+    m, d = frobenius(e1, e2)
+    assert m[(1, 1)] == {0: -e2, 1: e1}
+    assert d == {0: {(0, 0): -e1, (0, 1): 1, (1, 0): 1},
+                 1: {(0, 0): -e2, (1, 1): 1}}
+    # a zero coefficient is dropped whatever its type
+    assert frobenius(IntPoly2.zero(), e2)[1][0] == {(0, 1): 1, (1, 0): 1}
+
+
+@pytest.mark.parametrize("side", ["kh", "lee", "", None])
+def test_unknown_side_is_refused(side):
+    pd = braid_to_pd([1, 1, 1], 2)
+    with pytest.raises(ValueError, match="'Kh' or 'Lee'"):
+        build_complex(pd, side)
+
+
+def _times(merge, a, b):
+    """The product of two algebra elements, as {label: coefficient}."""
+    out = {0: IntPoly2.zero(), 1: IntPoly2.zero()}
+    for la, ca in a.items():
+        for lb, cb in b.items():
+            for lt, v in merge[la, lb].items():
+                out[lt] = out[lt] + ca * cb * v
+    return out
+
+
+def test_table_counit_matches_closed_blue_surfaces():
+    # a closed blue surface of genus g with d dots evaluates to
+    # (-1)^(chi/2) e(X^d h^g), chi = 2 - 2g, e the counit and
+    # h = m(Delta(1)) the handle
+    e1, e2 = IntPoly2.x1_plus_x2(), IntPoly2.x1_times_x2()
+    merge, split = frobenius(e1, e2)
+    zero, one = IntPoly2.zero(), IntPoly2.one()
+    handle = {0: zero, 1: zero}
+    for (la, lb), v in split[0].items():
+        for lt, w in merge[la, lb].items():
+            handle[lt] = handle[lt] + one * v * w
+    assert handle == {0: -e1, 1: IntPoly2.constant(2)}
+    checked = 0
+    for g in range(4):
+        element = {0: one, 1: zero}
+        for _ in range(g):
+            element = _times(merge, element, handle)
+        for d in range(6):
+            sign = -1 if (1 - g) % 2 else 1
+            foam = Foam([Facet("S", "blue", genus=g, dots=d)])
+            # the counit e reads the coefficient of X
+            assert evaluate_foam(foam) == sign * element[1], (g, d)
+            element = _times(merge, element, {0: zero, 1: one})
+            checked += 1
+    assert checked == 24
+    # the sphere fixtures are g = 0 with d = 0 and 1
+    for name, dots, value in ("sphere-blue", 0, 0), ("sphere-blue-dot", 1, -1):
+        _name, _description, lhs, rhs = load_fixture(name)
+        [(_coeff, foam)] = lhs.terms
+        assert [f.dots for f in foam.facets] == [dots]
+        assert evaluate_foam(foam) == IntPoly2.constant(value)
+        assert sum((c for c, _f in rhs.terms), IntPoly2.zero()) == \
+            IntPoly2.constant(value)
 
 
 def test_unknot_complex():
@@ -175,8 +246,7 @@ def test_a_flipped_entry_breaks_d_squared(side):
 
 def _assert_entries_follow_the_edge_maps(pd, side):
     """Every entry, with its target labels, read off the cube directly."""
-    merge = edge_map("merge", side)
-    split = edge_map("split", side)
+    merge, split = _MAPS[side]
     cx = build_complex(pd, side)
     smoothings = {}
 
