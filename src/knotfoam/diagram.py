@@ -84,7 +84,7 @@ def _check_planar(pd, occ):
     for (c1, _), (c2, _) in occ.values():
         piece[_find(piece, c1)] = _find(piece, c2)
     pieces = sum(1 for ci in range(pd.n) if piece[ci] == ci)
-    faces = len(_faces(pd, occ))
+    faces = len(_faces(_far_ends(pd)))
     if pd.n - 2 * pd.n + faces != 2 * pieces:
         raise InvalidDiagram(
             "PD code is not planar: %d crossings in %d pieces bound %d "
@@ -92,19 +92,27 @@ def _check_planar(pd, occ):
         )
 
 
-def _faces(pd, occ):
+def _far_ends(pd):
+    """far[port]: the other port of its arc; a port is 4 * crossing + slot."""
+    ports = {}
+    for port, arc in enumerate(a for c in pd.crossings for a in c):
+        ports.setdefault(arc, []).append(port)
+    far = [0] * (4 * pd.n)
+    for p, q in ports.values():
+        far[p], far[q] = q, p
+    return far
+
+
+def _faces(far):
     """The walks of :func:`regions` over flat ports.
 
-    Port 4 * crossing + slot steps along its arc and turns one slot
-    counterclockwise at the far end.
+    A port steps along its arc and turns one slot counterclockwise at
+    the far end.
     """
-    step = [0] * (4 * pd.n)
-    for (c1, s1), (c2, s2) in occ.values():
-        step[4 * c1 + s1] = 4 * c2 + (s2 + 1) % 4
-        step[4 * c2 + s2] = 4 * c1 + (s1 + 1) % 4
-    seen = [False] * (4 * pd.n)
+    step = [q - q % 4 + (q + 1) % 4 for q in far]
+    seen = [False] * len(far)
     faces = []
-    for start in range(4 * pd.n):
+    for start in range(len(far)):
         if not seen[start]:
             walk = []
             port = start
@@ -429,7 +437,7 @@ def regions(pd):
     leaves a crossing through a port's arc and re-enters at the arc's
     other endpoint, turning one slot counterclockwise.
     """
-    faces = _faces(pd, _arc_occurrences(pd))
+    faces = _faces(_far_ends(pd))
     return [[divmod(p, 4) for p in walk] for walk in faces]
 
 

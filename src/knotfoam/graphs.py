@@ -17,6 +17,13 @@ edges and smooth every vertex on it.  Not every graph with a red edge
 has such a face: the smoothing graph of the closure of (s1 s2^-1)^3 at
 state (1,0,1,0,1,0) has none, and graded_dimension raises
 ReductionStuck there.
+
+graded_dimension copies its argument once and reduces that working
+copy in place.  Each step removes the bigon (central or side) with the
+least dart, or else the square with the least dart, by one move,
+:func:`_move`, and then validates the copy again.  reduce_step is the
+same move on a fresh copy.  The factors are kept as one exponent k of
+(q + q^-1)^k.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import State, _arc_occurrences, compute_signs
+from .diagram import State, _far_ends, compute_signs
 from .errors import InvalidBraid, InvalidFace, MalformedFoam, ReductionStuck
 from .polyring import LaurentQ
 
@@ -38,26 +45,38 @@ class TrivalentGraph:
         self.pairing = dict(pairing)
         self.colors = dict(colors)
         self.circles = circles
-        self._vertex_of = {}
-        for v, hs in self.rotations.items():
-            for h in hs:
-                self._vertex_of[h] = v
+        self._vertex_of = {h: v for v, hs in self.rotations.items() for h in hs}
         self.validate()
 
+    def _copy(self):
+        """An unvalidated copy whose dicts :func:`_move` may change."""
+        g = object.__new__(TrivalentGraph)
+        g.rotations = dict(self.rotations)
+        g.pairing = dict(self.pairing)
+        g.colors = dict(self.colors)
+        g.circles = self.circles
+        g._vertex_of = dict(self._vertex_of)
+        return g
+
     def validate(self):
+        colors = self.colors
         for v, hs in self.rotations.items():
             if len(hs) != 3:
                 raise MalformedFoam("vertex %r is not trivalent" % v)
-            reds = [h for h in hs if self.colors.get(h) == RED]
-            blues = [h for h in hs if self.colors.get(h) == BLUE]
-            if len(reds) != 1 or len(blues) != 2:
+            cs = [colors.get(h) for h in hs]
+            if cs.count(RED) != 1 or cs.count(BLUE) != 2:
                 raise MalformedFoam(
                     "vertex %r needs one red and two blue half-edges" % v
                 )
+        if len(self._vertex_of) != 3 * len(self.rotations):
+            slots = [h for hs in self.rotations.values() for h in hs]
+            h = next(h for h in slots if slots.count(h) > 1)
+            raise MalformedFoam("half-edge %r sits in more than one rotation "
+                                "slot" % h)
         for h, h2 in self.pairing.items():
             if h2 == h or self.pairing.get(h2) != h:
                 raise MalformedFoam("half-edge pairing is not an involution")
-            if self.colors[h] != self.colors[h2]:
+            if colors[h] != colors[h2]:
                 raise MalformedFoam("edge %r-%r changes color" % (h, h2))
             if h not in self._vertex_of:
                 raise MalformedFoam("half-edge %r belongs to no vertex" % h)
@@ -110,15 +129,16 @@ class TrivalentGraph:
             loops.append(tuple(sorted(walk)))
         return loops
 
-    def sigma(self, h):
-        hs = self.rotations[self.vertex_of(h)]
-        return hs[(hs.index(h) + 1) % 3]
-
     def faces(self):
         """Orbits of the face permutation, each starting at its least dart."""
+        turn = {}
+        for a, b, c in self.rotations.values():
+            turn[a], turn[b], turn[c] = b, c, a
+        pairing = self.pairing
+        step = {h: turn[pairing[h]] for h in self._vertex_of}
         seen = set()
         out = []
-        for start in sorted(self._vertex_of):
+        for start in sorted(step):
             if start in seen:
                 continue
             walk = []
@@ -126,7 +146,7 @@ class TrivalentGraph:
             while h not in seen:
                 seen.add(h)
                 walk.append(h)
-                h = self.sigma(self.pairing[h])
+                h = step[h]
             out.append(tuple(walk))
         return out
 
@@ -137,7 +157,7 @@ def blue_loop_count(g):
 
 def graph_evaluation(g):
     """(q + q^-1) to the number of blue loops."""
-    return LaurentQ.circle() ** blue_loop_count(g)
+    return LaurentQ.circle(blue_loop_count(g))
 
 
 @dataclass(frozen=True)
@@ -166,113 +186,111 @@ def find_bigon_or_square(g):
     """A reducible face, or None when the graph has no red edges."""
     if g.red_edge_count() == 0:
         return None
-    candidates = []
+    return _least_face(g)
+
+
+def _least_face(g):
+    """The bigon with the least dart, else the square with the least dart."""
+    square = None
     for darts in g.faces():
         kind = _classify_face(g, darts)
-        if kind:
-            candidates.append(Face(darts, kind))
-    if not candidates:
-        return None
-    order = {"central-bigon": 0, "side-bigon": 0, "square": 1}
-    candidates.sort(key=lambda f: (order[f.kind], f.darts))
-    return candidates[0]
+        if kind == "square":
+            square = square or Face(darts, kind)
+        elif kind:
+            return Face(darts, kind)
+    return square
 
 
-def reduce_step(g, face):
-    """Remove one bigon or square; returns (graph, graded factor)."""
+def _move(g, face):
+    """Remove one bigon or square from g in place, without validating g.
+
+    Returns the number of red edges erased and the exponent k of the
+    graded factor (q + q^-1)^k.
+    """
+    rotations, pairing, colors = g.rotations, g.pairing, g.colors
+    vertex_of = g._vertex_of
     for h in face.darts:
-        if h not in g.pairing:
+        if h not in pairing:
             raise InvalidFace("dart %r is not in the graph" % h)
     if _classify_face(g, face.darts) != face.kind:
         raise InvalidFace("face descriptor does not match the graph")
+    red_halves = 0
 
-    rotations = {v: list(hs) for v, hs in g.rotations.items()}
-    pairing = dict(g.pairing)
-    colors = dict(g.colors)
-    circles = g.circles
-
-    def kill_halves(halves):
+    def kill(*halves):
+        nonlocal red_halves
         for h in halves:
             pairing.pop(h, None)
-            colors.pop(h, None)
+            if colors.pop(h, None) == RED:
+                red_halves += 1
 
     def splice(p1, p2):
-        nonlocal circles
         # join the outside partners of two dead half-edges
         a = pairing[p1]
         b = pairing[p2]
-        kill_halves([p1, p2])
+        kill(p1, p2)
         if a == p2:  # the two stubs were each other's partners: a circle
-            circles += 1
+            g.circles += 1
             return
         pairing[a] = b
         pairing[b] = a
 
     def remove_vertex(v):
-        rotations.pop(v)
-
-    def smooth_vertex(v):
-        nonlocal circles
-        left = [h for h in rotations[v] if h in pairing]
-        if len(left) != 2:
-            raise InvalidFace("vertex %r cannot be smoothed" % v)
-        x, y = left
-        if pairing[x] == y:
-            circles += 1
-            kill_halves([x, y])
-        else:
-            splice(x, y)
-        remove_vertex(v)
+        for h in rotations.pop(v):
+            del vertex_of[h]
 
     if face.kind == "central-bigon":
         h1, h2 = face.darts
-        v1, v2 = g.vertex_of(h1), g.vertex_of(h2)
-        r1 = next(h for h in g.rotations[v1] if g.colors[h] == RED)
-        r2 = next(h for h in g.rotations[v2] if g.colors[h] == RED)
-        kill_halves([h1, h2, g.pairing[h1], g.pairing[h2]])
+        v1, v2 = vertex_of[h1], vertex_of[h2]
+        r1 = next(h for h in rotations[v1] if colors[h] == RED)
+        r2 = next(h for h in rotations[v2] if colors[h] == RED)
+        kill(h1, h2, pairing[h1], pairing[h2])
         if pairing[r1] == r2:
-            kill_halves([r1, r2])  # a closed red circle: absorbed
+            kill(r1, r2)  # a closed red circle: absorbed
         else:
             splice(r1, r2)
         remove_vertex(v1)
         remove_vertex(v2)
-        factor = LaurentQ.circle()
-    else:
-        # a side bigon or a square: erase its red edges, smooth its vertices
-        vertices = []
-        for h in face.darts:
-            for v in (g.vertex_of(h), g.vertex_of(g.pairing[h])):
-                if v not in vertices:
-                    vertices.append(v)
-        for h in face.darts:
-            if g.colors[h] == RED:
-                kill_halves([h, g.pairing[h]])
-        for v in vertices:
-            smooth_vertex(v)
-        factor = LaurentQ.one()
+        return red_halves // 2, 1
+    # a side bigon or a square: erase its red edges, smooth its vertices
+    vertices = []
+    for h in face.darts:
+        for v in (vertex_of[h], vertex_of[pairing[h]]):
+            if v not in vertices:
+                vertices.append(v)
+    kill(*[x for h in face.darts if colors[h] == RED for x in (h, pairing[h])])
+    for v in vertices:
+        left = [h for h in rotations[v] if h in pairing]
+        if len(left) != 2:
+            raise InvalidFace("vertex %r cannot be smoothed" % v)
+        splice(*left)
+        remove_vertex(v)
+    return red_halves // 2, 0
 
-    g2 = TrivalentGraph(
-        {v: tuple(hs) for v, hs in rotations.items()},
-        pairing,
-        colors,
-        circles,
-    )
-    return g2, factor
+
+def reduce_step(g, face):
+    """Remove one bigon or square; returns (graph, graded factor)."""
+    g2 = g._copy()
+    _, k = _move(g2, face)
+    g2.validate()
+    return g2, LaurentQ.circle(k)
 
 
 def graded_dimension(g):
-    """Iterated reduction; must equal graph_evaluation(g)."""
-    acc = LaurentQ.one()
-    current = g
-    while current.red_edge_count():
-        face = find_bigon_or_square(current)
+    """Iterated reduction on a working copy; must equal graph_evaluation(g)."""
+    work = g._copy()
+    reds = g.red_edge_count()
+    loops = 0
+    while reds:
+        face = _least_face(work)
         if face is None:
             raise ReductionStuck("red edges remain but no bigon or square found")
-        current, factor = reduce_step(current, face)
-        acc = acc * factor
-    if current.rotations:
+        erased, k = _move(work, face)
+        work.validate()
+        reds -= erased
+        loops += k
+    if work.rotations:
         raise ReductionStuck("vertices remain after all red edges were removed")
-    return acc * (LaurentQ.circle() ** current.circles)
+    return LaurentQ.circle(loops + work.circles)
 
 
 def cup_basis(g):
@@ -295,88 +313,76 @@ def smoothing_graph(pd, state):
     positive crossing, the 0-smoothing of a negative one) contributes a
     red edge between two new vertices; the other smoothings just splice
     the strands.  Rotations follow the planar picture, so the result is
-    a genuinely planar combinatorial map.
+    a genuinely planar combinatorial map.  Ports are flat, 4 * crossing
+    + slot, and the half-edge at port (ci, si) is named ``h<ci>_<si>``.
     """
     if pd.n == 0:
         return TrivalentGraph({}, {}, {}, circles=1)
     _, _, signs = compute_signs(pd)
-    occ = _arc_occurrences(pd)
+    far = _far_ends(pd)
 
     rotations = {}
     colors = {}
     pairing = {}
-    stub_of_port = {}
-    splice_partner = {}
+    splice = [None] * (4 * pd.n)  # None at a vertex stub
     for ci in range(pd.n):
         s = state.assignment[ci]
+        p = 4 * ci
         red_here = (signs[ci] > 0 and s == 1) or (signs[ci] < 0 and s == 0)
         if red_here:
-            vA = "v%dA" % ci
-            vB = "v%dB" % ci
             if signs[ci] > 0:
                 # 1-smoothing joins ports (0,3) and (1,2)
-                pA = [(ci, 0), (ci, 3)]
-                pB = [(ci, 2), (ci, 1)]
+                ports = (p, p + 3, p + 2, p + 1)
             else:
                 # 0-smoothing joins ports (0,1) and (2,3)
-                pA = [(ci, 1), (ci, 0)]
-                pB = [(ci, 3), (ci, 2)]
-            hA = ["h%d_%d" % p for p in pA]
-            hB = ["h%d_%d" % p for p in pB]
+                ports = (p + 1, p, p + 3, p + 2)
+            a0, a1, b0, b1 = halves = ["h%d_%d" % divmod(x, 4) for x in ports]
             rA, rB = "r%dA" % ci, "r%dB" % ci
-            rotations[vA] = (rA, hA[0], hA[1])
-            rotations[vB] = (hB[0], hB[1], rB)
-            for h in hA + hB:
+            rotations["v%dA" % ci] = (rA, a0, a1)
+            rotations["v%dB" % ci] = (b0, b1, rB)
+            for h in halves:
                 colors[h] = BLUE
             colors[rA] = RED
             colors[rB] = RED
             pairing[rA] = rB
             pairing[rB] = rA
-            for p, h in zip(pA + pB, hA + hB):
-                stub_of_port[p] = h
         else:
             if s == 0:
-                pairs = [((ci, 0), (ci, 1)), ((ci, 2), (ci, 3))]
+                pairs = ((p, p + 1), (p + 2, p + 3))
             else:
-                pairs = [((ci, 0), (ci, 3)), ((ci, 1), (ci, 2))]
-            for p1, p2 in pairs:
-                splice_partner[p1] = p2
-                splice_partner[p2] = p1
-
-    def arc_partner(port):
-        ci, si = port
-        arc = pd.crossings[ci][si]
-        p1, p2 = occ[arc]
-        return p2 if p1 == port else p1
+                pairs = ((p, p + 3), (p + 1, p + 2))
+            for x, y in pairs:
+                splice[x] = y
+                splice[y] = x
 
     circles = 0
-    visited = set()
+    visited = [False] * (4 * pd.n)
     # chains between vertex stubs become blue edges
-    for port in sorted(stub_of_port):
-        if port in visited:
+    for port, partner in enumerate(splice):
+        if partner is not None or visited[port]:
             continue
-        visited.add(port)
-        cur = arc_partner(port)
-        while cur not in stub_of_port:
-            visited.add(cur)
-            cur = splice_partner[cur]
-            visited.add(cur)
-            cur = arc_partner(cur)
-        visited.add(cur)
-        h1 = stub_of_port[port]
-        h2 = stub_of_port[cur]
+        visited[port] = True
+        cur = far[port]
+        while splice[cur] is not None:
+            visited[cur] = True
+            cur = splice[cur]
+            visited[cur] = True
+            cur = far[cur]
+        visited[cur] = True
+        h1 = "h%d_%d" % divmod(port, 4)
+        h2 = "h%d_%d" % divmod(cur, 4)
         pairing[h1] = h2
         pairing[h2] = h1
     # leftover splice ports close up into circles
-    for port in sorted(splice_partner):
-        if port in visited:
+    for port in range(4 * pd.n):
+        if visited[port]:
             continue
         cur = port
-        while cur not in visited:
-            visited.add(cur)
-            nxt = splice_partner[cur]
-            visited.add(nxt)
-            cur = arc_partner(nxt)
+        while not visited[cur]:
+            visited[cur] = True
+            nxt = splice[cur]
+            visited[nxt] = True
+            cur = far[nxt]
         circles += 1
     return TrivalentGraph(rotations, pairing, colors, circles)
 

@@ -263,9 +263,11 @@ class LaurentQ(_Poly):
         return cls({power: 1})
 
     @classmethod
-    def circle(cls):
-        """q + q^-1, the graded dimension of a single circle."""
-        return cls({1: 1, -1: 1})
+    def circle(cls, n=1):
+        """(q + q^-1)^n, the graded dimension of n circles, in binomial form."""
+        if n < 0:
+            raise ValueError("negative power")
+        return cls({n - 2 * k: math.comb(n, k) for k in range(n + 1)})
 
     def shifted(self, k):
         """Multiply by q**k (k may be negative)."""

@@ -467,6 +467,16 @@ def _theta_graph_json():
     }
 
 
+def _doubled_half_edge_json():
+    # each vertex lists one blue half-edge twice
+    return {
+        "vertices": [{"id": "v1", "rotation": ["a", "a", "r1"]},
+                     {"id": "v2", "rotation": ["b", "b", "r2"]}],
+        "edges": [{"halves": ["a", "b"], "color": "blue"},
+                  {"halves": ["r1", "r2"], "color": "red"}],
+    }
+
+
 def _set(path, value):
     def edit(data):
         *keys, last = path
@@ -480,15 +490,16 @@ def _set(path, value):
     ("graph-dim", _theta_graph_json, _set(("vertices", 0, "rotation", 0), ["ri1"])),
     ("graph-dim", _theta_graph_json, _set(("circles",), "3")),
     ("graph-dim", _theta_graph_json, _set(("circles",), 1.5)),
+    ("graph-dim", _doubled_half_edge_json, _set(("circles",), 0)),
     ("eval-foam", _theta_foam_json, _set(("facets", 0, "id"), ["U"])),
     ("eval-foam", _theta_foam_json, _set(("facets", 0, "slots", 0), ["u"])),
     ("eval-foam", _theta_foam_json, _set(("bindings", 0, "blue_pages", 0), ["u"])),
     ("eval-foam", _theta_foam_json, _set(("free_boundary",), [{"slot": "u"}])),
     ("eval-foam", _theta_foam_json, _set(("free_boundary",), "x")),
     ("eval-foam", _theta_foam_json, _set(("facets", 0, "id"), 1)),
-], ids=["rotation-list", "circles-str", "circles-float", "facet-id-list",
-        "slot-list", "page-list", "free-boundary-no-color", "free-boundary-str",
-        "facet-ids-int-and-str"])
+], ids=["rotation-list", "circles-str", "circles-float", "half-edge-twice",
+        "facet-id-list", "slot-list", "page-list", "free-boundary-no-color",
+        "free-boundary-str", "facet-ids-int-and-str"])
 def test_malformed_json_exit_code(tmp_path, capsys, command, make, edit):
     data = make()
     edit(data)

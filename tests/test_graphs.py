@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from knotfoam.diagram import State, braid_to_pd
-from knotfoam.errors import InvalidFace
+from knotfoam.diagram import State, braid_to_pd, compute_signs, smooth_state
+from knotfoam.errors import InvalidBraid, InvalidFace, MalformedFoam, ReductionStuck
 from knotfoam.graphs import (
     BLUE,
     RED,
@@ -40,6 +40,36 @@ def theta_graph():
     colors = {"l1": BLUE, "l2": BLUE, "ri1": BLUE, "ri2": BLUE,
               "r1": RED, "r2": RED}
     return TrivalentGraph(rotations, pairing, colors)
+
+
+def nonplanar_theta_graph():
+    # reversing one rotation of the theta graph forces a genus-one
+    # embedding with a single hexagonal face, so no reduction applies
+    rotations = {"v1": ("ri1", "l1", "r1"), "v2": ("ri2", "l2", "r2")}
+    pairing = {"l1": "l2", "l2": "l1", "ri1": "ri2", "ri2": "ri1",
+               "r1": "r2", "r2": "r1"}
+    colors = {"l1": BLUE, "l2": BLUE, "ri1": BLUE, "ri2": BLUE,
+              "r1": RED, "r2": RED}
+    return TrivalentGraph(rotations, pairing, colors)
+
+
+def braid_states(rng, count):
+    """Smoothing graphs of 10-12 crossing braids on 3-5 strands.
+
+    The states are uniform, so red rungs land on adjacent strand pairs
+    too and some graphs have no bigon or square.
+    """
+    out = []
+    while len(out) < count:
+        strands = rng.randint(3, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(10, 12))]
+        try:
+            pd = braid_to_pd(word, strands)
+        except InvalidBraid:
+            continue
+        out.append((pd, State(tuple(rng.randint(0, 1) for _ in range(pd.n)))))
+    return out
 
 
 def test_blue_loop_count():
@@ -104,16 +134,7 @@ def test_invalid_face():
 
 
 def test_reduction_stuck_on_nonplanar_embedding():
-    from knotfoam.errors import ReductionStuck
-
-    # reversing one rotation of the theta graph forces a genus-one
-    # embedding with a single hexagonal face, so no reduction applies
-    rotations = {"v1": ("ri1", "l1", "r1"), "v2": ("ri2", "l2", "r2")}
-    pairing = {"l1": "l2", "l2": "l1", "ri1": "ri2", "ri2": "ri1",
-               "r1": "r2", "r2": "r1"}
-    colors = {"l1": BLUE, "l2": BLUE, "ri1": BLUE, "ri2": BLUE,
-              "r1": RED, "r2": RED}
-    g = TrivalentGraph(rotations, pairing, colors)
+    g = nonplanar_theta_graph()
     assert [len(f) for f in g.faces()] == [6]
     assert g.red_edge_count() == 1
     assert find_bigon_or_square(g) is None
@@ -222,3 +243,75 @@ def test_red_edge_count_matches_edge_list():
         while (face := find_bigon_or_square(g)) is not None:
             g, _ = reduce_step(g, face)
             assert g.red_edge_count() == red_edges(g)
+
+
+@pytest.mark.parametrize("rotations", [
+    {"v1": ("a", "a", "r1"), "v2": ("b", "b", "r2")},  # twice at one vertex
+    {"v1": ("a", "b", "r1"), "v2": ("b", "a", "r2")},  # at two vertices
+])
+def test_half_edge_in_two_rotation_slots_is_malformed(rotations):
+    pairing = {"a": "b", "b": "a", "r1": "r2", "r2": "r1"}
+    colors = {"a": BLUE, "b": BLUE, "r1": RED, "r2": RED}
+    with pytest.raises(MalformedFoam, match="more than one rotation slot"):
+        TrivalentGraph(rotations, pairing, colors)
+
+
+def _public_loop(g):
+    """graded_dimension spelled out with the public one-step calls."""
+    acc = LaurentQ.one()
+    while g.red_edge_count():
+        face = find_bigon_or_square(g)
+        if face is None:
+            raise ReductionStuck("red edges remain but no bigon or square found")
+        g, factor = reduce_step(g, face)
+        acc = acc * factor
+    if g.rotations:
+        raise ReductionStuck("vertices remain after all red edges were removed")
+    return acc * CIRCLE ** g.circles
+
+
+def _outcome(f, g):
+    try:
+        return f(g)
+    except ReductionStuck as exc:
+        return "stuck: %s" % exc
+
+
+def test_graded_dimension_is_the_public_loop():
+    rng = random.Random(25)
+    graphs = [theta_graph(), nonplanar_theta_graph(), circles_only(2)]
+    graphs += [random_planar_graph(rng) for _ in range(1200)]
+    graphs += [smoothing_graph(pd, s) for pd, s in braid_states(rng, 800)]
+    outcomes = [(_outcome(graded_dimension, g), _outcome(_public_loop, g))
+                for g in graphs]
+    assert all(ours == loop for ours, loop in outcomes)
+    stuck = sum(isinstance(ours, str) for ours, _ in outcomes)
+    assert 1 < stuck < len(graphs) // 10
+
+
+def test_reduction_leaves_its_argument_unchanged():
+    def snapshot(g):
+        return (dict(g.rotations), dict(g.pairing), dict(g.colors), g.circles,
+                g.red_edge_count(), g.faces())
+
+    rng = random.Random(26)
+    graphs = [theta_graph(), nonplanar_theta_graph()]
+    graphs += [random_planar_graph(rng) for _ in range(100)]
+    graphs += [smoothing_graph(pd, s) for pd, s in braid_states(rng, 300)]
+    for g in graphs:
+        before = snapshot(g)
+        _outcome(graded_dimension, g)
+        graph_evaluation(g)
+        assert snapshot(g) == before
+
+
+def test_smoothing_graph_against_the_smoothing_and_the_signs():
+    rng = random.Random(27)
+    for pd, state in braid_states(rng, 300):
+        g = smoothing_graph(pd, state)
+        _, _, signs = compute_signs(pd)
+        against = sum(1 for sign, s in zip(signs, state.assignment)
+                      if s == (1 if sign > 0 else 0))
+        assert blue_loop_count(g) == smooth_state(pd, state).circle_count
+        assert g.red_edge_count() == against
+        assert len(g.rotations) == 2 * against

@@ -137,6 +137,16 @@ def test_power():
             x ** -1
 
 
+def test_circle_closed_form_is_repeated_multiplication():
+    power = LaurentQ.one()
+    for n in range(41):
+        assert LaurentQ.circle(n) == power
+        power = power * LaurentQ.circle()
+    assert LaurentQ.circle() == LaurentQ({1: 1, -1: 1})
+    with pytest.raises(ValueError):
+        LaurentQ.circle(-1)
+
+
 def test_laurent_shift():
     assert LaurentQ.circle().shifted(2) == LaurentQ({3: 1, 1: 1})
 
