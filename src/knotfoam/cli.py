@@ -199,9 +199,13 @@ def _compute_record(pd, echo, skip, max_crossings):
     classes = oriented_resolution_generators(pd, fc) if with_s else ()
     res = reduce_complex(fc, cycles=[(c.hom_degree, c.chain) for c in classes])
     table = homology_table(res)
-    if table.graded_euler() != jones:
+    euler = table.graded_euler()
+    if euler != jones:
+        q = min((euler - jones).terms)
         raise errors.PropositionViolated(
-            "homology table disagrees with the graded Euler characteristic"
+            "homology table disagrees with the graded Euler characteristic "
+            "at q^%d: %d in the table, %d in the Jones sum"
+            % (q, euler.terms.get(q, 0), jones.terms.get(q, 0))
         )
     timings["khovanov"] = time.perf_counter() - t0
 

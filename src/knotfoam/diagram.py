@@ -98,7 +98,11 @@ def _far_ends(pd):
     for port, arc in enumerate(a for c in pd.crossings for a in c):
         ports.setdefault(arc, []).append(port)
     far = [0] * (4 * pd.n)
-    for p, q in ports.values():
+    for arc, pair in ports.items():
+        if len(pair) != 2:
+            raise InvalidDiagram("arc %d appears %d times, expected 2"
+                                 % (arc, len(pair)))
+        p, q = pair
         far[p], far[q] = q, p
     return far
 

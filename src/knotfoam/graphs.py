@@ -22,8 +22,8 @@ graded_dimension copies its argument once and reduces that working
 copy in place.  Each step removes the bigon (central or side) with the
 least dart, or else the square with the least dart, by one move,
 :func:`_move`, and then validates the copy again.  reduce_step is the
-same move on a fresh copy.  The factors are kept as one exponent k of
-(q + q^-1)^k.
+same move on a fresh copy, once its face descriptor is checked.  The
+factors are kept as one exponent k of (q + q^-1)^k.
 """
 
 from __future__ import annotations
@@ -202,18 +202,14 @@ def _least_face(g):
 
 
 def _move(g, face):
-    """Remove one bigon or square from g in place, without validating g.
+    """Remove one bigon or square from g in place, without validating g
+    or the face.
 
     Returns the number of red edges erased and the exponent k of the
     graded factor (q + q^-1)^k.
     """
     rotations, pairing, colors = g.rotations, g.pairing, g.colors
     vertex_of = g._vertex_of
-    for h in face.darts:
-        if h not in pairing:
-            raise InvalidFace("dart %r is not in the graph" % h)
-    if _classify_face(g, face.darts) != face.kind:
-        raise InvalidFace("face descriptor does not match the graph")
     red_halves = 0
 
     def kill(*halves):
@@ -268,7 +264,22 @@ def _move(g, face):
 
 
 def reduce_step(g, face):
-    """Remove one bigon or square; returns (graph, graded factor)."""
+    """Remove one bigon or square; returns (graph, graded factor).
+
+    ``face.darts`` must be one orbit of the face permutation, in order
+    from any of its darts, and ``face.kind`` its kind.
+    """
+    darts = tuple(face.darts)
+    for h in darts:
+        if h not in g.pairing:
+            raise InvalidFace("dart %r is not in the graph" % h)
+    # faces() starts each orbit at its least dart
+    least = darts.index(min(darts)) if darts else 0
+    if darts[least:] + darts[:least] not in g.faces():
+        raise InvalidFace("darts %r are not one face of the graph, in order"
+                          % (darts,))
+    if _classify_face(g, darts) != face.kind:
+        raise InvalidFace("face descriptor does not match the graph")
     g2 = g._copy()
     _, k = _move(g2, face)
     g2.validate()

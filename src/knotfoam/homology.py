@@ -139,7 +139,7 @@ class Residue(GradedChainComplex):
     the carried ``cycles``."""
 
 
-def reduce_complex(cx, window=None, cycles=()):
+def reduce_complex(cx, window=None, cycles=(), rational=False):
     """The residue of Gaussian elimination on ``cx``, or on its degrees in
     the range ``window``, holding one differential's row and column maps
     at a time; ``cx`` is left as it is, and the residue's differentials
@@ -147,6 +147,9 @@ def reduce_complex(cx, window=None, cycles=()):
     window, carried through every cancellation into ``residue.cycles``.
     An entry that lowers q, or in a Khovanov complex changes it, is
     NotAComplex.
+
+    With ``rational`` each d_i is then cancelled over Q, smallest q-jump
+    first, until it is empty: the E-infinity page (see ``lee``).
     """
     degrees = [i for i in cx.degrees if window is None or i in window]
     res = Residue(cx.side, cx.n_plus, cx.n_minus)
@@ -166,8 +169,12 @@ def reduce_complex(cx, window=None, cycles=()):
                                       % (i, q, qn[r]))
                 rows.setdefault(r, {})[c] = v
             cols[c] = dict(col)
-        pairs = cancel_units(rows, cols, qn, qs,
-                             [z for j, z in chains if j == i + 1])
+        targets = [z for j, z in chains if j == i + 1]
+        pairs = cancel_units(rows, cols, qn, qs, targets)
+        while rational and any(cols.values()):
+            jump = min(qn[r] - qs[c] for c, col in cols.items() for r in col)
+            pairs += cancel_units(rows, cols, {r: qn[r] - jump for r in rows},
+                                  qs, targets, rational=True)
         dead.update(g for g, _h in pairs)
         keep = [k for k in range(len(qs)) if k not in dead]
         new = {k: n for n, k in enumerate(keep)}

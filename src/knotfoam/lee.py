@@ -9,20 +9,21 @@ classes sit at the oriented resolution, generated by labelling every
 circle with a = 1 + X or b = 1 - X.  The two filtration jump levels of
 a knot differ by exactly 2, and the s-invariant is the midpoint.
 
-Everything is read off the small residue of ``homology.reduce_complex``,
-which has the filtered homology of the input, at the q-levels of the
-input, by one filtered, persistence-style column reduction per
-differential.  The columns of d_i go in from the highest q down, each
-reduced until its lowest coordinate, in the (q, index) order of degree
-i + 1, is a new pivot.  The rank reached after level j is the rank of
-d_i on F^j, so dim(Z_i cap F^j) is the number of degree-i generators
-with q >= j minus that rank.  Every nonzero boundary has a pivot as its
-lowest coordinate, so dim(B_{i+1} cap F^j) is the number of pivots with
-q >= j.  The difference of the two, the profile, is the rank of the
-image of H(F^j) -> H(C) in that degree; at the lowest level it is the
-Betti number.  A class, carried through the cancellations and reduced
-against the pivots of d_{i-1}, keeps a lowest coordinate that no
-boundary can cancel, and its q is the filtration degree of the class.
+Everything is read off the E-infinity page that
+``homology.reduce_complex(..., rational=True)`` leaves: after the +-1
+cancellations it cancels each d_i over Q at the smallest q-jump left,
+until d_i is empty (Schuetz's filtered Gaussian elimination, below, on
+the complex of Lee, arXiv:math/0210213).  This is sound degree by
+degree: if d[h, g] = u has the least jump in its row and its column,
+then g -> d(g) splits off as a filtered direct summand, since replacing
+h by d(g) and each c by c - (d[h, c] / u) g are filtered changes of
+basis, so F^j H is unchanged whatever happens in the other degrees.
+Ascending jump within one d_i guarantees that minimality; dropping the
+cancelled rows of the next differential is the clearing step.  The
+survivors form a basis of H whose span at q >= j is the image of
+H(F^j) -> H(C): the rank is their number, the profile at level j
+counts those with q >= j, and a carried class's filtration degree is
+the least q in its support.
 
 s reads only the degrees i - 1, i and i + 1 around the oriented
 resolution's degree i (as in Schuetz, "A fast algorithm for calculating
@@ -32,11 +33,9 @@ that window of the cube; the levels still span the whole cube.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
-from ._linalg import RowBasis
 from .diagram import compute_signs, link_components, oriented_state
 from .errors import NotACycle, NotAKnot, PropositionViolated, RankMismatch
 from .homology import reduce_complex
@@ -51,8 +50,8 @@ def build_lee(pd, max_crossings=14, degrees=None):
 
 def lee_homology_betti(fc):
     """Rational betti number of the Lee homology per homological degree."""
-    keys, _reduced, profiles = _profiles(fc, reduce_complex(fc))
-    return {i: p[keys[0]] for i, p in profiles.items() if p[keys[0]]}
+    e_inf = reduce_complex(fc, rational=True)
+    return {i: len(qs) for i, qs in e_inf.qs.items() if qs}
 
 
 def lee_rank(fc, components):
@@ -61,28 +60,19 @@ def lee_rank(fc, components):
 
 
 def lee_invariants(fc, res, components):
-    """Lee rank and (s, detail) or None, each degree reduced once.
+    """Lee rank and (s, detail) or None, from one E-infinity page.
 
     ``res`` is the residue of the Lee complex ``fc``; s comes when it
     carries the two oriented-resolution classes of a knot.
     """
-    keys, reduced, profiles = _profiles(fc, res)
-    total = sum(p[keys[0]] for p in profiles.values())
+    e_inf = reduce_complex(res, cycles=res.cycles, rational=True)
+    total = e_inf.total_dim()
     if total != 2 ** components:
-        raise RankMismatch("Lee homology has rank %d, expected %d"
-                           % (total, 2 ** components))
-    return total, (_s_from(res, keys, reduced) if res.cycles else None)
-
-
-def _profiles(fc, res):
-    """The levels of ``fc``, the filtered reduction of every d_i of its
-    residue ``res`` (the zero map into the lowest degree included) and
-    the profile of every degree."""
-    keys = _levels(fc)
-    reduced = {i: _reduce(res, i, keys)
-               for i in range(res.degrees[0] - 1, res.degrees[-1] + 1)}
-    return keys, reduced, {i: _degree_profile(res, i, keys, reduced)
-                           for i in res.degrees}
+        raise RankMismatch(
+            "Lee homology has rank %d, expected %d (survivors per degree %s)"
+            % (total, 2 ** components,
+               {i: len(qs) for i, qs in e_inf.qs.items() if qs}))
+    return total, (_s_from(e_inf, _levels(fc)) if res.cycles else None)
 
 
 @dataclass(frozen=True)
@@ -183,75 +173,36 @@ def _levels(fc):
     return [*fc.q_levels, fc.q_levels[-1] + 1]
 
 
-def _positions(qs):
-    """Each generator's position in the (q, index) order of its degree."""
-    order = sorted(range(len(qs)), key=qs.__getitem__)
-    return {r: p for p, r in enumerate(order)}
+def _profile(qs, keys):
+    """The number of survivors ``qs`` at q >= j, for each level j."""
+    return {j: sum(q >= j for q in qs) for j in keys}
 
 
-def _reduce(fc, i, keys):
-    """The filtered reduction of d_i described in the module docstring.
-
-    Returns its echelon basis of im d_i and, for each level j in
-    ``keys``, the rank of d_i on the generators of q-degree >= j.
-    """
-    qs = fc.q_degrees(i)
-    position = _positions(fc.q_degrees(i + 1))
-    pending = sorted(range(len(qs)), key=qs.__getitem__)
-    basis = RowBasis()
-    ranks = {}
-    for j in reversed(keys):
-        while pending and qs[pending[-1]] >= j:
-            col = fc.matrix(i).get(pending.pop())
-            if col:
-                basis.add({position[r]: v for r, v in col.items()})
-        ranks[j] = basis.rank
-    return basis, ranks
-
-
-def _degree_profile(fc, i, keys, reduced):
-    """dim(Z cap F^j) - dim(B cap F^j) in degree i, for each j in keys.
-
-    ``reduced`` holds the filtered reductions of d_{i-1} (its basis
-    spans the boundaries) and d_i (its level ranks).
-    """
-    qs = sorted(fc.q_degrees(i))
-    pivot_qs = sorted(qs[p] for p in reduced[i - 1][0].pivots)
-    ranks = reduced[i][1]
-    return {j: len(qs) - bisect_left(qs, j) - ranks[j]
-            - len(pivot_qs) + bisect_left(pivot_qs, j) for j in keys}
-
-
-def _class_degree(fc, cls, boundaries, top):
-    """The q of the lowest coordinate left after reducing by boundaries."""
-    qs = fc.q_degrees(cls.hom_degree)
-    position = _positions(qs)
-    rest = boundaries.reduce({position[r]: v for r, v in cls.chain.items()})
-    return sorted(qs)[min(rest)] if rest else top
+def _class_degree(qs, chain, top):
+    """The least q in a carried class's support, ``top`` if it is empty."""
+    return min((qs[r] for r in chain), default=top)
 
 
 def filtration_profile(fc):
     """Rank of the image of H(F^j) -> H(C) for each level j.
 
-    F^j is spanned by the generators of q-degree >= j; the profile sums
-    the filtered reductions of all homological degrees, so links are
-    covered too.
+    F^j is spanned by the generators of q-degree >= j; the profile counts
+    the survivors of every homological degree, so links are covered too.
     """
-    keys, _reduced, profiles = _profiles(fc, reduce_complex(fc))
-    return {j: sum(p[j] for p in profiles.values()) for j in keys}
+    e_inf = reduce_complex(fc, rational=True)
+    return _profile([q for qs in e_inf.qs.values() for q in qs], _levels(fc))
 
 
 def class_filtration_degree(fc, cls):
     """Largest level j with [cls] in the image of H(F^j) -> H(C).
 
     The class is represented by a cycle z; [z] lies in that image iff
-    z = z' + d(w) with z' supported in F^j.
+    z = z' + d(w) with z' supported in F^j.  Only d_{i-1} is cancelled.
     """
-    keys = _levels(fc)
     i = cls.hom_degree
-    res = reduce_complex(fc, range(i - 1, i + 1), [(i, cls.chain)])
-    boundaries = _reduce(res, i - 1, keys)[0]
-    return _class_degree(res, LeeClass(*res.cycles[0]), boundaries, keys[-2])
+    res = reduce_complex(fc, range(i - 1, i + 1), [(i, cls.chain)],
+                         rational=True)
+    return _class_degree(res.q_degrees(i), res.cycles[0][1], fc.q_levels[-1])
 
 
 def s_invariant(pd, max_crossings=14, fc=None):
@@ -259,7 +210,7 @@ def s_invariant(pd, max_crossings=14, fc=None):
 
     ``fc`` is the Lee complex of ``pd`` when the caller has built it
     already.  Only d_{i-1} and d_i at the oriented-resolution degree i
-    are reduced, and the Lee rank in degree i must be 2.  They read
+    are cancelled, and the Lee rank in degree i must be 2.  They read
     only the degrees i - 1, i and i + 1, so without ``fc`` only that
     window of the Lee complex is built; it keeps the q-levels of the
     whole cube, so the profile is the same.  Returns ``(s, detail)``
@@ -275,25 +226,21 @@ def s_invariant(pd, max_crossings=14, fc=None):
     sa, sb = oriented_resolution_generators(pd, fc)
     i = sa.hom_degree
     res = reduce_complex(fc, range(i - 1, i + 2),
-                         [(i, sa.chain), (i, sb.chain)])
-    keys = _levels(fc)
-    return _s_from(res, keys, {j: _reduce(res, j, keys) for j in (i - 1, i)})
+                         [(i, sa.chain), (i, sb.chain)], rational=True)
+    return _s_from(res, _levels(fc))
 
 
-def _s_from(res, keys, reduced):
-    """s and its detail from the reductions of d_{i-1}, d_i of ``res``,
-    the residue carrying [s_a], [s_b] in degree i."""
-    sa, sb = (LeeClass(*c) for c in res.cycles)
-    i = sa.hom_degree
-    boundaries = reduced[i - 1][0]
-    profile = _degree_profile(res, i, keys, reduced)
-    if profile[keys[0]] != 2:
+def _s_from(e_inf, keys):
+    """s and its detail from an E-infinity page whose degree i, at least,
+    is exact, carrying [s_a], [s_b] in degree i."""
+    (i, chain_a), (_i, chain_b) = e_inf.cycles
+    qs = e_inf.q_degrees(i)
+    if len(qs) != 2:
         raise RankMismatch(
             "Lee homology in degree %d has rank %d (q-level %d), expected 2"
-            % (i, profile[keys[0]], keys[0])
+            % (i, len(qs), keys[0])
         )
-    s_min = max(j for j, r in profile.items() if r == 2)
-    s_max = max(j for j, r in profile.items() if r >= 1)
+    s_min, s_max = sorted(qs)
     if s_max != s_min + 2:
         raise PropositionViolated(
             "degree %d: s_max = %d != s_min + 2 = %d" % (i, s_max, s_min + 2)
@@ -303,8 +250,8 @@ def _s_from(res, keys, reduced):
         raise PropositionViolated(
             "degree %d: s = %d is odd (q-levels %d, %d)" % (i, s, s_min, s_max)
         )
-    deg_a = _class_degree(res, sa, boundaries, keys[-2])
-    deg_b = _class_degree(res, sb, boundaries, keys[-2])
+    deg_a = _class_degree(qs, chain_a, keys[-2])
+    deg_b = _class_degree(qs, chain_b, keys[-2])
     if deg_a != s_min or deg_b != s_min:
         raise PropositionViolated(
             "degree %d: filtration degree of the oriented-resolution classes "
@@ -313,7 +260,7 @@ def _s_from(res, keys, reduced):
     detail = {
         "s_min": s_min,
         "s_max": s_max,
-        "profile": profile,
+        "profile": _profile(qs, keys),
         "class_degrees": (deg_a, deg_b),
     }
     return s, detail

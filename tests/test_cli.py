@@ -273,6 +273,32 @@ def test_internal_invariant_failure_names_the_diagram(monkeypatch, capsys):
         assert err == prefix + diagram + "\n"
 
 
+def test_exit_4_messages_name_the_degree(monkeypatch, capsys):
+    from knotfoam import cli
+    from knotfoam.polyring import LaurentQ
+
+    argv = ["invariants", "--braid", "1 1 1", "--strands", "2"]
+    where = ", in diagram 'X[1,3,4,2];X[3,5,6,4];X[5,1,2,6]'\n"
+    jones = cli.graded_euler_characteristic
+    monkeypatch.setattr(cli, "graded_euler_characteristic",
+                        lambda cx: jones(cx) + LaurentQ({5: 1}))
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (4, "")
+    assert err == ("internal invariant violated: PropositionViolated: "
+                   "homology table disagrees with the graded Euler "
+                   "characteristic at q^5: 1 in the table, 2 in the Jones "
+                   "sum" + where)
+    monkeypatch.setattr(cli, "graded_euler_characteristic", jones)
+    # the trefoil claimed as a 2-component link: its two survivors sit
+    # in degree 0, where 4 were expected
+    monkeypatch.setattr(cli, "link_components", lambda pd: 2)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (4, "")
+    assert err == ("internal invariant violated: RankMismatch: Lee homology "
+                   "has rank 2, expected 4 (survivors per degree {0: 2})"
+                   + where)
+
+
 def test_each_error_class_carries_its_exit_code(monkeypatch, capsys):
     # every error is TooLarge or subclasses exactly one of InputError and
     # InternalError, and the CLI reports each by that base, whatever it is

@@ -366,3 +366,18 @@ def test_regions_walk_every_port_once():
                         for sj, a in enumerate(c) if a == arc]
                 cj, sj = ends[1] if ends[0] == (ci, si) else ends[0]
                 assert nxt == (cj, (sj + 1) % 4)
+
+
+@pytest.mark.parametrize("crossings, message", [
+    (((1, 2, 3, 4),), "arc 1 appears 1 times, expected 2"),
+    (((1, 1, 2, 2), (2, 3, 3, 4)), "arc 2 appears 3 times, expected 2"),
+])
+def test_unvalidated_code_with_a_bad_arc_is_invalid(crossings, message):
+    # a PDCode built without validate_pd reaches the region walk directly
+    pd = PDCode(crossings)
+    with pytest.raises(InvalidDiagram, match=message):
+        regions(pd)
+    with pytest.raises(InvalidDiagram, match=message):
+        r2_sites(pd)
+    with pytest.raises(InvalidDiagram, match=message):
+        reidemeister_move(pd, "R2", ((0, 0), (0, 1)))

@@ -179,6 +179,35 @@ def test_square_reduction_preserves_dimension():
     assert seen >= 5
 
 
+def test_reduce_step_rejects_every_descriptor_that_is_no_face():
+    # true faces, rotated or reversed, and random live darts, each with a
+    # random kind: a descriptor either reduces or raises InvalidFace
+    rng = random.Random(24)
+    kinds = ("central-bigon", "side-bigon", "square")
+    outcomes = {"reduced": 0, "invalid": 0}
+    while sum(outcomes.values()) < 2400:
+        g = random_planar_graph(rng)
+        darts = sorted(g.pairing)
+        faces = [f for f in g.faces() if len(f) in (2, 4)]
+        if not darts:
+            continue
+        if faces and rng.random() < 0.5:
+            face = list(rng.choice(faces))
+            k = rng.randrange(len(face))
+            face = face[k:] + face[:k]
+            if rng.random() < 0.3:
+                face.reverse()
+        else:
+            face = rng.sample(darts, min(len(darts), rng.choice((2, 4))))
+        try:
+            reduce_step(g, Face(tuple(face), rng.choice(kinds)))
+        except InvalidFace:
+            outcomes["invalid"] += 1
+        else:
+            outcomes["reduced"] += 1
+    assert min(outcomes.values()) >= 300, outcomes
+
+
 def test_faces_satisfy_euler_formula():
     rng = random.Random(22)
     for _ in range(60):

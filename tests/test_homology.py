@@ -5,21 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from knotfoam._linalg import RowBasis
 from knotfoam.diagram import braid_to_pd, parse_pd
 from knotfoam.errors import NotAComplex
 from knotfoam.homology import (
     HomologyTable,
     integral_homology,
+    reduce_complex,
     smith_normal_form,
 )
 from knotfoam.khovanov import (
     KH,
+    LEE,
     GradedChainComplex,
     build_complex,
     graded_euler_characteristic,
     kauffman_oracle,
 )
+from knotfoam.lee import LeeClass, class_filtration_degree, filtration_profile
 
 
 def _entries(m):
@@ -141,15 +143,26 @@ def test_prime_power_torsion_orders():
 
 
 def _rank_over_q(columns):
-    basis = RowBasis()
-    for col in columns.values():
-        basis.add(col)
-    return basis.rank
+    """Rank by dense row reduction over Fraction, sharing no code with
+    the elimination engine."""
+    keys = sorted({r for col in columns.values() for r in col})
+    m = [[Fraction(col.get(r, 0)) for r in keys] for col in columns.values()]
+    rank = 0
+    for j in range(len(keys)):
+        pivot = next((k for k in range(rank, len(m)) if m[k][j]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for k in range(rank + 1, len(m)):
+            f = m[k][j] / m[rank][j]
+            m[k] = [a - f * b for a, b in zip(m[k], m[rank])]
+        rank += 1
+    return rank
 
 
 def test_rational_betti_matches_integral():
     # per degree, the free rank of Kh over Z (SNF) against
-    # dim - rank d_i - rank d_{i-1} over Q (RowBasis)
+    # dim - rank d_i - rank d_{i-1} over Q (dense row reduction)
     rng = random.Random(53)
     from knotfoam.errors import InvalidBraid
 
@@ -166,6 +179,36 @@ def test_rational_betti_matches_integral():
             betti = sum(b for (d, _q), (b, _t) in table.entries.items()
                         if d == i)
             assert betti == cx.dim(i) - ranks[i] - ranks.get(i - 1, 0)
+
+
+def test_filtered_elimination_by_hand():
+    # degree 0: a, b at q 0; degree 1: p at q 0, r and t at q 4.
+    # d(a) = 2p + r: a q-preserving 2, no unit over Z, and a jump 4;
+    # d(b) = r + t.  The chain p + r is carried in degree 1.
+    cx = GradedChainComplex(LEE, 0, 0)
+    cx.qs[0] = [0, 0]
+    cx.qs[1] = [0, 4, 4]
+    cx.differentials[0] = {0: {0: 2, 1: 1}, 1: {1: 1, 2: 1}}
+    carried = [(1, {0: 1, 1: 1})]
+    res = reduce_complex(cx, cycles=carried)
+    assert res.qs == {0: [0, 0], 1: [0, 4, 4]}  # nothing cancels over Z
+    # over Q, a -> 2p + r goes at jump 0 (p + r becomes r / 2), then
+    # b -> r + t at jump 4 (r / 2 becomes -t / 2); t survives at q 4,
+    # and so does [p + r], as p + r - d(a) / 2 = r / 2
+    e_inf = reduce_complex(cx, cycles=carried, rational=True)
+    assert e_inf.qs == {0: [], 1: [4]}
+    assert e_inf.matrix(0) == {}
+    assert e_inf.cycles == [(1, {0: Fraction(-1, 2)})]
+    cx.q_levels = range(0, 5, 2)
+    assert filtration_profile(cx) == {0: 1, 2: 1, 4: 1, 5: 0}
+    assert class_filtration_degree(cx, LeeClass(1, {0: 1, 1: 1})) == 4
+
+
+def test_integral_reduction_keeps_int_entries():
+    res = reduce_complex(build_complex(braid_to_pd([1, 1, 1], 2), KH))
+    entries = [v for i in res.degrees for col in res.matrix(i).values()
+               for v in col.values()]
+    assert entries and all(type(v) is int for v in entries)
 
 
 def test_euler_conservation():

@@ -187,19 +187,21 @@ def test_s_reduces_only_the_oriented_degree(monkeypatch):
     def no_rank(*_args):
         raise AssertionError("s_invariant computed a rank")
 
-    reduced = []
-    reduce = lee._reduce
+    windows = []
+    reduce = lee.reduce_complex
 
-    def recording_reduce(fc, i, keys):
-        reduced.append(i)
-        return reduce(fc, i, keys)
+    def recording_reduce(cx, window=None, cycles=(), rational=False):
+        res = reduce(cx, window, cycles, rational)
+        windows.append((window, res.degrees, rational))
+        return res
 
-    monkeypatch.setattr(lee, "_reduce", recording_reduce)
+    monkeypatch.setattr(lee, "reduce_complex", recording_reduce)
     monkeypatch.setattr(lee, "lee_rank", no_rank)
     pd = braid_to_pd([1, -2, 1, -2], 3)
     i = oriented_resolution_generators(pd)[0].hom_degree
     assert s_invariant(pd)[0] == 0
-    assert sorted(reduced) == [i - 1, i]
+    # one call, over Q, on d_{i-1} and d_i only
+    assert windows == [(range(i - 1, i + 2), [i - 1, i, i + 1], True)]
 
 
 def test_s_gates_name_the_degree(monkeypatch):
