@@ -11,9 +11,9 @@ Subcommands:
 
 Results on stdout are byte-identical across repeated runs: timing
 information goes to stderr, and cached records are replayed verbatim.
-Exit codes: 2 for input errors, 3 when the crossing limit is exceeded,
-4 when an internal structural invariant fails (``invariants`` names
-the diagram).
+Exit codes: 1 when ``verify-relations`` finds a relation that fails,
+2 for input errors, 3 when the crossing limit is exceeded, 4 when an
+internal structural invariant fails (``invariants`` names the diagram).
 """
 
 from __future__ import annotations

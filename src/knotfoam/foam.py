@@ -28,6 +28,19 @@ before multiplying by R is exact: X1 - X2 is prime in Z[X1, X2] and
 divides neither X1 + X2 nor X1 * X2, so it divides the blue sum times R
 as often as it divides the blue sum, and a non-exact division fails on
 the same foams either way.
+
+The evaluation runs in two parts.  The first reads no dots: it
+validates the foam, walks the blue pages, enumerates the colorings,
+checks the parity of chi(S1) and chi(Sb), and keeps each coloring's
+sign and the blue facets it colors 1.  The second takes the facet dots:
+it sums the signed monomials, divides by (X1 - X2)^(chi(Sb)/2) and
+multiplies by R.  The relation harness closes every term with disk caps
+in (max_dots + 1)^m ways, m the number of free circles.  A cap erases
+its circle and adds its dots to the facet.  Every closure of a term
+erases the same circles and keeps every genus and binding, so the
+closures differ only in dots and share their colorings, signs and Euler
+characteristics.  The harness therefore runs the first part once per
+term, at its first closure, and the second part for each closure.
 """
 
 from __future__ import annotations
@@ -284,51 +297,87 @@ def _red_factor(dots, squares):
     )
 
 
-def evaluate_foam(foam):
-    """Evaluate a closed foam to an element of Z[X1, X2]."""
+def _colorings(foam):
+    """The part of the evaluation that reads no dots.
+
+    Validates the closed foam, enumerates its colorings and checks that
+    chi(S1) is even on each and chi(Sb) after the first chi(S1), the
+    order of the term-by-term formula, so a bad foam fails with the same
+    message.  Returns ``(terms, half_chi_b, reds, red_squares)``: per
+    coloring its sign and the indices of the blue facets it colors 1;
+    chi(Sb)/2; the indices of the red facets; and their squares in all.
+    Indices are positions in ``foam.facets``.
+    """
     validate_foam(foam)
     if not foam.is_closed:
         raise MalformedFoam("cannot evaluate a foam with free boundary")
     pages = _page_facets(foam)
-    blue = [(f.id, f.euler, f.dots) for f in foam.facets if f.color == BLUE]
-    reds = [f for f in foam.facets if f.color == RED]
-    chi_red = sum(f.euler for f in reds)
-    chi_b = sum(euler for _, euler, _ in blue)
-    # signed monomials X1^a * X2^b of the blue dots, as {(a, b): coefficient}
-    blue_sum = {}
+    blue = []
+    reds = []
+    chi_red = chi_b = red_squares = 0
+    for i, f in enumerate(foam.facets):
+        if f.color == BLUE:
+            blue.append((i, f.id, f.euler))
+            chi_b += f.euler
+        else:
+            reds.append(i)
+            chi_red += f.euler
+            red_squares += f.squares
+    terms = []
     for coloring in enumerate_colorings(foam):
         chi1 = chi_red
-        a = b = 0
-        for fid, euler, dots in blue:
+        ones = []
+        for i, fid, euler in blue:
             if coloring[fid] == 1:
                 chi1 += euler
-                a += dots
-            else:
-                b += dots
-        # both checks on every coloring, in the order of the term-by-term
-        # formula, so a bad foam fails with the same message
+                ones.append(i)
         _even_euler(SIGMA_1, chi1)
-        _even_euler(SIGMA_B, chi_b)
-        n12 = sum(1 for u, v in pages if coloring[u] == 1 and coloring[v] == 2)
-        blue_sum[a, b] = blue_sum.get((a, b), 0) + (-1 if (chi1 // 2 + n12) % 2 else 1)
-    quotient = IntPoly2(blue_sum).divide_by_difference_power(chi_b // 2)
+        if not terms:  # chi(Sb) is the same for every coloring
+            _even_euler(SIGMA_B, chi_b)
+        n12 = 0
+        for u, v in pages:
+            if coloring[u] == 1 and coloring[v] == 2:
+                n12 += 1
+        terms.append((-1 if (chi1 // 2 + n12) % 2 else 1, ones))
+    return terms, chi_b // 2, reds, red_squares
+
+
+def _value(colorings, dots):
+    """The value part of the evaluation, from :func:`_colorings` and the
+    dots of each facet, in the order of ``foam.facets``."""
+    terms, half_chi_b, reds, red_squares = colorings
+    red_dots = 0
+    for i in reds:
+        red_dots += dots[i]
+    blue_dots = sum(dots) - red_dots
+    # signed monomials X1^a * X2^b of the blue dots, as {(a, b): coefficient}
+    blue_sum = {}
+    for sign, ones in terms:
+        a = 0
+        for i in ones:
+            a += dots[i]
+        blue_sum[a, blue_dots - a] = blue_sum.get((a, blue_dots - a), 0) + sign
+    quotient = IntPoly2(blue_sum).divide_by_difference_power(half_chi_b)
     if not quotient:
         # zero whatever the red decorations; (X1 + X2)^dots alone has
         # dots + 1 terms
         return quotient
-    return quotient * _red_factor(
-        sum(f.dots for f in reds), sum(f.squares for f in reds)
-    )
+    return quotient * _red_factor(red_dots, red_squares)
+
+
+def evaluate_foam(foam):
+    """Evaluate a closed foam to an element of Z[X1, X2]."""
+    return _value(_colorings(foam), [f.dots for f in foam.facets])
 
 
 def cap_closure(foam, caps=None):
     """Close every free slot with a disk cap carrying the given dots.
 
-    ``caps`` maps free slot ids to dot counts (0..2 in the relation
-    harness); missing slots get undotted caps.  Gluing a disk along a
-    boundary circle simply erases that circle and transfers the disk's
-    dots onto the facet, so caps are absorbed rather than stored as
-    separate facets; the evaluation cannot tell the difference.
+    ``caps`` maps free slot ids to dot counts (0..max_dots in the
+    relation harness); missing slots get undotted caps.  Gluing a disk
+    along a boundary circle simply erases that circle and transfers the
+    disk's dots onto the facet, so caps are absorbed rather than stored
+    as separate facets; the evaluation cannot tell the difference.
     """
     caps = dict(caps or {})
     free = dict(foam.free_boundary)
@@ -376,12 +425,39 @@ class FoamCombination:
         return sigs.pop() if sigs else None
 
 
-def _closure_value(combination, dots):
+def _capped(foam, dots):
+    """The value of ``foam`` under disk caps, as a function of the cap dots.
+
+    Runs the dots-free part of :func:`evaluate_foam` once, on the closure
+    with ``dots`` (in the order of the free boundary), so it raises what
+    ``evaluate_foam(cap_closure(...))`` raises there.  Every other
+    closure differs only in dot counts, so the returned function adds
+    its caps' dots to each facet and runs the value part alone.
+    """
+    slots = [s for s, _ in foam.free_boundary]
+    colorings = _colorings(cap_closure(foam, dict(zip(slots, dots))))
+    position = {s: i for i, s in enumerate(slots)}
+    caps = [(f.dots, [position[s] for s in f.slots if s in position])
+            for f in foam.facets]
+
+    def value(cap_dots):
+        dots = [n + sum(cap_dots[i] for i in on) for n, on in caps]
+        return _value(colorings, dots)
+
+    return value
+
+
+def _closure_value(combination, dots, capped):
+    """Sum over the terms of coefficient times the value of the closure.
+
+    ``capped`` holds one :func:`_capped` value function per term seen so
+    far; a term's function is made at its first closure.
+    """
     total = IntPoly2.zero()
-    for coeff, foam in combination.terms:
-        slots = [s for s, _ in foam.free_boundary]
-        caps = dict(zip(slots, dots))
-        total = total + coeff * evaluate_foam(cap_closure(foam, caps))
+    for k, (coeff, foam) in enumerate(combination.terms):
+        if k == len(capped):
+            capped.append(_capped(foam, dots))
+        total = total + coeff * capped[k](dots)
     return total
 
 
@@ -409,9 +485,11 @@ def verify_local_relation(lhs, rhs, max_dots=2):
         raise MalformedFoam("left and right boundary signatures differ")
     else:
         sig = sig_l
+    capped_l = []
+    capped_r = []
     for dots in itertools.product(range(max_dots + 1), repeat=len(sig)):
-        lv = _closure_value(lhs, dots)
-        rv = _closure_value(rhs, dots)
+        lv = _closure_value(lhs, dots, capped_l)
+        rv = _closure_value(rhs, dots, capped_r)
         if lv != rv:
             return False, {"dots": dots, "lhs": lv, "rhs": rv}
     return True, None

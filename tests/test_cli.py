@@ -367,6 +367,29 @@ def test_verify_relations(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_relations_failure_exits_1(monkeypatch, capsys):
+    from knotfoam import cli
+    from knotfoam.polyring import IntPoly2
+
+    real = cli.verify_all_relations
+    witness = {"dots": (1, 0), "lhs": IntPoly2.x1(), "rhs": IntPoly2.zero()}
+
+    def one_failing(max_dots):
+        results = real(max_dots)
+        results[8] = (results[8][0], False, witness)
+        return results
+
+    monkeypatch.setattr(cli, "verify_all_relations", one_failing)
+    code, out, _err = run_cli(["verify-relations", "--max-dots", "0"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    k = lines.index("%-30s FAIL" % "bigon")
+    assert lines[k + 1:k + 4] == ["  witness dots=(1, 0)", "  lhs = X1",
+                                  "  rhs = 0"]
+    assert lines[-1] == "23/24 relations hold"
+    assert sum("FAIL" in line for line in lines) == 1
+
+
 def test_verify_relations_rejects_negative_max_dots(capsys):
     # range(0) dots would evaluate no closure and report every relation held
     code, out, err = run_cli(["verify-relations", "--max-dots", "-1"], capsys)
