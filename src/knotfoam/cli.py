@@ -93,16 +93,13 @@ def _cmd_invariants(args):
         raise errors.ParseError("--max-crossings must be at least 0, got %d"
                                 % args.max_crossings)
     if (args.pd is None) == (args.braid is None):
-        print("input error: provide exactly one of --pd / --braid",
-              file=sys.stderr)
-        return 2
+        raise errors.ParseError("provide exactly one of --pd / --braid")
     if args.pd is not None:
         pd = parse_pd(args.pd)
         echo = {"pd": str(pd)}
     else:
         if args.strands is None:
-            print("input error: --braid needs --strands", file=sys.stderr)
-            return 2
+            raise errors.ParseError("--braid needs --strands")
         try:
             word = [int(w) for w in args.braid.replace(",", " ").split()]
         except ValueError:
@@ -294,9 +291,8 @@ def _cmd_graph_dim(args):
 
 def _cmd_verify_relations(args):
     if args.max_dots < 0:
-        print("input error: --max-dots must be at least 0, got %d"
-              % args.max_dots, file=sys.stderr)
-        return 2
+        raise errors.ParseError("--max-dots must be at least 0, got %d"
+                                % args.max_dots)
     results = verify_all_relations(max_dots=args.max_dots)
     failed = 0
     for name, ok, witness in results:

@@ -13,6 +13,10 @@ The 0-smoothing merges slots (0,1) and (2,3); the 1-smoothing merges
 (0,3) and (1,2).  The resolution respecting every strand orientation is
 then the 0-smoothing at positive crossings and the 1-smoothing at
 negative ones, and its circles are the Seifert circles of the diagram.
+
+A port is one slot of one crossing, numbered 4 * crossing + slot.
+``_far_ends`` maps each port to the other port of its arc; it is the one
+arc index of a code and the only place that counts arc occurrences.
 """
 
 from __future__ import annotations
@@ -49,29 +53,35 @@ class PDCode:
         return ";".join("X[%d,%d,%d,%d]" % c for c in self.crossings)
 
 
-def _arc_occurrences(pd):
-    occ = {}
-    for ci, c in enumerate(pd.crossings):
-        for si, arc in enumerate(c):
-            occ.setdefault(arc, []).append((ci, si))
-    return occ
-
-
 def validate_pd(pd):
-    occ = _arc_occurrences(pd)
-    for arc, places in occ.items():
-        if arc <= 0:
-            raise InvalidDiagram("arc labels must be positive, got %r" % arc)
-        if len(places) != 2:
-            raise InvalidDiagram(
-                "arc %d appears %d times, expected 2" % (arc, len(places))
-            )
-    _check_planar(pd, occ)
-    object.__setattr__(pd, "over_from_3", tuple(_trace(pd, occ)))
+    far = _far_ends(pd)
+    _check_planar(pd, far)
+    object.__setattr__(pd, "over_from_3", tuple(_trace(pd, far)))
     return pd
 
 
-def _check_planar(pd, occ):
+def _far_ends(pd):
+    """far[port]: the other port of its arc.
+
+    Checks each arc, in the order of its first port, for a positive
+    label and then for exactly two ports.
+    """
+    ports = {}
+    for port, arc in enumerate(a for c in pd.crossings for a in c):
+        ports.setdefault(arc, []).append(port)
+    far = [0] * (4 * pd.n)
+    for arc, pair in ports.items():
+        if arc <= 0:
+            raise InvalidDiagram("arc labels must be positive, got %r" % arc)
+        if len(pair) != 2:
+            raise InvalidDiagram("arc %d appears %d times, expected 2"
+                                 % (arc, len(pair)))
+        p, q = pair
+        far[p], far[q] = q, p
+    return far
+
+
+def _check_planar(pd, far):
     """Require V - E + F = 2, with E = 2V, on each piece of the projection.
 
     The slot order makes the projection a 4-valent graph on a closed
@@ -81,30 +91,15 @@ def _check_planar(pd, occ):
     code a cube edge can keep one circle as one circle.
     """
     piece = list(range(pd.n))
-    for (c1, _), (c2, _) in occ.values():
-        piece[_find(piece, c1)] = _find(piece, c2)
+    for p, q in enumerate(far):
+        piece[_find(piece, p // 4)] = _find(piece, q // 4)
     pieces = sum(1 for ci in range(pd.n) if piece[ci] == ci)
-    faces = len(_faces(_far_ends(pd)))
+    faces = len(_faces(far))
     if pd.n - 2 * pd.n + faces != 2 * pieces:
         raise InvalidDiagram(
             "PD code is not planar: %d crossings in %d pieces bound %d "
             "regions, expected %d" % (pd.n, pieces, faces, pd.n + 2 * pieces)
         )
-
-
-def _far_ends(pd):
-    """far[port]: the other port of its arc; a port is 4 * crossing + slot."""
-    ports = {}
-    for port, arc in enumerate(a for c in pd.crossings for a in c):
-        ports.setdefault(arc, []).append(port)
-    far = [0] * (4 * pd.n)
-    for arc, pair in ports.items():
-        if len(pair) != 2:
-            raise InvalidDiagram("arc %d appears %d times, expected 2"
-                                 % (arc, len(pair)))
-        p, q = pair
-        far[p], far[q] = q, p
-    return far
 
 
 def _faces(far):
@@ -138,7 +133,7 @@ def trace_orientations(pd):
     the first undetermined crossing is then resolved to positive, which
     keeps the result deterministic.
     """
-    return _trace(pd, _arc_occurrences(pd))
+    return _trace(pd, _far_ends(pd))
 
 
 def _orientations(pd):
@@ -148,20 +143,15 @@ def _orientations(pd):
     return pd.over_from_3
 
 
-def _trace(pd, occ):
-    # status of an arc occurrence: True = the arc flows into the crossing
-    # here (its head), False = it leaves (its tail).
-    status = {}
-    over_from_3 = [None] * pd.n
+def _trace(pd, far):
+    # (port, True) when the arc flows into the crossing there (its head),
+    # (port, False) when it leaves (its tail); each port is queued once,
+    # slots 0 and 2 here and slots 1 and 3 when their crossing is decided
     queue = deque()
-
-    def set_status(place, value, arc):
-        if place in status:
-            if status[place] != value:
-                raise InvalidDiagram("orientation conflict at arc %d" % arc)
-            return
-        status[place] = value
-        queue.append((arc, place, value))
+    for ci in range(pd.n):
+        queue.append((4 * ci, True))
+        queue.append((4 * ci + 2, False))
+    over_from_3 = [None] * pd.n
 
     def set_over(ci, from_3):
         if over_from_3[ci] is not None:
@@ -169,38 +159,21 @@ def _trace(pd, occ):
                 raise InvalidDiagram("orientation conflict at crossing %d" % ci)
             return
         over_from_3[ci] = from_3
-        c = pd.crossings[ci]
-        if from_3:
-            set_status((ci, 3), True, c[3])
-            set_status((ci, 1), False, c[1])
-        else:
-            set_status((ci, 1), True, c[1])
-            set_status((ci, 3), False, c[3])
-
-    for ci, c in enumerate(pd.crossings):
-        set_status((ci, 0), True, c[0])
-        set_status((ci, 2), False, c[2])
+        head, tail = (3, 1) if from_3 else (1, 3)
+        queue.append((4 * ci + head, True))
+        queue.append((4 * ci + tail, False))
 
     while True:
         while queue:
-            arc, place, value = queue.popleft()
-            places = occ[arc]
-            if len(places) != 2:
-                raise InvalidDiagram("arc %d appears %d times, expected 2"
-                                     % (arc, len(places)))
-            other = places[0] if places[1] == place else places[1]
-            want = not value  # one head and one tail per arc
-            ci, si = other
-            if si == 0:
-                if want is not True:
-                    raise InvalidDiagram("arc %d cannot close up" % arc)
-            elif si == 2:
-                if want is not False:
-                    raise InvalidDiagram("arc %d cannot close up" % arc)
-            elif si == 3:
-                set_over(ci, want)  # head at 3 <=> over runs 3 -> 1
+            port, head = queue.popleft()
+            far_head = not head  # one head and one tail per arc
+            ci, si = divmod(far[port], 4)
+            if si % 2 == 0:
+                if far_head != (si == 0):
+                    raise InvalidDiagram("arc %d cannot close up"
+                                         % pd.crossings[ci][si])
             else:
-                set_over(ci, not want)  # head at 1 <=> over runs 1 -> 3
+                set_over(ci, far_head == (si == 3))  # head at 3 <=> over runs 3 -> 1
         undecided = [ci for ci in range(pd.n) if over_from_3[ci] is None]
         if not undecided:
             break
@@ -353,26 +326,11 @@ def smooth_state(pd, state):
     if len(state.assignment) != pd.n:
         raise InvalidDiagram("state length does not match crossing count")
     parent = {a: a for a in pd.arcs()}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
     for (a, b, c, d), s in zip(pd.crossings, state.assignment):
-        if s == 0:
-            union(a, b)
-            union(c, d)
-        else:
-            union(a, d)
-            union(b, c)
-    membership = {a: find(a) for a in parent}
+        for u, v in ((a, b), (c, d)) if s == 0 else ((a, d), (b, c)):
+            u, v = _find(parent, u), _find(parent, v)
+            parent[max(u, v)] = min(u, v)
+    membership = {a: _find(parent, a) for a in parent}
     return SmoothingResult(len(set(membership.values())), membership)
 
 
@@ -471,10 +429,11 @@ def _r1(pd, positive, arc):
         if positive:
             return validate_pd(PDCode(((1, 1, 2, 2),)))
         return validate_pd(PDCode(((1, 2, 2, 1),)))
-    if arc is None or arc not in pd.arcs():
+    # a tuple test, so that an unhashable site is missing, not a TypeError
+    if not any(arc in c for c in pd.crossings):
         raise InvalidSite("no arc %r in diagram" % arc)
+    ci, si = _head(pd, _far_ends(pd), arc)
     y, z = _fresh_labels(pd, 2)
-    ci, si = _head(pd, _arc_occurrences(pd), arc)
     crossings = [list(c) for c in pd.crossings]
     crossings[ci][si] = z
     if positive:
@@ -497,13 +456,14 @@ def r2_sites(pd):
     return out
 
 
-def _head(pd, occ, arc):
-    """The port where ``arc`` flows into its crossing."""
+def _head(pd, far, arc):
+    """The port (crossing, slot) where ``arc`` flows into its crossing."""
     over = _orientations(pd)
-    for ci, si in occ[arc]:
-        if si == 0 or (si == 3 and over[ci]) or (si == 1 and not over[ci]):
-            return ci, si
-    raise InvalidSite("arc %r has no head occurrence" % arc)
+    port = [a for c in pd.crossings for a in c].index(arc)
+    ci, si = divmod(port, 4)
+    if si == 0 or (si == 3 and over[ci]) or (si == 1 and not over[ci]):
+        return ci, si
+    return divmod(far[port], 4)  # a traced arc has one head and one tail
 
 
 def _r2(pd, site):
@@ -525,9 +485,9 @@ def _r2(pd, site):
     if x == y:
         raise InvalidSite("R2 needs two distinct arcs")
 
-    occ = _arc_occurrences(pd)
-    hx = _head(pd, occ, x)
-    hy = _head(pd, occ, y)
+    far = _far_ends(pd)
+    hx = _head(pd, far, x)
+    hy = _head(pd, far, y)
     # Walking the region, a port with the arc flowing away from its
     # crossing (any port but the arc's head) is traversed with the
     # strand; the two segments run strand-parallel exactly when their

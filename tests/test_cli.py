@@ -57,12 +57,28 @@ def test_skip_flags(capsys):
 
 
 def test_requires_exactly_one_input(capsys):
-    code, _out, err = run_cli(["invariants"], capsys)
-    assert code == 2
-    code, _out, err = run_cli(
-        ["invariants", "--pd", "", "--braid", "1", "--strands", "2"], capsys
-    )
-    assert code == 2
+    err = "input error: provide exactly one of --pd / --braid\n"
+    assert run_cli(["invariants"], capsys) == (2, "", err)
+    assert run_cli(["invariants", "--pd", "", "--braid", "1", "--strands", "2"],
+                   capsys) == (2, "", err)
+
+
+def test_braid_needs_strands(capsys):
+    assert run_cli(["invariants", "--braid", "1 1 1"], capsys) == (
+        2, "", "input error: --braid needs --strands\n")
+
+
+BAD_PD = ["[[1,1,0,0]]", "[[2,2,2,2]]", "[[1,2,1,2]]",
+          "[[1,1,2,4],[4,2,3,3]]", "[[4,1,1,2],[4,2,3,3]]"]
+
+
+def test_bad_pd_messages_match_the_committed_lines(capsys):
+    # the same codes and lines as the bad-PD step of CI, in one process
+    path = pathlib.Path(__file__).parent / "data" / "cli" / "bad-pd.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == len(BAD_PD)
+    for code, line in zip(BAD_PD, lines):
+        assert run_cli(["invariants", "--pd", code], capsys) == (2, "", line)
 
 
 def test_parse_error_exit_code(capsys):
@@ -392,10 +408,8 @@ def test_verify_relations_failure_exits_1(monkeypatch, capsys):
 
 def test_verify_relations_rejects_negative_max_dots(capsys):
     # range(0) dots would evaluate no closure and report every relation held
-    code, out, err = run_cli(["verify-relations", "--max-dots", "-1"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert run_cli(["verify-relations", "--max-dots", "-1"], capsys) == (
+        2, "", "input error: --max-dots must be at least 0, got -1\n")
 
 
 def test_invariants_rejects_negative_max_crossings(capsys):

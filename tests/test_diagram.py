@@ -222,6 +222,27 @@ def test_invalid_sites():
         reidemeister_move(t, "bogus", 1)
 
 
+@pytest.mark.parametrize("site", [[1], {1: 2}])
+def test_r1_on_an_unhashable_site_is_an_invalid_site(site):
+    t = braid_to_pd([1, 1, 1], 2)
+    with pytest.raises(InvalidSite, match=r"^no arc .* in diagram$"):
+        reidemeister_move(t, "R1+", site)
+
+
+@pytest.mark.parametrize("crossings, message", [
+    ([[1, 1, 0, 0]], "arc labels must be positive, got 0"),
+    ([[2, 2, 2, 2]], "arc 2 appears 4 times, expected 2"),
+    ([[1, 2, 1, 2]], "PD code is not planar: 1 crossings in 1 pieces bound "
+                     "1 regions, expected 3"),
+    ([[1, 1, 2, 4], [4, 2, 3, 3]], "orientation conflict at crossing 0"),
+    ([[4, 1, 1, 2], [4, 2, 3, 3]], "arc 4 cannot close up"),
+])
+def test_validate_pd_messages(crossings, message):
+    with pytest.raises(InvalidDiagram) as info:
+        validate_pd(PDCode(crossings))
+    assert str(info.value) == message
+
+
 def test_components_stable_under_moves():
     rng = random.Random(31)
     pd = braid_to_pd([1, 1], 2)  # hopf link, 2 components
@@ -371,6 +392,7 @@ def test_regions_walk_every_port_once():
 @pytest.mark.parametrize("crossings, message", [
     (((1, 2, 3, 4),), "arc 1 appears 1 times, expected 2"),
     (((1, 1, 2, 2), (2, 3, 3, 4)), "arc 2 appears 3 times, expected 2"),
+    (((1, 1, 0, 0),), "arc labels must be positive, got 0"),
 ])
 def test_unvalidated_code_with_a_bad_arc_is_invalid(crossings, message):
     # a PDCode built without validate_pd reaches the region walk directly
