@@ -11,7 +11,7 @@ sys.path.insert(0, "src")
 
 from knotfoam.foam import (
     BLUE, RED, Binding, Facet, Foam, FoamCombination, foam_to_json,
-    verify_local_relation, validate_foam,
+    verify_local_relation,
 )
 from knotfoam.polyring import IntPoly2
 
@@ -21,7 +21,7 @@ PI = IntPoly2.x1_times_x2()
 
 
 def F(*facets, bindings=()):
-    return validate_foam(Foam(tuple(facets), tuple(bindings)))
+    return Foam(tuple(facets), tuple(bindings))
 
 
 def combo(*terms):

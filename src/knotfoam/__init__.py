@@ -22,7 +22,6 @@ from .foam import (
     enumerate_colorings,
     evaluate_foam,
     random_closed_foam,
-    validate_foam,
     verify_local_relation,
 )
 from .relations import relation_fixtures, verify_all_relations

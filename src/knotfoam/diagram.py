@@ -14,9 +14,13 @@ The 0-smoothing merges slots (0,1) and (2,3); the 1-smoothing merges
 then the 0-smoothing at positive crossings and the 1-smoothing at
 negative ones, and its circles are the Seifert circles of the diagram.
 
-A port is one slot of one crossing, numbered 4 * crossing + slot.
-``_far_ends`` maps each port to the other port of its arc; it is the one
-arc index of a code and the only place that counts arc occurrences.
+A port is one slot of one crossing, numbered 4 * crossing + slot.  A
+code is checked once, when it is built: ``_far_ends`` counts the arc
+occurrences, the projection must be planar and the orientation trace
+must close up, or the constructor raises InvalidDiagram.  The code then
+carries the port array ``far`` (port -> the other port of its arc, the
+one arc index) and the trace ``over_from_3``, and no reader checks or
+indexes it again.
 """
 
 from __future__ import annotations
@@ -31,13 +35,18 @@ from .errors import InvalidBraid, InvalidDiagram, InvalidSite, ParseError
 @dataclass(frozen=True)
 class PDCode:
     crossings: tuple = ()
-    # the result of trace_orientations, kept by validate_pd
-    over_from_3: tuple = field(default=None, init=False, compare=False, repr=False)
+    # far[port]: the other port of its arc
+    far: tuple = field(init=False, compare=False, repr=False)
+    # per crossing, true when the over-strand runs slot 3 -> slot 1
+    over_from_3: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "crossings", tuple(tuple(c) for c in self.crossings)
         )
+        object.__setattr__(self, "far", tuple(_far_ends(self)))
+        _check_planar(self)
+        object.__setattr__(self, "over_from_3", tuple(_trace(self)))
 
     @property
     def n(self):
@@ -51,13 +60,6 @@ class PDCode:
 
     def __str__(self):
         return ";".join("X[%d,%d,%d,%d]" % c for c in self.crossings)
-
-
-def validate_pd(pd):
-    far = _far_ends(pd)
-    _check_planar(pd, far)
-    object.__setattr__(pd, "over_from_3", tuple(_trace(pd, far)))
-    return pd
 
 
 def _far_ends(pd):
@@ -81,7 +83,7 @@ def _far_ends(pd):
     return far
 
 
-def _check_planar(pd, far):
+def _check_planar(pd):
     """Require V - E + F = 2, with E = 2V, on each piece of the projection.
 
     The slot order makes the projection a 4-valent graph on a closed
@@ -91,10 +93,10 @@ def _check_planar(pd, far):
     code a cube edge can keep one circle as one circle.
     """
     piece = list(range(pd.n))
-    for p, q in enumerate(far):
+    for p, q in enumerate(pd.far):
         piece[_find(piece, p // 4)] = _find(piece, q // 4)
     pieces = sum(1 for ci in range(pd.n) if piece[ci] == ci)
-    faces = len(_faces(far))
+    faces = len(_faces(pd.far))
     if pd.n - 2 * pd.n + faces != 2 * pieces:
         raise InvalidDiagram(
             "PD code is not planar: %d crossings in %d pieces bound %d "
@@ -123,7 +125,7 @@ def _faces(far):
     return faces
 
 
-def trace_orientations(pd):
+def _trace(pd):
     """Assign a direction to every over-strand.
 
     Returns ``over_from_3`` -- a list of booleans, one per crossing,
@@ -133,20 +135,10 @@ def trace_orientations(pd):
     the first undetermined crossing is then resolved to positive, which
     keeps the result deterministic.
     """
-    return _trace(pd, _far_ends(pd))
-
-
-def _orientations(pd):
-    """The trace kept on a validated code, or a fresh one."""
-    if pd.over_from_3 is None:
-        return trace_orientations(pd)
-    return pd.over_from_3
-
-
-def _trace(pd, far):
     # (port, True) when the arc flows into the crossing there (its head),
     # (port, False) when it leaves (its tail); each port is queued once,
     # slots 0 and 2 here and slots 1 and 3 when their crossing is decided
+    far = pd.far
     queue = deque()
     for ci in range(pd.n):
         queue.append((4 * ci, True))
@@ -183,8 +175,7 @@ def _trace(pd, far):
 
 def compute_signs(pd):
     """(n_plus, n_minus, per-crossing signs) from the orientation trace."""
-    over = _orientations(pd)
-    signs = [1 if o else -1 for o in over]
+    signs = [1 if o else -1 for o in pd.over_from_3]
     n_plus = sum(1 for s in signs if s > 0)
     return n_plus, pd.n - n_plus, signs
 
@@ -226,7 +217,7 @@ def parse_pd(text):
             for row in data
         ):
             raise ParseError("PD list must hold rows of four integers", position=0)
-        return validate_pd(PDCode(tuple(data)))
+        return PDCode(tuple(data))
     crossings = []
     pos = 0
     for chunk in text.split(";"):
@@ -236,7 +227,7 @@ def parse_pd(text):
             raise ParseError("expected X[a,b,c,d] at %r" % chunk_stripped, position=pos)
         crossings.append(tuple(int(g) for g in m.groups()))
         pos += len(chunk) + 1
-    return validate_pd(PDCode(tuple(crossings)))
+    return PDCode(tuple(crossings))
 
 
 def braid_to_pd(word, strands):
@@ -286,7 +277,7 @@ def braid_to_pd(word, strands):
     labels = sorted({a for c in crossings for a in c})
     relabel = {a: i + 1 for i, a in enumerate(labels)}
     crossings = [tuple(relabel[a] for a in c) for c in crossings]
-    return validate_pd(PDCode(tuple(crossings)))
+    return PDCode(tuple(crossings))
 
 
 def mirror(pd):
@@ -295,14 +286,13 @@ def mirror(pd):
     The mirrored tuple is rotated to start at the new incoming
     under-strand, which is the old incoming over-strand.
     """
-    over = _orientations(pd)
     crossings = []
-    for (a, b, c, d), from_3 in zip(pd.crossings, over):
+    for (a, b, c, d), from_3 in zip(pd.crossings, pd.over_from_3):
         if from_3:
             crossings.append((d, a, b, c))
         else:
             crossings.append((b, c, d, a))
-    return validate_pd(PDCode(tuple(crossings)))
+    return PDCode(tuple(crossings))
 
 
 @dataclass(frozen=True)
@@ -399,8 +389,7 @@ def regions(pd):
     leaves a crossing through a port's arc and re-enters at the arc's
     other endpoint, turning one slot counterclockwise.
     """
-    faces = _faces(_far_ends(pd))
-    return [[divmod(p, 4) for p in walk] for walk in faces]
+    return [[divmod(p, 4) for p in walk] for walk in _faces(pd.far)]
 
 
 def reidemeister_move(pd, move, site=None):
@@ -427,12 +416,12 @@ def _fresh_labels(pd, count):
 def _r1(pd, positive, arc):
     if pd.n == 0:
         if positive:
-            return validate_pd(PDCode(((1, 1, 2, 2),)))
-        return validate_pd(PDCode(((1, 2, 2, 1),)))
+            return PDCode(((1, 1, 2, 2),))
+        return PDCode(((1, 2, 2, 1),))
     # a tuple test, so that an unhashable site is missing, not a TypeError
     if not any(arc in c for c in pd.crossings):
         raise InvalidSite("no arc %r in diagram" % arc)
-    ci, si = _head(pd, _far_ends(pd), arc)
+    ci, si = _head(pd, arc)
     y, z = _fresh_labels(pd, 2)
     crossings = [list(c) for c in pd.crossings]
     crossings[ci][si] = z
@@ -441,7 +430,7 @@ def _r1(pd, positive, arc):
     else:
         kink = (arc, y, y, z)
     crossings.append(list(kink))
-    return validate_pd(PDCode(tuple(tuple(c) for c in crossings)))
+    return PDCode(tuple(tuple(c) for c in crossings))
 
 
 def r2_sites(pd):
@@ -456,14 +445,14 @@ def r2_sites(pd):
     return out
 
 
-def _head(pd, far, arc):
+def _head(pd, arc):
     """The port (crossing, slot) where ``arc`` flows into its crossing."""
-    over = _orientations(pd)
+    over = pd.over_from_3
     port = [a for c in pd.crossings for a in c].index(arc)
     ci, si = divmod(port, 4)
     if si == 0 or (si == 3 and over[ci]) or (si == 1 and not over[ci]):
         return ci, si
-    return divmod(far[port], 4)  # a traced arc has one head and one tail
+    return divmod(pd.far[port], 4)  # a traced arc has one head and one tail
 
 
 def _r2(pd, site):
@@ -485,9 +474,8 @@ def _r2(pd, site):
     if x == y:
         raise InvalidSite("R2 needs two distinct arcs")
 
-    far = _far_ends(pd)
-    hx = _head(pd, far, x)
-    hy = _head(pd, far, y)
+    hx = _head(pd, x)
+    hy = _head(pd, y)
     # Walking the region, a port with the arc flowing away from its
     # crossing (any port but the arc's head) is traversed with the
     # strand; the two segments run strand-parallel exactly when their
@@ -515,4 +503,4 @@ def _r2(pd, site):
         k2 = (k2[0], k2[3], k2[2], k2[1])
     crossings.append(list(k1))
     crossings.append(list(k2))
-    return validate_pd(PDCode(tuple(tuple(c) for c in crossings)))
+    return PDCode(tuple(tuple(c) for c in crossings))

@@ -29,8 +29,10 @@ divides neither X1 + X2 nor X1 * X2, so it divides the blue sum times R
 as often as it divides the blue sum, and a non-exact division fails on
 the same foams either way.
 
-The evaluation runs in two parts.  The first reads no dots: it
-validates the foam, walks the blue pages, enumerates the colorings,
+A foam checks itself once, when it is built, and raises MalformedFoam
+if it is not well formed; it then carries its free boundary and the
+facets of each binding's blue pages.  The evaluation runs in two parts.
+The first reads no dots: it walks the blue pages, enumerates the colorings,
 checks the parity of chi(S1) and chi(Sb), and keeps each coloring's
 sign and the blue facets it colors 1.  The second takes the facet dots:
 it sums the signed monomials, divides by (X1 - X2)^(chi(Sb)/2) and
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import MalformedFoam, NonBipartiteBinding, OddEuler
 from .polyring import IntPoly2
@@ -88,90 +90,75 @@ class Binding:
 class Foam:
     """A foam; closed when every slot is attached to a binding.
 
-    Free slots (the ``free_boundary``) are plain blue or red circles.
+    Building one checks its structure and raises MalformedFoam on the
+    first fault.  Free slots (the ``free_boundary``) are plain blue or
+    red circles.
     """
 
     facets: tuple = ()
     bindings: tuple = ()
+    # the (slot, color) pairs attached to no binding, in facet order
+    free_boundary: tuple = field(init=False, compare=False, repr=False)
+    # per binding, the ids of the facets of its first and second blue page
+    pages: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "facets", tuple(self.facets))
         object.__setattr__(self, "bindings", tuple(self.bindings))
-
-    # -- lookup helpers -------------------------------------------------
-
-    @property
-    def free_boundary(self):
-        """Ordered list of (slot, color) pairs not attached to any binding."""
-        bound = set()
-        for b in self.bindings:
-            bound.update(b.blue_pages)
-            bound.add(b.red_page)
-        out = []
+        seen_ids = set()
+        owners = {}
         for f in self.facets:
+            if f.id in seen_ids:
+                raise MalformedFoam("duplicate facet id %r" % f.id)
+            seen_ids.add(f.id)
+            if f.color not in (BLUE, RED):
+                raise MalformedFoam("facet %r has unknown color %r" % (f.id, f.color))
+            if f.genus < 0 or f.dots < 0 or f.squares < 0:
+                raise MalformedFoam("facet %r has negative decoration data" % f.id)
+            if f.color == BLUE and f.squares:
+                raise MalformedFoam("facet %r is blue but carries squares" % f.id)
             for s in f.slots:
-                if s not in bound:
-                    out.append((s, f.color))
-        return out
+                if s in owners:
+                    raise MalformedFoam("slot %r appears on two facets" % s)
+                owners[s] = f
 
-    @property
-    def is_closed(self):
-        return not self.free_boundary
+        used = set()
+        binding_ids = set()
+        for b in self.bindings:
+            if b.id in binding_ids:
+                raise MalformedFoam("duplicate binding id %r" % b.id)
+            binding_ids.add(b.id)
+            if len(b.blue_pages) != 2:
+                raise MalformedFoam("binding %r needs exactly two blue pages" % b.id)
+            for s in b.blue_pages:
+                if s not in owners:
+                    raise MalformedFoam("binding %r references missing slot %r"
+                                        % (b.id, s))
+                if owners[s].color != BLUE:
+                    raise MalformedFoam("binding %r blue page %r is on a red facet"
+                                        % (b.id, s))
+            if b.red_page not in owners:
+                raise MalformedFoam("binding %r references missing slot %r"
+                                    % (b.id, b.red_page))
+            if owners[b.red_page].color != RED:
+                raise MalformedFoam("binding %r red page %r is on a blue facet"
+                                    % (b.id, b.red_page))
+            # the red page is on a red facet, so only the blue pages can repeat
+            if b.blue_pages[0] == b.blue_pages[1]:
+                raise MalformedFoam("binding %r lists slot %r twice"
+                                    % (b.id, b.blue_pages[0]))
+            for s in (*b.blue_pages, b.red_page):
+                if s in used:
+                    raise MalformedFoam("slot %r attached to two bindings" % s)
+                used.add(s)
+        object.__setattr__(self, "free_boundary", tuple(
+            (s, f.color) for f in self.facets for s in f.slots if s not in used))
+        object.__setattr__(self, "pages", tuple(
+            (owners[b.blue_pages[0]].id, owners[b.blue_pages[1]].id)
+            for b in self.bindings))
 
     def blue_facets(self):
         return [f for f in self.facets if f.color == BLUE]
-
-    def red_facets(self):
-        return [f for f in self.facets if f.color == RED]
-
-
-def validate_foam(foam):
-    """Check all structural invariants; raises MalformedFoam on failure."""
-    seen_ids = set()
-    owners = {}
-    for f in foam.facets:
-        if f.id in seen_ids:
-            raise MalformedFoam("duplicate facet id %r" % f.id)
-        seen_ids.add(f.id)
-        if f.color not in (BLUE, RED):
-            raise MalformedFoam("facet %r has unknown color %r" % (f.id, f.color))
-        if f.genus < 0 or f.dots < 0 or f.squares < 0:
-            raise MalformedFoam("facet %r has negative decoration data" % f.id)
-        if f.color == BLUE and f.squares:
-            raise MalformedFoam("facet %r is blue but carries squares" % f.id)
-        for s in f.slots:
-            if s in owners:
-                raise MalformedFoam("slot %r appears on two facets" % s)
-            owners[s] = f
-
-    used = set()
-    binding_ids = set()
-    for b in foam.bindings:
-        if b.id in binding_ids:
-            raise MalformedFoam("duplicate binding id %r" % b.id)
-        binding_ids.add(b.id)
-        if len(b.blue_pages) != 2:
-            raise MalformedFoam("binding %r needs exactly two blue pages" % b.id)
-        for s in b.blue_pages:
-            if s not in owners:
-                raise MalformedFoam("binding %r references missing slot %r" % (b.id, s))
-            if owners[s].color != BLUE:
-                raise MalformedFoam("binding %r blue page %r is on a red facet" % (b.id, s))
-        if b.red_page not in owners:
-            raise MalformedFoam("binding %r references missing slot %r" % (b.id, b.red_page))
-        if owners[b.red_page].color != RED:
-            raise MalformedFoam("binding %r red page %r is on a blue facet" % (b.id, b.red_page))
-        for s in (*b.blue_pages, b.red_page):
-            if s in used:
-                raise MalformedFoam("slot %r attached to two bindings" % s)
-            used.add(s)
-    return foam
-
-
-def _page_facets(foam):
-    """The (first, second) blue-page facet ids of every binding, in order."""
-    owner = {s: f.id for f in foam.facets for s in f.slots}
-    return [(owner[b.blue_pages[0]], owner[b.blue_pages[1]]) for b in foam.bindings]
 
 
 def blue_components(foam):
@@ -181,10 +168,10 @@ def blue_components(foam):
     binding.  Returns a list of sorted facet-id lists, sorted by their
     smallest member, so the component count k is ``len(result)``.
     """
-    return _blue_walk(foam, _page_facets(foam))[0]
+    return _blue_walk(foam)[0]
 
 
-def _blue_walk(foam, pages):
+def _blue_walk(foam):
     """Breadth-first 2-coloring of the blue facets, component by component.
 
     Each walk starts at the smallest unvisited id with color 1 and visits
@@ -194,7 +181,7 @@ def _blue_walk(foam, pages):
     (None when there is none).
     """
     adj = {f.id: [] for f in foam.blue_facets()}
-    for u, v in pages:
+    for u, v in foam.pages:
         adj[u].append(v)
         adj[v].append(u)
     components = []
@@ -225,13 +212,12 @@ def enumerate_colorings(foam):
     propagation and then flipped independently.  Raises
     NonBipartiteBinding when propagation hits a contradiction.
     """
-    pages = _page_facets(foam)
-    for b, (u, v) in zip(foam.bindings, pages):
+    for b, (u, v) in zip(foam.bindings, foam.pages):
         if u == v:
             raise NonBipartiteBinding(
                 "binding %r has both blue pages on facet %r" % (b.id, u)
             )
-    components, base, conflict = _blue_walk(foam, pages)
+    components, base, conflict = _blue_walk(foam)
     if conflict:
         raise NonBipartiteBinding(
             "facets %r and %r force conflicting colors" % conflict
@@ -285,7 +271,7 @@ def count_n12(foam, coloring):
     """Number of bindings whose ordered blue pages are colored (1, 2)."""
     return sum(
         1
-        for first, second in _page_facets(foam)
+        for first, second in foam.pages
         if coloring[first] == 1 and coloring[second] == 2
     )
 
@@ -300,7 +286,7 @@ def _red_factor(dots, squares):
 def _colorings(foam):
     """The part of the evaluation that reads no dots.
 
-    Validates the closed foam, enumerates its colorings and checks that
+    Requires a closed foam, enumerates its colorings and checks that
     chi(S1) is even on each and chi(Sb) after the first chi(S1), the
     order of the term-by-term formula, so a bad foam fails with the same
     message.  Returns ``(terms, half_chi_b, reds, red_squares)``: per
@@ -308,10 +294,8 @@ def _colorings(foam):
     chi(Sb)/2; the indices of the red facets; and their squares in all.
     Indices are positions in ``foam.facets``.
     """
-    validate_foam(foam)
-    if not foam.is_closed:
+    if foam.free_boundary:
         raise MalformedFoam("cannot evaluate a foam with free boundary")
-    pages = _page_facets(foam)
     blue = []
     reds = []
     chi_red = chi_b = red_squares = 0
@@ -335,7 +319,7 @@ def _colorings(foam):
         if not terms:  # chi(Sb) is the same for every coloring
             _even_euler(SIGMA_B, chi_b)
         n12 = 0
-        for u, v in pages:
+        for u, v in foam.pages:
             if coloring[u] == 1 and coloring[v] == 2:
                 n12 += 1
         terms.append((-1 if (chi1 // 2 + n12) % 2 else 1, ones))
@@ -399,8 +383,7 @@ def cap_closure(foam, caps=None):
             )
         else:
             new_facets.append(f)
-    closed = Foam(tuple(new_facets), foam.bindings)
-    return validate_foam(closed)
+    return Foam(tuple(new_facets), foam.bindings)
 
 
 @dataclass(frozen=True)
@@ -561,7 +544,7 @@ def random_closed_foam(rng, max_facets=8, max_genus=2, max_decoration=3):
                 slots=tuple(slots[fid]),
             )
         )
-    return validate_foam(Foam(tuple(facets), tuple(bindings)))
+    return Foam(tuple(facets), tuple(bindings))
 
 
 # -- JSON form --------------------------------------------------------
@@ -590,6 +573,13 @@ def foam_to_json(foam):
     }
 
 
+def _json_list(value):
+    """A JSON array as a tuple; a string is not split into characters."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError("expected a list, got %r" % (value,))
+    return tuple(value)
+
+
 def foam_from_json(data):
     try:
         facets = tuple(
@@ -599,12 +589,12 @@ def foam_from_json(data):
                 d.get("genus", 0),
                 d.get("dots", 0),
                 d.get("squares", 0),
-                tuple(d.get("slots", ())),
+                _json_list(d.get("slots", ())),
             )
             for d in data["facets"]
         )
         bindings = tuple(
-            Binding(d["id"], tuple(d["blue_pages"]), d["red_page"])
+            Binding(d["id"], _json_list(d["blue_pages"]), d["red_page"])
             for d in data.get("bindings", ())
         )
         declared = data.get("free_boundary")
@@ -624,7 +614,7 @@ def foam_from_json(data):
             if type(getattr(f, name)) is not int:  # bool is an int subclass
                 raise MalformedFoam("facet %r: %s must be an integer"
                                     % (f.id, name))
-    foam = validate_foam(Foam(facets, bindings))
+    foam = Foam(facets, bindings)
     if declared is not None and sorted(declared) != sorted(foam.free_boundary):
         raise MalformedFoam("declared free boundary does not match structure")
     return foam

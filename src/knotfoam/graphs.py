@@ -31,8 +31,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import State, _far_ends, compute_signs
-from .errors import InvalidBraid, InvalidFace, MalformedFoam, ReductionStuck
+from .diagram import State
+from .errors import (InvalidBraid, InvalidDiagram, InvalidFace, MalformedFoam,
+                     ReductionStuck)
+from .foam import _json_list
 from .polyring import LaurentQ
 
 BLUE = "blue"
@@ -329,19 +331,18 @@ def smoothing_graph(pd, state):
     """
     if pd.n == 0:
         return TrivalentGraph({}, {}, {}, circles=1)
-    _, _, signs = compute_signs(pd)
-    far = _far_ends(pd)
+    if len(state.assignment) != pd.n:
+        raise InvalidDiagram("state length does not match crossing count")
+    far = pd.far
 
     rotations = {}
     colors = {}
     pairing = {}
     splice = [None] * (4 * pd.n)  # None at a vertex stub
-    for ci in range(pd.n):
-        s = state.assignment[ci]
+    for ci, (s, positive) in enumerate(zip(state.assignment, pd.over_from_3)):
         p = 4 * ci
-        red_here = (signs[ci] > 0 and s == 1) or (signs[ci] < 0 and s == 0)
-        if red_here:
-            if signs[ci] > 0:
+        if positive == (s == 1):  # smoothed against its orientation
+            if positive:
                 # 1-smoothing joins ports (0,3) and (1,2)
                 ports = (p, p + 3, p + 2, p + 1)
             else:
@@ -436,11 +437,11 @@ def graph_to_json(g):
 
 def graph_from_json(data):
     try:
-        rotations = {v["id"]: tuple(v["rotation"]) for v in data["vertices"]}
+        rotations = {v["id"]: _json_list(v["rotation"]) for v in data["vertices"]}
         pairing = {}
         colors = {}
         for e in data.get("edges", ()):
-            h1, h2 = e["halves"]
+            h1, h2 = _json_list(e["halves"])
             pairing[h1] = h2
             pairing[h2] = h1
             colors[h1] = e["color"]

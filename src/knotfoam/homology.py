@@ -112,9 +112,6 @@ class HomologyTable:
     def torsion(self, i, q):
         return self.entries.get((i, q), (0, []))[1]
 
-    def total_rank(self):
-        return sum(b for b, _ in self.entries.values())
-
     def total_torsion(self):
         return sum(len(t) for _, t in self.entries.values())
 

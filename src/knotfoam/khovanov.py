@@ -243,13 +243,11 @@ def build_complex(pd, side=KH, max_crossings=14, degrees=None):
 def _edge_pattern(shape, merge_map, split_map):
     """The (column offset, row offset, entry) list of an edge, sign +1.
 
-    ``shape`` is as in :func:`build_complex`.  On a non-planar PD code a
-    split can keep one circle (equal target bits), which then takes the
-    second label.
+    ``shape`` is as in :func:`build_complex`.
     """
     c, sa, sc, ta, tb = shape
     merge = sa != sc
-    c_tgt = c - 1 if merge else c + (ta != tb)
+    c_tgt = c - 1 if merge else c + 1
     # move[s]: the target bit, as a power of two, of the untouched circle
     # at source bit s; untouched circles keep their order on both sides
     move = dict(zip([k for k in reversed(range(c)) if k not in (sa, sc)],
@@ -263,8 +261,7 @@ def _edge_pattern(shape, merge_map, split_map):
         outs = {key: [(lt << ta, v) for lt, v in m.items()]
                 for key, m in merge_map.items()}
     else:
-        outs = {(lc, lc): [(sum(lt << t for t, lt in {ta: la, tb: lb}.items()), v)
-                           for (la, lb), v in m.items()]
+        outs = {(lc, lc): [((la << ta) + (lb << tb), v) for (la, lb), v in m.items()]
                 for lc, m in split_map.items()}
     return [(col, row + add, v) for col, row in enumerate(rows)
             for add, v in outs[col >> sa & 1, col >> sc & 1]]

@@ -530,6 +530,19 @@ def _theta_graph_json():
     }
 
 
+def _letters_graph_json():
+    # the theta graph with one-letter half-edges, so that a string of
+    # them would split into the same names
+    return {
+        "vertices": [{"id": "v1", "rotation": ["a", "b", "c"]},
+                     {"id": "v2", "rotation": ["d", "e", "f"]}],
+        "edges": [{"halves": ["b", "f"], "color": "blue"},
+                  {"halves": ["a", "d"], "color": "blue"},
+                  {"halves": ["c", "e"], "color": "red"}],
+        "circles": 0,
+    }
+
+
 def _doubled_half_edge_json():
     # each vertex lists one blue half-edge twice
     return {
@@ -560,9 +573,15 @@ def _set(path, value):
     ("eval-foam", _theta_foam_json, _set(("free_boundary",), [{"slot": "u"}])),
     ("eval-foam", _theta_foam_json, _set(("free_boundary",), "x")),
     ("eval-foam", _theta_foam_json, _set(("facets", 0, "id"), 1)),
+    # a string where a list belongs is not split into characters
+    ("eval-foam", _theta_foam_json, _set(("facets", 0, "slots"), "u")),
+    ("eval-foam", _theta_foam_json, _set(("bindings", 0, "blue_pages"), "ul")),
+    ("graph-dim", _letters_graph_json, _set(("vertices", 0, "rotation"), "abc")),
+    ("graph-dim", _letters_graph_json, _set(("edges", 0, "halves"), "bf")),
 ], ids=["rotation-list", "circles-str", "circles-float", "half-edge-twice",
         "facet-id-list", "slot-list", "page-list", "free-boundary-no-color",
-        "free-boundary-str", "facet-ids-int-and-str"])
+        "free-boundary-str", "facet-ids-int-and-str", "slots-str", "pages-str",
+        "rotation-str", "halves-str"])
 def test_malformed_json_exit_code(tmp_path, capsys, command, make, edit):
     data = make()
     edit(data)

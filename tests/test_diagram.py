@@ -16,9 +16,8 @@ from knotfoam.diagram import (
     regions,
     reidemeister_move,
     _smoothings,
+    _trace,
     smooth_state,
-    trace_orientations,
-    validate_pd,
 )
 from knotfoam.errors import InvalidBraid, InvalidDiagram, InvalidSite, ParseError
 from knotfoam.khovanov import build_complex
@@ -45,7 +44,7 @@ def test_parse_errors():
     with pytest.raises(InvalidDiagram):
         parse_pd("X[1,2,3,4]")  # arcs appearing once
     with pytest.raises(InvalidDiagram):
-        validate_pd(PDCode(((1, 1, 1, 1),)))
+        PDCode(((1, 1, 1, 1),))
 
 
 def test_braid_to_pd():
@@ -239,7 +238,7 @@ def test_r1_on_an_unhashable_site_is_an_invalid_site(site):
 ])
 def test_validate_pd_messages(crossings, message):
     with pytest.raises(InvalidDiagram) as info:
-        validate_pd(PDCode(crossings))
+        PDCode(crossings)
     assert str(info.value) == message
 
 
@@ -273,7 +272,7 @@ def test_non_planar_codes_rejected():
 
 
 def test_accepted_codes_split_or_merge_on_every_edge():
-    # random shuffled codes: whatever validate_pd accepts is planar, so
+    # random shuffled codes: whatever PDCode accepts is planar, so
     # every cube edge changes the circle count by one
     rng = random.Random(71)
     accepted = 0
@@ -281,9 +280,8 @@ def test_accepted_codes_split_or_merge_on_every_edge():
         n = rng.randint(1, 3)
         arcs = [a for a in range(1, 2 * n + 1) for _ in (0, 1)]
         rng.shuffle(arcs)
-        pd = PDCode(tuple(tuple(arcs[4 * k:4 * k + 4]) for k in range(n)))
         try:
-            validate_pd(pd)
+            pd = PDCode(tuple(tuple(arcs[4 * k:4 * k + 4]) for k in range(n)))
         except InvalidDiagram:
             continue
         accepted += 1
@@ -299,23 +297,25 @@ def test_accepted_codes_split_or_merge_on_every_edge():
 
 
 def test_kept_trace_matches_a_fresh_trace():
-    # validate_pd keeps the orientation trace on the code; it must equal
-    # a fresh trace of an unvalidated copy after every move and mirror,
-    # and must not take part in equality, hashing or printing
+    # a code keeps the orientation trace and the port array it was checked
+    # with; after every move and mirror they must equal a fresh trace of
+    # the same crossings, and must not take part in equality, hashing or
+    # printing
     for word, strands in ([1, 1, 1], 2), ([1, 1], 2), ([1, -2, 1, -2], 3):
         pd = braid_to_pd(word, strands)
         moved = [reidemeister_move(pd, mv, arc)
                  for mv in ("R1+", "R1-") for arc in sorted(pd.arcs())]
         moved += [reidemeister_move(pd, "R2", site) for site in r2_sites(pd)]
         for d in [pd] + moved + [mirror(m) for m in [pd] + moved]:
-            bare = PDCode(d.crossings)
-            assert bare.over_from_3 is None
-            fresh = trace_orientations(bare)
-            assert compute_signs(d) == compute_signs(bare)
+            again = PDCode(d.crossings)
+            fresh = _trace(again)
+            assert d.far == again.far and d.over_from_3 == tuple(fresh)
+            assert compute_signs(d) == compute_signs(again)
             assert compute_signs(d)[2] == [1 if o else -1 for o in fresh]
-            assert oriented_state(d) == oriented_state(bare)
-            assert d == bare and hash(d) == hash(bare)
-            assert str(d) == str(bare) and repr(d) == repr(bare)
+            assert oriented_state(d) == oriented_state(again)
+            assert d == again and hash(d) == hash(again)
+            assert str(d) == str(again) and repr(d) == repr(again)
+            assert repr(d) == "PDCode(crossings=%r)" % (d.crossings,)
 
 
 @pytest.mark.parametrize("crossings, arc, count", [
@@ -325,12 +325,11 @@ def test_kept_trace_matches_a_fresh_trace():
 ])
 def test_unvalidated_code_with_a_loose_arc_is_an_invalid_diagram(
         crossings, arc, count):
-    # a code built directly skips validate_pd; every public entry to the
-    # orientation trace must still name the arc, not fail on indexing
+    # building the code checks it, and names the arc rather than failing
+    # on indexing
     message = "arc %d appears %d times, expected 2" % (arc, count)
-    for fn in trace_orientations, compute_signs, oriented_state, mirror:
-        with pytest.raises(InvalidDiagram, match=message):
-            fn(PDCode(crossings))
+    with pytest.raises(InvalidDiagram, match=message):
+        PDCode(crossings)
 
 
 def _random_braids(rng, count):
@@ -395,11 +394,6 @@ def test_regions_walk_every_port_once():
     (((1, 1, 0, 0),), "arc labels must be positive, got 0"),
 ])
 def test_unvalidated_code_with_a_bad_arc_is_invalid(crossings, message):
-    # a PDCode built without validate_pd reaches the region walk directly
-    pd = PDCode(crossings)
+    # no such code reaches the region walk: building it raises
     with pytest.raises(InvalidDiagram, match=message):
-        regions(pd)
-    with pytest.raises(InvalidDiagram, match=message):
-        r2_sites(pd)
-    with pytest.raises(InvalidDiagram, match=message):
-        reidemeister_move(pd, "R2", ((0, 0), (0, 1)))
+        PDCode(crossings)

@@ -20,7 +20,6 @@ from knotfoam.foam import (
     foam_from_json,
     foam_to_json,
     random_closed_foam,
-    validate_foam,
 )
 from knotfoam.polyring import IntPoly2
 
@@ -48,32 +47,46 @@ def theta(dots_u=0, dots_l=0, dots_r=0, squares_r=0, order=("u", "l")):
 
 
 def test_validate_ok():
-    validate_foam(red_sphere())
-    validate_foam(theta())
+    # a foam is checked when built, and keeps its free boundary and the
+    # facets of each binding's blue pages
+    assert red_sphere().free_boundary == () and red_sphere().pages == ()
+    assert theta().free_boundary == ()
+    assert theta().pages == (("U", "L"),)
+    assert theta(order=("l", "u")).pages == (("L", "U"),)
+    cyl = Foam((Facet("c", BLUE, slots=("t", "b")),), ())
+    assert cyl.free_boundary == (("t", BLUE), ("b", BLUE))
+    assert repr(cyl) == "Foam(facets=%r, bindings=())" % (cyl.facets,)
 
 
 def test_validate_rejects_squares_on_blue():
-    with pytest.raises(MalformedFoam):
-        validate_foam(Foam((Facet("b", BLUE, squares=1),), ()))
+    with pytest.raises(MalformedFoam, match="^facet 'b' is blue but carries squares$"):
+        Foam((Facet("b", BLUE, squares=1),), ())
 
 
 def test_validate_rejects_missing_slot():
-    foam = Foam((Facet("b", BLUE, slots=("s",)),), (Binding("x", ("s", "t"), "u"),))
-    with pytest.raises(MalformedFoam):
-        validate_foam(foam)
+    with pytest.raises(MalformedFoam,
+                       match="^binding 'x' references missing slot 't'$"):
+        Foam((Facet("b", BLUE, slots=("s",)),), (Binding("x", ("s", "t"), "u"),))
 
 
 def test_validate_rejects_red_page_on_blue():
-    foam = Foam(
-        (
-            Facet("a", BLUE, slots=("s1",)),
-            Facet("b", BLUE, slots=("s2",)),
-            Facet("c", BLUE, slots=("s3",)),
-        ),
-        (Binding("x", ("s1", "s2"), "s3"),),
-    )
-    with pytest.raises(MalformedFoam):
-        validate_foam(foam)
+    with pytest.raises(MalformedFoam,
+                       match="^binding 'x' red page 's3' is on a blue facet$"):
+        Foam(
+            (
+                Facet("a", BLUE, slots=("s1",)),
+                Facet("b", BLUE, slots=("s2",)),
+                Facet("c", BLUE, slots=("s3",)),
+            ),
+            (Binding("x", ("s1", "s2"), "s3"),),
+        )
+
+
+def test_binding_that_lists_one_slot_twice():
+    # the binding names the slot twice; no second binding is involved
+    facets = (Facet("U", BLUE, slots=("u",)), Facet("R", RED, slots=("r",)))
+    with pytest.raises(MalformedFoam, match="^binding 'beta' lists slot 'u' twice$"):
+        Foam(facets, (Binding("beta", ("u", "u"), "r"),))
 
 
 def test_blue_components():
@@ -203,7 +216,7 @@ def test_red_decoration_multiplies():
     rng = random.Random(10)
     for _ in range(40):
         foam = random_closed_foam(rng)
-        reds = foam.red_facets()
+        reds = [f for f in foam.facets if f.color == RED]
         if not reds:
             continue
         target = reds[0].id
@@ -268,8 +281,7 @@ def _oracle_evaluate(foam):
     """The evaluation restated term by term: for every coloring, the
     product of every facet's weight, signed by chi_subsurface and
     count_n12, then the whole sum divided by (X1 - X2)^(chi(Sb)/2)."""
-    validate_foam(foam)
-    if not foam.is_closed:
+    if foam.free_boundary:
         raise MalformedFoam("cannot evaluate a foam with free boundary")
     total = IntPoly2.zero()
     for coloring in enumerate_colorings(foam):
@@ -326,7 +338,7 @@ def _with_genus(foam, **genus):
 
 
 def test_evaluation_raises_like_the_oracle():
-    # a half-integer genus passes validate_foam (foam_from_json rejects
+    # a half-integer genus passes Foam's checks (foam_from_json rejects
     # one) and makes a facet's Euler characteristic odd
     half = 0.5
     one_facet_pages = Foam(

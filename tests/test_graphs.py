@@ -3,7 +3,8 @@ import random
 import pytest
 
 from knotfoam.diagram import State, braid_to_pd, compute_signs, smooth_state
-from knotfoam.errors import InvalidBraid, InvalidFace, MalformedFoam, ReductionStuck
+from knotfoam.errors import (InvalidBraid, InvalidDiagram, InvalidFace, MalformedFoam,
+                             ReductionStuck)
 from knotfoam.graphs import (
     BLUE,
     RED,
@@ -150,6 +151,16 @@ def test_smoothing_graph_of_unknot():
     g0 = smoothing_graph(pd, State((0,)))
     assert g0.red_edge_count() == 0
     assert g0.circles == 2
+
+
+@pytest.mark.parametrize("state", [(0,), (0, 1), (0, 1, 0, 1)])
+def test_smoothing_graph_rejects_a_state_of_the_wrong_length(state):
+    # as smooth_state does; a short state used to fail on indexing
+    trefoil = braid_to_pd([1, 1, 1], 2)
+    message = "^state length does not match crossing count$"
+    for fn in smoothing_graph, smooth_state:
+        with pytest.raises(InvalidDiagram, match=message):
+            fn(trefoil, State(state))
 
 
 def test_graded_dimension_theorem_random():

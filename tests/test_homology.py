@@ -125,7 +125,7 @@ def test_trefoil_homology():
     pd = braid_to_pd([1, 1, 1], 2)
     cx = build_complex(pd, KH)
     table = integral_homology(cx)
-    assert table.total_rank() == 4
+    assert sum(b for _, _, b, _ in table.rows()) == 4
     assert table.total_torsion() == 1
     assert table.rows() == [
         (0, 1, 1, []),
@@ -305,4 +305,4 @@ def test_homology_table_helpers():
     assert t.betti(0, 1) == 2
     assert t.torsion(1, 3) == [2]
     assert t.betti(9, 9) == 0
-    assert t.total_rank() == 2
+    assert t.rows() == [(0, 1, 2, []), (1, 3, 0, [2])]

@@ -41,6 +41,8 @@ TEST_ONLY = {
     "graph_to_json": "the writer side of graph_from_json",
     "blue_components": "the component count k that the 2**k colorings of "
                        "enumerate_colorings are checked against",
+    "IntPoly2.substitute_equal": "the X1 = X2 collapse that picks the "
+                                 "polynomials X1 - X2 does not divide",
 }
 
 
@@ -59,9 +61,10 @@ def _names(nodes):
 
 
 def test_no_public_helpers_only_tests_call():
-    # every public module-level def or class of src/knotfoam is named
-    # outside tests/: elsewhere in src/ (its own definition and the
-    # __init__.py re-export aside), or in demos/, scripts/ or perfbench/
+    # every public module-level def or class of src/knotfoam, and every
+    # public method or property of such a class, is named outside tests/:
+    # elsewhere in src/ (its own definition and the __init__.py re-export
+    # aside), or in demos/, scripts/ or perfbench/
     modules = {p: ast.parse(p.read_text(), str(p))
                for p in sorted((ROOT / "src" / "knotfoam").glob("*.py"))
                if p.name != "__init__.py"}
@@ -84,5 +87,18 @@ def test_no_public_helpers_only_tests_call():
             used |= _names([n for n in tree.body if n is not node])
             if node.name not in used:
                 test_only.append("%s:%d %s" % (path.name, node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if (not isinstance(method, ast.FunctionDef)
+                            or method.name.startswith("_")):
+                        continue
+                    name = "%s.%s" % (node.name, method.name)
+                    defined.add(name)
+                    if name in TEST_ONLY:
+                        continue
+                    if method.name not in used | _names(
+                            [n for n in node.body if n is not method]):
+                        test_only.append("%s:%d %s" % (path.name, method.lineno,
+                                                       name))
     assert not test_only, test_only
     assert set(TEST_ONLY) <= defined, set(TEST_ONLY) - defined
