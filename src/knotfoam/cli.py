@@ -112,12 +112,8 @@ def _cmd_invariants(args):
     skip = set(args.skip)
     cache_dir = args.cache or os.environ.get("KNOTFOAM_CACHE")
     if cache_dir:
-        # imported only here: hashlib loads OpenSSL, about 3.5 MB of
-        # resident memory that runs without a cache need not pay
-        import hashlib
-
         payload = "|".join((TOOL_VERSION, str(pd), ",".join(sorted(skip))))
-        key = hashlib.sha256(payload.encode()).hexdigest()
+        key = _sha256()(payload.encode()).hexdigest()
         path = os.path.join(cache_dir, key + ".json")
         text = _read_cache(path, args.format)
         if text is not None:
@@ -141,6 +137,22 @@ def _cmd_invariants(args):
     for stage, dt in timings.items():
         print("timing %-10s %.3fs" % (stage, dt), file=sys.stderr)
     return 0
+
+
+@functools.cache
+def _sha256():
+    """The SHA-256 constructor of the interpreter's builtin module, found
+    on the first cached call, as CPython's ``random`` takes ``sha512``.
+    Its digests are ``hashlib``'s, but ``hashlib`` loads OpenSSL, about
+    3.8 MB of resident memory, so it is only the fallback."""
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
 
 def _read_cache(path, fmt):
@@ -194,7 +206,9 @@ def _compute_record(pd, echo, skip, max_crossings):
     fc.check_d_squared()
     with_s = "lee" not in skip and "s" not in skip and components == 1
     classes = oriented_resolution_generators(pd, fc) if with_s else ()
-    res = reduce_complex(fc, cycles=[(c.hom_degree, c.chain) for c in classes])
+    # fc's differentials are not read again: the reduction owns them
+    res = reduce_complex(fc, cycles=[(c.hom_degree, c.chain) for c in classes],
+                         consume=True)
     table = homology_table(res)
     euler = table.graded_euler()
     if euler != jones:

@@ -10,8 +10,12 @@ Schuetz, "A fast algorithm for calculating s-invariants", Glasgow Math.
 J. 2021).  No entry lowers q and fill-in adds the q-jumps of the entries
 it combines, so the q-preserving part of the residue is the reduced
 Khovanov complex over Z, from the Khovanov or the Lee complex alike.
-Smith normal form, the same cancellation on one matrix, finishes its
-small (degree, q) blocks; only invariant factors are computed.
+The reduction either leaves its input as it is, copying each column it
+cancels in, or, with ``consume``, owns the input's differentials and
+cancels in them in place; only a caller that built the complex itself
+hands it over.  Smith normal form, the same cancellation on one matrix,
+finishes its small (degree, q) blocks; only invariant factors are
+computed.
 """
 
 from __future__ import annotations
@@ -136,19 +140,30 @@ class Residue(GradedChainComplex):
     the carried ``cycles``."""
 
 
-def reduce_complex(cx, window=None, cycles=(), rational=False):
+def reduce_complex(cx, window=None, cycles=(), rational=False,
+                   consume=False):
     """The residue of Gaussian elimination on ``cx``, or on its degrees in
     the range ``window``, holding one differential's row and column maps
-    at a time; ``cx`` is left as it is, and the residue's differentials
-    are column maps too.  ``cycles`` are (degree, chain) pairs in the
-    window, carried through every cancellation into ``residue.cycles``.
-    An entry that lowers q, or in a Khovanov complex changes it, is
-    NotAComplex.
+    at a time; the residue's differentials are column maps too.
+    ``cycles`` are (degree, chain) pairs in the window, carried through
+    every cancellation into ``residue.cycles``.  An entry that lowers q,
+    or in a Khovanov complex changes it, is NotAComplex.
+
+    Two ownership modes.  By default ``cx`` is left as it is: every
+    column read is copied before it is cancelled in.  With ``consume``
+    the reduction owns ``cx``'s differentials: ``cx`` is left with none,
+    each d_i is released as it is read and its columns are cancelled in
+    place, so the peak holds no second copy of the cube.  Only a caller
+    that built ``cx`` itself and reads no differential of it afterwards
+    should consume; ``cx`` keeps its q-degrees, runs and q-levels.
 
     With ``rational`` each d_i is then cancelled over Q, smallest q-jump
     first, until it is empty: the E-infinity page (see ``lee``).
     """
     degrees = [i for i in cx.degrees if window is None or i in window]
+    take = cx.differentials.get
+    if consume:
+        take, cx.differentials = cx.differentials.pop, {}
     res = Residue(cx.side, cx.n_plus, cx.n_minus)
     chains = [(i, dict(chain)) for i, chain in cycles]
     dead = set()  # generators of degree i cancelled by d_{i-1}
@@ -156,7 +171,7 @@ def reduce_complex(cx, window=None, cycles=(), rational=False):
     for i in degrees:
         qs, qn = cx.q_degrees(i), cx.q_degrees(i + 1)
         rows, cols = {}, {}
-        for c, col in (cx.matrix(i) if i != degrees[-1] else {}).items():
+        for c, col in (take(i, {}) if i != degrees[-1] else {}).items():
             if c in dead:
                 continue
             q = qs[c]
@@ -165,7 +180,7 @@ def reduce_complex(cx, window=None, cycles=(), rational=False):
                     raise NotAComplex("d_%d sends q-degree %d to q-degree %d"
                                       % (i, q, qn[r]))
                 rows.setdefault(r, {})[c] = v
-            cols[c] = dict(col)
+            cols[c] = col if consume else dict(col)
         targets = [z for j, z in chains if j == i + 1]
         pairs = cancel_units(rows, cols, qn, qs, targets)
         while rational and any(cols.values()):

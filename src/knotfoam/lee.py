@@ -213,20 +213,23 @@ def s_invariant(pd, max_crossings=14, fc=None):
     are cancelled, and the Lee rank in degree i must be 2.  They read
     only the degrees i - 1, i and i + 1, so without ``fc`` only that
     window of the Lee complex is built; it keeps the q-levels of the
-    whole cube, so the profile is the same.  Returns ``(s, detail)``
+    whole cube, so the profile is the same; the reduction owns that
+    window, while a given ``fc`` is left as it is.  Returns ``(s, detail)``
     where detail records s_min, s_max, the filtration profile and the
     filtration degrees of [s_a], [s_b].
     """
     if link_components(pd) != 1:
         raise NotAKnot("the s-invariant needs a one-component diagram")
-    if fc is None:
+    owned = fc is None
+    if owned:
         i = _oriented_degree(pd)[1]
         fc = build_lee(pd, max_crossings=max_crossings,
                        degrees=range(i - 1, i + 2))
     sa, sb = oriented_resolution_generators(pd, fc)
     i = sa.hom_degree
     res = reduce_complex(fc, range(i - 1, i + 2),
-                         [(i, sa.chain), (i, sb.chain)], rational=True)
+                         [(i, sa.chain), (i, sb.chain)], rational=True,
+                         consume=owned)
     return _s_from(res, _levels(fc))
 
 

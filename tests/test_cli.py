@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -169,6 +170,44 @@ def test_corrupt_or_stale_cache_entry_is_a_miss(tmp_path, capsys, corrupt):
     assert (code, out) == (0, cold) and "cache hit" in err
 
 
+@pytest.mark.parametrize("skip", [[], ["s", "lee"]], ids=["all", "skip-s-lee"])
+def test_cache_entry_is_named_by_the_hashlib_digest(tmp_path, capsys, skip):
+    # entries written before the key left hashlib keep their names
+    import hashlib
+
+    argv = ["invariants", "--braid", "1 1 1", "--strands", "2",
+            "--cache", str(tmp_path)]
+    code, _out, _err = run_cli(argv + [a for s in skip for a in ("--skip", s)],
+                               capsys)
+    assert code == 0
+    payload = "|".join((TOOL_VERSION, "X[1,3,4,2];X[3,5,6,4];X[5,1,2,6]",
+                        ",".join(sorted(skip))))
+    (entry,) = tmp_path.iterdir()
+    assert entry.name == hashlib.sha256(payload.encode()).hexdigest() + ".json"
+
+
+def test_cached_call_does_not_load_openssl(tmp_path, capsys):
+    import importlib.util
+
+    if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        pytest.skip("no builtin SHA-256 module in this interpreter")
+    argv = ["invariants", "--braid", "1 1 1", "--strands", "2",
+            "--cache", str(tmp_path)]
+    code, cold, _err = run_cli(argv, capsys)
+    assert code == 0
+    script = ("import sys\n"
+              "from knotfoam.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, '_hashlib' in sys.modules, file=sys.stderr)\n")
+    src = str(pathlib.Path(knotfoam.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script] + argv,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == cold
+    assert "cache hit" in proc.stderr
+    assert proc.stderr.endswith("\n0 False\n")
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KNOTFOAM_CACHE", str(tmp_path))
     code, _out, _err = run_cli(["invariants", "--pd", "", "--format", "json"], capsys)
@@ -287,6 +326,32 @@ def test_internal_invariant_failure_names_the_diagram(monkeypatch, capsys):
         assert code == 4
         assert out == ""
         assert err == prefix + diagram + "\n"
+
+
+def test_exit_4_from_halfway_through_the_owning_reduction(monkeypatch,
+                                                        capsys):
+    # every degree-2 generator of the trefoil one q-step lower: d_0 is
+    # cancelled in place, then d_1's q-preserving entries lower q
+    from knotfoam import cli
+
+    build = cli.build_lee
+    built = []
+
+    def lowered(pd, **kwargs):
+        fc = build(pd, **kwargs)
+        fc.qs[2] = [q - 2 for q in fc.qs[2]]
+        built.append(fc)
+        return fc
+
+    monkeypatch.setattr(cli, "build_lee", lowered)
+    code, out, err = run_cli(["invariants", "--braid", "1 1 1", "--strands",
+                              "2"], capsys)
+    assert (code, out) == (4, "")
+    assert err == ("internal invariant violated: NotAComplex: d_1 sends "
+                   "q-degree 5 to q-degree 3, in diagram "
+                   "'X[1,3,4,2];X[3,5,6,4];X[5,1,2,6]'\n")
+    (fc,) = built
+    assert fc.differentials == {}  # the reduction owned the complex
 
 
 def test_exit_4_messages_name_the_degree(monkeypatch, capsys):

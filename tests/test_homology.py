@@ -306,3 +306,81 @@ def test_homology_table_helpers():
     assert t.torsion(1, 3) == [2]
     assert t.betti(9, 9) == 0
     assert t.rows() == [(0, 1, 2, []), (1, 3, 0, [2])]
+
+
+def _seeded_closures(count):
+    """``count`` closures of random 2-4-strand braids of 1-6 letters."""
+    from knotfoam.errors import InvalidBraid
+
+    rng = random.Random(59)
+    out = []
+    while len(out) < count:
+        strands = rng.randint(2, 4)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 6))]
+        try:
+            out.append(braid_to_pd(word, strands))
+        except InvalidBraid:
+            continue
+    return out
+
+
+def _reductions(pd):
+    """(build, window, cycles, rational) of each reduction an owner runs:
+    the Kh complex, the CLI's Lee complex and, for a knot, the s window
+    carrying the two oriented-resolution cycles."""
+    from knotfoam.diagram import link_components
+    from knotfoam.lee import build_lee, oriented_resolution_generators
+
+    out = [(lambda: build_complex(pd, KH), None, (), False)]
+    if link_components(pd) != 1:
+        return out + [(lambda: build_lee(pd), None, (), False)]
+    classes = [(c.hom_degree, c.chain)
+               for c in oriented_resolution_generators(pd)]
+    i = classes[0][0]
+    window = range(i - 1, i + 2)
+    return out + [(lambda: build_lee(pd), None, classes, False),
+                  (lambda: build_lee(pd, degrees=window), window, classes,
+                   True)]
+
+
+def test_owning_reduction_matches_the_copying_one():
+    for pd in _seeded_closures(20):
+        for build, window, cycles, rational in _reductions(pd):
+            copied = reduce_complex(build(), window, cycles, rational)
+            owned = build()
+            assert owned.differentials
+            res = reduce_complex(owned, window, cycles, rational, consume=True)
+            assert res.qs == copied.qs
+            assert res.differentials == copied.differentials
+            assert res.cycles == copied.cycles
+            assert owned.differentials == {}
+
+
+def test_readers_leave_the_complex_they_are_given_unchanged():
+    import copy
+
+    from knotfoam.diagram import link_components
+    from knotfoam.lee import (build_lee, lee_homology_betti, lee_invariants,
+                              lee_rank, oriented_resolution_generators,
+                              s_invariant)
+
+    for pd in _seeded_closures(20):
+        components = link_components(pd)
+        kh, lee = build_complex(pd, KH), build_lee(pd)
+        knot = components == 1
+        classes = oriented_resolution_generators(pd, lee) if knot else ()
+        res = reduce_complex(lee, cycles=[(c.hom_degree, c.chain)
+                                          for c in classes])
+        given = [kh, lee, res]
+        before = [copy.deepcopy(vars(cx)) for cx in given]
+        integral_homology(kh)
+        integral_homology(lee)
+        lee_rank(lee, components)
+        lee_invariants(lee, res, components)
+        filtration_profile(lee)
+        lee_homology_betti(lee)
+        if knot:
+            class_filtration_degree(lee, classes[0])
+            s_invariant(pd, fc=lee)
+        assert [vars(cx) for cx in given] == before

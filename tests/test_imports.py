@@ -7,6 +7,11 @@ import knotfoam
 PACKAGE = pathlib.Path(knotfoam.__file__).parent
 
 
+# CPython's builtin SHA-256 module is _sha256 up to 3.11 and _sha2 from
+# 3.12; each is in the standard library of its own versions only
+STDLIB = sys.stdlib_module_names | {"_sha2", "_sha256"}
+
+
 def test_no_runtime_dependencies():
     # knotfoam runs on the standard library alone: every import in
     # src/knotfoam is relative, of knotfoam itself, or of a stdlib module
@@ -23,7 +28,7 @@ def test_no_runtime_dependencies():
                 continue
             for name in names:
                 top = name.partition(".")[0]
-                if top != "knotfoam" and top not in sys.stdlib_module_names:
+                if top != "knotfoam" and top not in STDLIB:
                     outside.append("%s:%d %s" % (path.name, node.lineno, name))
     assert not outside, outside
 

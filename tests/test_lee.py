@@ -190,9 +190,10 @@ def test_s_reduces_only_the_oriented_degree(monkeypatch):
     windows = []
     reduce = lee.reduce_complex
 
-    def recording_reduce(cx, window=None, cycles=(), rational=False):
-        res = reduce(cx, window, cycles, rational)
-        windows.append((window, res.degrees, rational))
+    def recording_reduce(cx, window=None, cycles=(), rational=False,
+                         consume=False):
+        res = reduce(cx, window, cycles, rational, consume)
+        windows.append((window, res.degrees, rational, consume))
         return res
 
     monkeypatch.setattr(lee, "reduce_complex", recording_reduce)
@@ -200,8 +201,8 @@ def test_s_reduces_only_the_oriented_degree(monkeypatch):
     pd = braid_to_pd([1, -2, 1, -2], 3)
     i = oriented_resolution_generators(pd)[0].hom_degree
     assert s_invariant(pd)[0] == 0
-    # one call, over Q, on d_{i-1} and d_i only
-    assert windows == [(range(i - 1, i + 2), [i - 1, i, i + 1], True)]
+    # one call, over Q, on d_{i-1} and d_i only, owning the window it built
+    assert windows == [(range(i - 1, i + 2), [i - 1, i, i + 1], True, True)]
 
 
 def test_s_gates_name_the_degree(monkeypatch):
