@@ -42,8 +42,8 @@ print("unknot filtration profile:", filtration_profile(build_lee(pd)))
 
 # The generating cycles expand the idempotent labels 1 +- X.
 fc = build_lee(pd)
-sa, sb = oriented_resolution_generators(pd, fc)
-print("s_a chain:", sa.chain, " s_b chain:", sb.chain)
+(_, chain_a), (_, chain_b) = oriented_resolution_generators(pd, fc)
+print("s_a chain:", chain_a, " s_b chain:", chain_b)
 
 # -- the s-invariant ---------------------------------------------------------
 print()

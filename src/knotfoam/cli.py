@@ -30,7 +30,7 @@ from .diagram import braid_to_pd, link_components, parse_pd, compute_signs
 from .foam import evaluate_foam, foam_from_json
 from .graphs import graded_dimension, graph_evaluation, graph_from_json
 from .homology import homology_table, reduce_complex
-from .khovanov import graded_euler_characteristic
+from .khovanov import MAX_CROSSINGS, graded_euler_characteristic
 from .lee import (build_lee, lee_invariants, oriented_resolution_generators,
                   slice_genus_lower_bound)
 from .relations import verify_all_relations
@@ -51,7 +51,7 @@ def _parser():
     inv.add_argument("--format", choices=("table", "json"), default="table")
     inv.add_argument("--cache", default=None, help="cache directory "
                      "(default: KNOTFOAM_CACHE environment variable)")
-    inv.add_argument("--max-crossings", type=int, default=14)
+    inv.add_argument("--max-crossings", type=int, default=MAX_CROSSINGS)
     inv.add_argument("--skip", action="append", default=[],
                      choices=("lee", "s"), help="skip an invariant")
 
@@ -207,8 +207,7 @@ def _compute_record(pd, echo, skip, max_crossings):
     with_s = "lee" not in skip and "s" not in skip and components == 1
     classes = oriented_resolution_generators(pd, fc) if with_s else ()
     # fc's differentials are not read again: the reduction owns them
-    res = reduce_complex(fc, cycles=[(c.hom_degree, c.chain) for c in classes],
-                         consume=True)
+    res = reduce_complex(fc, cycles=classes, consume=True)
     table = homology_table(res)
     euler = table.graded_euler()
     if euler != jones:
@@ -238,7 +237,7 @@ def _compute_record(pd, echo, skip, max_crossings):
 
     if "lee" not in skip:
         t0 = time.perf_counter()
-        record["lee_rank"], knot = lee_invariants(fc, res, components)
+        record["lee_rank"], knot = lee_invariants(res, components)
         if knot is not None:
             s, detail = knot
             record.update(s=s, s_min=detail["s_min"], s_max=detail["s_max"],

@@ -209,24 +209,22 @@ def parse_pd(text):
         try:
             data = ast.literal_eval(text)
         except (ValueError, SyntaxError, MemoryError, RecursionError) as exc:
-            raise ParseError("malformed PD list", position=0) from exc
+            raise ParseError("malformed PD list") from exc
         # rows of four ints; bools, floats and strings are not coerced
         if not isinstance(data, (list, tuple)) or not all(
             isinstance(row, (list, tuple)) and len(row) == 4
             and all(type(v) is int for v in row)
             for row in data
         ):
-            raise ParseError("PD list must hold rows of four integers", position=0)
+            raise ParseError("PD list must hold rows of four integers")
         return PDCode(tuple(data))
     crossings = []
-    pos = 0
     for chunk in text.split(";"):
-        chunk_stripped = chunk.strip()
-        m = _PD_TOKEN.fullmatch(chunk_stripped)
+        chunk = chunk.strip()
+        m = _PD_TOKEN.fullmatch(chunk)
         if not m:
-            raise ParseError("expected X[a,b,c,d] at %r" % chunk_stripped, position=pos)
+            raise ParseError("expected X[a,b,c,d] at %r" % chunk)
         crossings.append(tuple(int(g) for g in m.groups()))
-        pos += len(chunk) + 1
     return PDCode(tuple(crossings))
 
 
@@ -251,7 +249,6 @@ def braid_to_pd(word, strands):
         raise InvalidBraid("closure has a crossingless component")
 
     cur = {pos: pos for pos in range(1, strands + 1)}
-    initial = dict(cur)
     next_arc = strands + 1
     crossings = []
     for w in word:
@@ -266,12 +263,8 @@ def braid_to_pd(word, strands):
             crossings.append((cur[k + 1], cur[k], fresh1, fresh2))
             cur[k], cur[k + 1] = fresh1, fresh2
 
-    rename = {}
-    for pos in range(1, strands + 1):
-        final = cur[pos]
-        if final == initial[pos]:
-            raise InvalidBraid("closure has a crossingless component")
-        rename[final] = initial[pos]
+    # every strand took a fresh label at its last crossing: close it up
+    rename = {final: pos for pos, final in cur.items()}
     crossings = [tuple(rename.get(a, a) for a in c) for c in crossings]
 
     labels = sorted({a for c in crossings for a in c})

@@ -41,10 +41,6 @@ class ReductionStuck(InternalError):
 class ParseError(InputError):
     """Input text does not match the expected grammar."""
 
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
-
 
 class InvalidDiagram(InputError):
     """A crossing list fails the arc-multiplicity or orientation checks."""

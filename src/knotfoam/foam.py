@@ -481,15 +481,16 @@ def verify_local_relation(lhs, rhs, max_dots=2):
 # -- random foams -----------------------------------------------------
 
 
-def random_closed_foam(rng, max_facets=8, max_genus=2, max_decoration=3):
+def random_closed_foam(rng):
     """A random valid closed foam, colorable by construction.
 
-    Blue facets receive a fixed parity bit and bindings only join blue
-    facets of opposite parity, which keeps the page-adjacency graph
-    bipartite.
+    It has 1-5 blue and 0-3 red facets, each of genus 0-2 with 0-3 dots
+    (and 0-3 squares if red).  Blue facets receive a fixed parity bit and
+    bindings only join blue facets of opposite parity, which keeps the
+    page-adjacency graph bipartite.
     """
-    n_blue = rng.randint(1, min(5, max_facets - 1))
-    n_red = rng.randint(0, max(0, min(3, max_facets - n_blue)))
+    n_blue = rng.randint(1, 5)
+    n_red = rng.randint(0, 3)
     n_bindings = rng.randint(0, 6)
     if n_bindings and n_red == 0:
         n_red = 1
@@ -528,8 +529,8 @@ def random_closed_foam(rng, max_facets=8, max_genus=2, max_decoration=3):
             Facet(
                 fid,
                 BLUE,
-                genus=rng.randint(0, max_genus),
-                dots=rng.randint(0, max_decoration),
+                genus=rng.randint(0, 2),
+                dots=rng.randint(0, 3),
                 slots=tuple(slots[fid]),
             )
         )
@@ -538,9 +539,9 @@ def random_closed_foam(rng, max_facets=8, max_genus=2, max_decoration=3):
             Facet(
                 fid,
                 RED,
-                genus=rng.randint(0, max_genus),
-                dots=rng.randint(0, max_decoration),
-                squares=rng.randint(0, max_decoration),
+                genus=rng.randint(0, 2),
+                dots=rng.randint(0, 3),
+                squares=rng.randint(0, 3),
                 slots=tuple(slots[fid]),
             )
         )

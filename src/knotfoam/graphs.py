@@ -399,8 +399,9 @@ def smoothing_graph(pd, state):
     return TrivalentGraph(rotations, pairing, colors, circles)
 
 
-def random_planar_graph(rng, max_vertices=12):
-    """A random smoothing graph of a random braid closure."""
+def random_planar_graph(rng):
+    """A random smoothing graph of a random braid closure, with 1-12
+    vertices."""
     from .diagram import braid_to_pd
 
     while True:
@@ -416,7 +417,7 @@ def random_planar_graph(rng, max_vertices=12):
             continue
         state = State(tuple(rng.randint(0, 1) for _ in range(pd.n)))
         g = smoothing_graph(pd, state)
-        if 2 * len(g.rotations) <= 2 * max_vertices and g.rotations:
+        if 0 < len(g.rotations) <= 12:
             return g
 
 

@@ -136,8 +136,8 @@ class HomologyTable:
 
 class Residue(GradedChainComplex):
     """What :func:`reduce_complex` leaves: the q-degrees the input
-    reported for the surviving generators, the reduced differentials, and
-    the carried ``cycles``."""
+    reported for the surviving generators, the reduced differentials, its
+    ``q_levels`` and the carried ``cycles``."""
 
 
 def reduce_complex(cx, window=None, cycles=(), rational=False,
@@ -165,6 +165,7 @@ def reduce_complex(cx, window=None, cycles=(), rational=False,
     if consume:
         take, cx.differentials = cx.differentials.pop, {}
     res = Residue(cx.side, cx.n_plus, cx.n_minus)
+    res.q_levels = cx.q_levels
     chains = [(i, dict(chain)) for i, chain in cycles]
     dead = set()  # generators of degree i cancelled by d_{i-1}
     above = {}    # what is left of d_{i-1}, its columns renumbered

@@ -27,6 +27,7 @@ from .polyring import LaurentQ
 
 KH = "Kh"
 LEE = "Lee"
+MAX_CROSSINGS = 14  # the default limit of a cube build, 2^n states
 
 
 def frobenius(e1, e2):
@@ -133,7 +134,7 @@ def _state_tuple(mask, n):
     return tuple((mask >> j) & 1 for j in range(n))
 
 
-def build_complex(pd, side=KH, max_crossings=14, degrees=None):
+def build_complex(pd, side=KH, max_crossings=MAX_CROSSINGS, degrees=None):
     """Build the Khovanov or Lee complex of a diagram, or a window of it.
 
     The Lee complex carries the same generators and q-degrees; its
@@ -277,7 +278,7 @@ def graded_euler_characteristic(cx):
     return total
 
 
-def kauffman_oracle(pd, max_crossings=14):
+def kauffman_oracle(pd):
     """Unnormalized Jones polynomial by direct state sum.
 
     Independent of the chain-complex machinery: walks all 2^n
@@ -287,8 +288,8 @@ def kauffman_oracle(pd, max_crossings=14):
     unknot gives q + q^-1.
     """
     n = pd.n
-    if n > max_crossings:
-        raise TooLarge("%d crossings exceeds limit %d" % (n, max_crossings))
+    if n > MAX_CROSSINGS:
+        raise TooLarge("%d crossings exceeds limit %d" % (n, MAX_CROSSINGS))
     n_plus, n_minus, _ = compute_signs(pd)
     circle = LaurentQ.circle()
     total = LaurentQ.zero()

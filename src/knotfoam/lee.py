@@ -27,43 +27,37 @@ the least q in its support.
 
 s reads only the degrees i - 1, i and i + 1 around the oriented
 resolution's degree i (as in Schuetz, "A fast algorithm for calculating
-s-invariants", Glasgow Math. J. 2021), so on its own it builds only
-that window of the cube; the levels still span the whole cube.
+s-invariants", Glasgow Math. J. 2021), so it builds only that window of
+the cube and hands it to the reduction; the levels still span the whole
+cube, and the residue keeps them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .diagram import compute_signs, link_components, oriented_state
 from .errors import NotACycle, NotAKnot, PropositionViolated, RankMismatch
 from .homology import reduce_complex
-from .khovanov import LEE, build_complex
+from .khovanov import LEE, MAX_CROSSINGS, build_complex
 
 
-def build_lee(pd, max_crossings=14, degrees=None):
+def build_lee(pd, max_crossings=MAX_CROSSINGS, degrees=None):
     """The Lee complex of a diagram (generators and q-degrees as in Kh),
     or its window of homological ``degrees`` as in ``build_complex``."""
     return build_complex(pd, LEE, max_crossings=max_crossings, degrees=degrees)
 
 
-def lee_homology_betti(fc):
-    """Rational betti number of the Lee homology per homological degree."""
-    e_inf = reduce_complex(fc, rational=True)
-    return {i: len(qs) for i, qs in e_inf.qs.items() if qs}
-
-
 def lee_rank(fc, components):
     """Total Lee homology rank; must equal 2**components."""
-    return lee_invariants(fc, reduce_complex(fc), components)[0]
+    return lee_invariants(reduce_complex(fc), components)[0]
 
 
-def lee_invariants(fc, res, components):
+def lee_invariants(res, components):
     """Lee rank and (s, detail) or None, from one E-infinity page.
 
-    ``res`` is the residue of the Lee complex ``fc``; s comes when it
-    carries the two oriented-resolution classes of a knot.
+    ``res`` is the residue of a Lee complex; s comes when it carries the
+    two oriented-resolution classes of a knot.
     """
     e_inf = reduce_complex(res, cycles=res.cycles, rational=True)
     total = e_inf.total_dim()
@@ -72,15 +66,7 @@ def lee_invariants(fc, res, components):
             "Lee homology has rank %d, expected %d (survivors per degree %s)"
             % (total, 2 ** components,
                {i: len(qs) for i, qs in e_inf.qs.items() if qs}))
-    return total, (_s_from(e_inf, _levels(fc)) if res.cycles else None)
-
-
-@dataclass(frozen=True)
-class LeeClass:
-    """A Lee cycle written in the generator basis of one degree."""
-
-    hom_degree: int
-    chain: dict  # generator index -> integer coefficient
+    return total, (_s_from(e_inf) if res.cycles else None)
 
 
 def _apply(matrix, chain):
@@ -91,7 +77,7 @@ def _apply(matrix, chain):
     return {k: v for k, v in out.items() if v}
 
 
-def oriented_resolution_generators(pd, fc=None):
+def oriented_resolution_generators(pd, fc):
     """The two generating cycles at the oriented resolution.
 
     Each circle of the oriented smoothing carries one of the idempotent
@@ -102,13 +88,13 @@ def oriented_resolution_generators(pd, fc=None):
     (1+X)(1-X) = 1 - X^2 = 0 in the deformed algebra.  The sign pattern
     exists because two circles joined by a crossing never coincide and
     the circle adjacency graph is bipartite; s_a roots the smallest
-    circle at +1 and s_b is its complement.  Both chains are verified to
-    be Lee cycles.  Without ``fc`` only the degrees i and i + 1 of the
-    Lee complex are built, i being the oriented resolution's degree.
+    circle at +1 and s_b is its complement.  ``fc`` is the Lee complex
+    of ``pd``, or a window of it that holds the oriented resolution's
+    degree i and i + 1.  Both chains are verified to be Lee cycles and
+    come back as the (i, chain) pairs that ``reduce_complex`` carries;
+    a chain maps generator indices of degree i to integers.
     """
     st, degree = _oriented_degree(pd)
-    if fc is None:
-        fc = build_lee(pd, degrees=range(degree, degree + 2))
     epsilon = _alternating_signs(pd, st)
 
     chain_a = {}
@@ -124,7 +110,7 @@ def oriented_resolution_generators(pd, fc=None):
     for name, chain in (("s_a", chain_a), ("s_b", chain_b)):
         if _apply(fc.matrix(degree), chain):
             raise NotACycle("%s is not a Lee cycle" % name)
-    return LeeClass(degree, chain_a), LeeClass(degree, chain_b)
+    return (degree, chain_a), (degree, chain_b)
 
 
 def _oriented_degree(pd):
@@ -193,49 +179,31 @@ def filtration_profile(fc):
     return _profile([q for qs in e_inf.qs.values() for q in qs], _levels(fc))
 
 
-def class_filtration_degree(fc, cls):
-    """Largest level j with [cls] in the image of H(F^j) -> H(C).
-
-    The class is represented by a cycle z; [z] lies in that image iff
-    z = z' + d(w) with z' supported in F^j.  Only d_{i-1} is cancelled.
-    """
-    i = cls.hom_degree
-    res = reduce_complex(fc, range(i - 1, i + 1), [(i, cls.chain)],
-                         rational=True)
-    return _class_degree(res.q_degrees(i), res.cycles[0][1], fc.q_levels[-1])
-
-
-def s_invariant(pd, max_crossings=14, fc=None):
+def s_invariant(pd):
     """The s-invariant of a knot diagram, with its structural checks.
 
-    ``fc`` is the Lee complex of ``pd`` when the caller has built it
-    already.  Only d_{i-1} and d_i at the oriented-resolution degree i
-    are cancelled, and the Lee rank in degree i must be 2.  They read
-    only the degrees i - 1, i and i + 1, so without ``fc`` only that
-    window of the Lee complex is built; it keeps the q-levels of the
-    whole cube, so the profile is the same; the reduction owns that
-    window, while a given ``fc`` is left as it is.  Returns ``(s, detail)``
-    where detail records s_min, s_max, the filtration profile and the
-    filtration degrees of [s_a], [s_b].
+    Only d_{i-1} and d_i at the oriented-resolution degree i are
+    cancelled, and the Lee rank in degree i must be 2.  They read only
+    the degrees i - 1, i and i + 1, so only that window of the Lee
+    complex is built, and the reduction owns it; the window keeps the
+    q-levels of the whole cube, so the profile is that of the whole
+    complex.  Returns ``(s, detail)`` where detail records s_min, s_max,
+    the filtration profile and the filtration degrees of [s_a], [s_b].
     """
     if link_components(pd) != 1:
         raise NotAKnot("the s-invariant needs a one-component diagram")
-    owned = fc is None
-    if owned:
-        i = _oriented_degree(pd)[1]
-        fc = build_lee(pd, max_crossings=max_crossings,
-                       degrees=range(i - 1, i + 2))
-    sa, sb = oriented_resolution_generators(pd, fc)
-    i = sa.hom_degree
-    res = reduce_complex(fc, range(i - 1, i + 2),
-                         [(i, sa.chain), (i, sb.chain)], rational=True,
-                         consume=owned)
-    return _s_from(res, _levels(fc))
+    i = _oriented_degree(pd)[1]
+    window = range(i - 1, i + 2)
+    fc = build_lee(pd, degrees=window)
+    res = reduce_complex(fc, window, oriented_resolution_generators(pd, fc),
+                         rational=True, consume=True)
+    return _s_from(res)
 
 
-def _s_from(e_inf, keys):
+def _s_from(e_inf):
     """s and its detail from an E-infinity page whose degree i, at least,
     is exact, carrying [s_a], [s_b] in degree i."""
+    keys = _levels(e_inf)
     (i, chain_a), (_i, chain_b) = e_inf.cycles
     qs = e_inf.q_degrees(i)
     if len(qs) != 2:

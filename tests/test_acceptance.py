@@ -91,7 +91,7 @@ def test_criterion_2_symmetry_proposition():
     with criterion(2, 10, "500 random foams evaluate symmetric and exact"):
         rng = random.Random(2024)
         for _ in range(500):
-            foam = random_closed_foam(rng, max_facets=8, max_decoration=3)
+            foam = random_closed_foam(rng)
             value = evaluate_foam(foam)  # NonExactDivision would raise
             assert value.is_symmetric()
 
@@ -120,8 +120,7 @@ def test_criterion_4_graded_dimension_theorem():
             TrivalentGraph({}, {}, {}, circles=3),
         ]
         rng = random.Random(4)
-        graphs = fixtures + [random_planar_graph(rng, max_vertices=12)
-                             for _ in range(200)]
+        graphs = fixtures + [random_planar_graph(rng) for _ in range(200)]
         for g in graphs:
             assert graded_dimension(g) == graph_evaluation(g)
             # the face finder never gives up while red edges remain

@@ -21,7 +21,7 @@ from knotfoam.khovanov import (
     graded_euler_characteristic,
     kauffman_oracle,
 )
-from knotfoam.lee import LeeClass, class_filtration_degree, filtration_profile
+from knotfoam.lee import filtration_profile
 
 
 def _entries(m):
@@ -201,7 +201,11 @@ def test_filtered_elimination_by_hand():
     assert e_inf.cycles == [(1, {0: Fraction(-1, 2)})]
     cx.q_levels = range(0, 5, 2)
     assert filtration_profile(cx) == {0: 1, 2: 1, 4: 1, 5: 0}
-    assert class_filtration_degree(cx, LeeClass(1, {0: 1, 1: 1})) == 4
+    # cancelling d_0 alone leaves [p + r] supported at q 4 only, so its
+    # filtration degree is 4; the residue keeps the complex's q-levels
+    res = reduce_complex(cx, range(0, 2), carried, rational=True)
+    assert [res.q_degrees(1)[r] for r in res.cycles[0][1]] == [4]
+    assert res.q_levels == cx.q_levels
 
 
 def test_integral_reduction_keeps_int_entries():
@@ -335,8 +339,7 @@ def _reductions(pd):
     out = [(lambda: build_complex(pd, KH), None, (), False)]
     if link_components(pd) != 1:
         return out + [(lambda: build_lee(pd), None, (), False)]
-    classes = [(c.hom_degree, c.chain)
-               for c in oriented_resolution_generators(pd)]
+    classes = oriented_resolution_generators(pd, build_lee(pd))
     i = classes[0][0]
     window = range(i - 1, i + 2)
     return out + [(lambda: build_lee(pd), None, classes, False),
@@ -361,26 +364,24 @@ def test_readers_leave_the_complex_they_are_given_unchanged():
     import copy
 
     from knotfoam.diagram import link_components
-    from knotfoam.lee import (build_lee, lee_homology_betti, lee_invariants,
-                              lee_rank, oriented_resolution_generators,
-                              s_invariant)
+    from knotfoam.lee import (build_lee, lee_invariants, lee_rank,
+                              oriented_resolution_generators)
 
     for pd in _seeded_closures(20):
         components = link_components(pd)
         kh, lee = build_complex(pd, KH), build_lee(pd)
         knot = components == 1
         classes = oriented_resolution_generators(pd, lee) if knot else ()
-        res = reduce_complex(lee, cycles=[(c.hom_degree, c.chain)
-                                          for c in classes])
+        res = reduce_complex(lee, cycles=classes)
         given = [kh, lee, res]
         before = [copy.deepcopy(vars(cx)) for cx in given]
         integral_homology(kh)
         integral_homology(lee)
         lee_rank(lee, components)
-        lee_invariants(lee, res, components)
+        lee_invariants(res, components)
         filtration_profile(lee)
-        lee_homology_betti(lee)
+        reduce_complex(lee, rational=True)
         if knot:
-            class_filtration_degree(lee, classes[0])
-            s_invariant(pd, fc=lee)
+            i = classes[0][0]
+            reduce_complex(lee, range(i - 1, i + 1), classes[:1], rational=True)
         assert [vars(cx) for cx in given] == before

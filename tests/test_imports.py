@@ -39,10 +39,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 TEST_ONLY = {
     "chi_subsurface": "with count_n12, the term-by-term oracle of evaluate_foam",
     "count_n12": "with chi_subsurface, the term-by-term oracle of evaluate_foam",
-    "class_filtration_degree": "the degree of an arbitrary Lee class, checked "
-                               "against the rank oracle",
-    "lee_homology_betti": "Lee homology in an arbitrary degree, checked against "
-                          "the rank oracle",
     "graph_to_json": "the writer side of graph_from_json",
     "blue_components": "the component count k that the 2**k colorings of "
                        "enumerate_colorings are checked against",

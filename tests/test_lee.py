@@ -9,16 +9,16 @@ from knotfoam.diagram import (braid_to_pd, compute_signs, link_components,
 from knotfoam.errors import InvalidBraid, NotAKnot, PropositionViolated, RankMismatch
 from knotfoam.lee import (
     build_lee,
-    class_filtration_degree,
     filtration_profile,
-    lee_homology_betti,
+    lee_invariants,
     lee_rank,
     oriented_resolution_generators,
     s_invariant,
     slice_genus_lower_bound,
 )
-from knotfoam.homology import smith_normal_form
-from knotfoam.khovanov import KH, build_complex
+from knotfoam.homology import reduce_complex, smith_normal_form
+from knotfoam.khovanov import KH, build_complex, kauffman_oracle
+from knotfoam.polyring import LaurentQ
 
 
 def test_unknot_lee_complex():
@@ -80,10 +80,10 @@ def test_phi_raises_q_by_four():
 def test_unknot_generators():
     pd = parse_pd("")
     fc = build_lee(pd)
-    sa, sb = oriented_resolution_generators(pd, fc)
+    (_, chain_a), (_, chain_b) = oriented_resolution_generators(pd, fc)
     gens = [fc.generator(0, k) for k in range(fc.dim(0))]
-    coeff_a = {gens[i].labels: v for i, v in sa.chain.items()}
-    coeff_b = {gens[i].labels: v for i, v in sb.chain.items()}
+    coeff_a = {gens[i].labels: v for i, v in chain_a.items()}
+    coeff_b = {gens[i].labels: v for i, v in chain_b.items()}
     assert coeff_a == {(0,): 1, (1,): 1}     # 1 + X
     assert coeff_b == {(0,): 1, (1,): -1}    # 1 - X
 
@@ -91,17 +91,16 @@ def test_unknot_generators():
 def test_generators_are_cycles():
     for word, strands in ([1, 1, 1], 2), ([1, -2, 1, -2], 3), ([1], 2):
         pd = braid_to_pd(word, strands)
-        oriented_resolution_generators(pd)  # raises NotACycle on failure
+        # raises NotACycle on failure
+        oriented_resolution_generators(pd, build_lee(pd))
 
 
 def test_scaling_preserves_filtration_degree():
-    from knotfoam.lee import LeeClass
-
     pd = braid_to_pd([1, 1, 1], 2)
     fc = build_lee(pd)
     sa, _sb = oriented_resolution_generators(pd, fc)
-    scaled = LeeClass(sa.hom_degree, {k: 3 * v for k, v in sa.chain.items()})
-    assert class_filtration_degree(fc, scaled) == class_filtration_degree(fc, sa)
+    scaled = (sa[0], {k: 3 * v for k, v in sa[1].items()})
+    assert _class_degree(fc, scaled) == _class_degree(fc, sa)
 
 
 def test_unknot_profile():
@@ -148,8 +147,9 @@ def test_s_structure():
 
 
 def test_s_with_prebuilt_complex():
-    # without fc, s builds only degrees i - 1 .. i + 1 of the Lee complex;
-    # the whole (s, detail) must match the one read off the full build
+    # s builds only degrees i - 1 .. i + 1 of the Lee complex; the whole
+    # (s, detail) must match the one lee_invariants reads off the full
+    # build, as the CLI does
     knots = [braid_to_pd([1, 1, 1], 2), braid_to_pd([1, -2, 1, -2], 3),
              braid_to_pd([-1, -1, -1], 2)]
     rng = random.Random(63)
@@ -158,7 +158,10 @@ def test_s_with_prebuilt_complex():
                   if link_components(pd) == 1]
     for pd in knots:
         for diagram in pd, mirror(pd):
-            assert s_invariant(diagram, fc=build_lee(diagram)) == s_invariant(diagram)
+            fc = build_lee(diagram)
+            res = reduce_complex(
+                fc, cycles=oriented_resolution_generators(diagram, fc))
+            assert lee_invariants(res, 1)[1] == s_invariant(diagram)
 
 
 def test_s_of_t_2_13_from_its_window():
@@ -169,7 +172,8 @@ def test_s_of_t_2_13_from_its_window():
 
 
 def test_generators_without_a_prebuilt_complex():
-    # without fc only degrees i and i + 1 are built
+    # a window of degrees i and i + 1 gives the generators of the full
+    # build
     rng = random.Random(64)
     knots = [parse_pd("")]
     while len(knots) < 21:
@@ -177,8 +181,12 @@ def test_generators_without_a_prebuilt_complex():
                   if link_components(pd) == 1]
     for pd in knots:
         for diagram in pd, mirror(pd):
-            assert (oriented_resolution_generators(diagram)
-                    == oriented_resolution_generators(diagram, build_lee(diagram)))
+            full = oriented_resolution_generators(diagram,
+                                                  build_lee(diagram))
+            i = full[0][0]
+            window = build_lee(diagram, degrees=range(i, i + 2))
+            assert set(window.degrees) <= {i, i + 1}
+            assert oriented_resolution_generators(diagram, window) == full
 
 
 def test_s_reduces_only_the_oriented_degree(monkeypatch):
@@ -199,7 +207,7 @@ def test_s_reduces_only_the_oriented_degree(monkeypatch):
     monkeypatch.setattr(lee, "reduce_complex", recording_reduce)
     monkeypatch.setattr(lee, "lee_rank", no_rank)
     pd = braid_to_pd([1, -2, 1, -2], 3)
-    i = oriented_resolution_generators(pd)[0].hom_degree
+    i = oriented_resolution_generators(pd, build_lee(pd))[0][0]
     assert s_invariant(pd)[0] == 0
     # one call, over Q, on d_{i-1} and d_i only, owning the window it built
     assert windows == [(range(i - 1, i + 2), [i - 1, i, i + 1], True, True)]
@@ -210,6 +218,10 @@ def test_s_gates_name_the_degree(monkeypatch):
 
     unknot = parse_pd("")
 
+    def lee_builds(fc):
+        # s_invariant builds its window through lee.build_lee
+        monkeypatch.setattr(lee, "build_lee", lambda pd, degrees: fc)
+
     def unknot_with_q(qs):
         # generator 0 is labelled 1, generator 1 is labelled X
         fc = build_lee(unknot)
@@ -217,19 +229,23 @@ def test_s_gates_name_the_degree(monkeypatch):
         fc.q_levels = range(min(qs), max(qs) + 1, 2)
         return fc
 
+    lee_builds(unknot_with_q((3, -1)))
     with pytest.raises(PropositionViolated, match="degree 0: s_max = 3"):
-        s_invariant(unknot, fc=unknot_with_q((3, -1)))
+        s_invariant(unknot)
+    lee_builds(unknot_with_q((2, 0)))
     with pytest.raises(PropositionViolated,
                        match=r"degree 0: s = 1 is odd \(q-levels 0, 2\)"):
-        s_invariant(unknot, fc=unknot_with_q((2, 0)))
+        s_invariant(unknot)
     # without d_{-1} every degree-0 chain of the negative trefoil survives
     trefoil = braid_to_pd([-1, -1, -1], 2)
     fc = build_lee(trefoil)
     del fc.differentials[-1]
+    lee_builds(fc)
     with pytest.raises(RankMismatch, match=r"degree 0 has rank 4 \(q-level -9\)"):
-        s_invariant(trefoil, fc=fc)
+        s_invariant(trefoil)
+    monkeypatch.undo()
     monkeypatch.setattr(lee, "oriented_resolution_generators", lambda pd, fc: (
-        lee.LeeClass(0, {0: 1}), lee.LeeClass(0, {0: 1, 1: -1})))
+        (0, {0: 1}), (0, {0: 1, 1: -1})))
     with pytest.raises(PropositionViolated, match=r"degree 0: .* is \(1, -1\)"):
         s_invariant(unknot)
 
@@ -253,6 +269,36 @@ def test_s_invariant_under_moves():
         else:
             pd = reidemeister_move(pd, mv, rng.choice(sorted(pd.arcs())))
         assert s_invariant(pd)[0] == s0
+
+
+def test_connected_sum_adds_s_and_multiplies_jones():
+    # beta1 on strands 1..a and beta2 shifted onto strands a..a+b-1 share
+    # strand a, so the closure is the connected sum K1 # K2 of the two
+    # closures.  s is additive under #, and the unnormalized Jones
+    # polynomial of a sum times q + q^-1 is the product of the factors'.
+    # 24 pairs of knots with s != 0, of 2-5 crossings each, so each sum
+    # has 10 crossings or fewer.
+    rng = random.Random(65)
+    factors = []
+    while len(factors) < 48:
+        strands = rng.randint(2, 3)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(2, 5))]
+        try:
+            pd = braid_to_pd(word, strands)
+        except InvalidBraid:
+            continue
+        if link_components(pd) == 1 and s_invariant(pd)[0]:
+            factors.append((word, strands, pd))
+    for (w1, a, k1), (w2, b, k2) in zip(factors[::2], factors[1::2]):
+        shift = a - 1
+        total = braid_to_pd(w1 + [x + shift if x > 0 else x - shift
+                                  for x in w2], a + b - 1)
+        assert link_components(total) == 1, (w1, w2)
+        assert (s_invariant(total)[0]
+                == s_invariant(k1)[0] + s_invariant(k2)[0]), (w1, w2)
+        assert (kauffman_oracle(total) * LaurentQ.circle()
+                == kauffman_oracle(k1) * kauffman_oracle(k2)), (w1, w2)
 
 
 def test_slice_bennequin_bounds(capsys):
@@ -299,7 +345,8 @@ def test_s_rejects_links():
 
 def test_lee_betti_concentrated_for_knots():
     fc = build_lee(braid_to_pd([1, 1, 1], 2))
-    assert lee_homology_betti(fc) == {0: 2}
+    e_inf = reduce_complex(fc, rational=True)
+    assert {i: len(qs) for i, qs in e_inf.qs.items() if qs} == {0: 2}
 
 
 def test_knot_q_degrees_share_parity():
@@ -357,15 +404,26 @@ def _in_column_span(entries, vector):
     return _rank(augmented) == _rank(entries)
 
 
+def _class_degree(fc, cls):
+    """Largest level j with the class (i, chain) in the image of
+    H(F^j) -> H(C), from the E-infinity page of d_{i-1} alone: the least
+    q in what is left of the chain."""
+    i = cls[0]
+    res = reduce_complex(fc, range(i - 1, i + 1), [cls], rational=True)
+    return min((res.q_degrees(i)[r] for r in res.cycles[0][1]),
+               default=fc.q_levels[-1])
+
+
 def _oracle_class_degree(fc, cls):
     """Largest level j whose part of the chain below j is a boundary there."""
-    qs = fc.q_degrees(cls.hom_degree)
+    i, chain = cls
+    qs = fc.q_degrees(i)
     levels = sorted({q for i in fc.degrees for q in fc.q_degrees(i)})
     best = None
     for j in levels:
         low = [q < j for q in qs]
-        below = _restrict(fc.matrix(cls.hom_degree - 1), row=lambda r: low[r])
-        if not _in_column_span(below, {r: v for r, v in cls.chain.items()
+        below = _restrict(fc.matrix(i - 1), row=lambda r: low[r])
+        if not _in_column_span(below, {r: v for r, v in chain.items()
                                        if low[r]}):
             break
         best = j
@@ -400,10 +458,11 @@ def test_reduction_matches_rank_oracle():
         fc = build_lee(pd)
         profile = filtration_profile(fc)
         assert profile == _oracle_profile(fc), pd
-        assert profile[min(profile)] == sum(lee_homology_betti(fc).values())
+        assert profile[min(profile)] == reduce_complex(
+            fc, rational=True).total_dim()
         if link_components(pd) == 1:
             knot_count += 1
             for cls in oriented_resolution_generators(pd, fc):
-                assert (class_filtration_degree(fc, cls)
+                assert (_class_degree(fc, cls)
                         == _oracle_class_degree(fc, cls)), pd
     assert knot_count >= 20
