@@ -34,15 +34,19 @@ if it is not well formed; it then carries its free boundary and the
 facets of each binding's blue pages.  The evaluation runs in two parts.
 The first reads no dots: it walks the blue pages, enumerates the colorings,
 checks the parity of chi(S1) and chi(Sb), and keeps each coloring's
-sign and the blue facets it colors 1.  The second takes the facet dots:
-it sums the signed monomials, divides by (X1 - X2)^(chi(Sb)/2) and
-multiplies by R.  The relation harness closes every term with disk caps
-in (max_dots + 1)^m ways, m the number of free circles.  A cap erases
-its circle and adds its dots to the facet.  Every closure of a term
-erases the same circles and keeps every genus and binding, so the
-closures differ only in dots and share their colorings, signs and Euler
-characteristics.  The harness therefore runs the first part once per
-term, at its first closure, and the second part for each closure.
+sign and the blue facets it colors 1.  The second takes the facet dots
+and runs on one row of ints.  Every coloring shares out the same D blue
+dots between X1 and X2, so the blue sum is homogeneous of degree D: a
+row of D + 1 coefficients.  Dividing it by X1 - X2 takes running sums,
+a power of X1 + X2 or X1 - X2 convolves it with a binomial row, and
+(X1*X2)^squares shifts both exponents.  The relation harness closes
+every term with disk caps in (max_dots + 1)^m ways, m the number of
+free circles.  A cap erases its circle and adds its dots to the facet.
+Every closure of a term erases the same circles and keeps every genus
+and binding, so the closures differ only in dots and share their
+colorings, signs and Euler characteristics.  The harness therefore runs
+the first part once per term, at its first closure, and the second part
+for each closure.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import MalformedFoam, NonBipartiteBinding, OddEuler
+from .errors import MalformedFoam, NonBipartiteBinding, NonExactDivision, OddEuler
 from .polyring import IntPoly2
 
 BLUE = "blue"
@@ -157,9 +161,6 @@ class Foam:
             (owners[b.blue_pages[0]].id, owners[b.blue_pages[1]].id)
             for b in self.bindings))
 
-    def blue_facets(self):
-        return [f for f in self.facets if f.color == BLUE]
-
 
 def blue_components(foam):
     """Connected components of the blue subsurface.
@@ -180,7 +181,7 @@ def _blue_walk(foam):
     facet, and the first pair of adjacent facets that got the same color
     (None when there is none).
     """
-    adj = {f.id: [] for f in foam.blue_facets()}
+    adj = {f.id: [] for f in foam.facets if f.color == BLUE}
     for u, v in foam.pages:
         adj[u].append(v)
         adj[v].append(u)
@@ -195,12 +196,14 @@ def _blue_walk(foam):
         for cur in comp:  # comp is the walk's queue and grows as it goes
             want = 3 - base[cur]
             for nxt in sorted(adj[cur]):
-                if nxt not in base:
+                have = base.get(nxt)
+                if have is None:
                     base[nxt] = want
                     comp.append(nxt)
-                elif base[nxt] != want and conflict is None:
+                elif have != want and conflict is None:
                     conflict = (cur, nxt)
-        components.append(sorted(comp))
+        comp.sort()
+        components.append(comp)
     return components, base, conflict
 
 
@@ -209,7 +212,8 @@ def enumerate_colorings(foam):
 
     There are exactly 2**k of them, where k is the number of blue
     components: each component is 2-colored once by breadth-first
-    propagation and then flipped independently.  Raises
+    propagation and then flipped independently, so that bit i of a
+    coloring's index says whether component i is flipped.  Raises
     NonBipartiteBinding when propagation hits a contradiction.
     """
     for b, (u, v) in zip(foam.bindings, foam.pages):
@@ -223,16 +227,12 @@ def enumerate_colorings(foam):
             "facets %r and %r force conflicting colors" % conflict
         )
 
-    colorings = []
-    k = len(components)
-    for mask in range(2 ** k):
-        assignment = {}
-        for i, comp in enumerate(components):
-            flip = (mask >> i) & 1
-            for fid in comp:
-                c = base[fid]
-                assignment[fid] = (3 - c) if flip else c
-        colorings.append(assignment)
+    colorings = [{}]
+    for comp in components:  # each component doubles the list
+        kept = {fid: base[fid] for fid in comp}
+        flipped = {fid: 3 - c for fid, c in kept.items()}
+        colorings = ([{**c, **kept} for c in colorings]
+                     + [{**c, **flipped} for c in colorings])
     return colorings
 
 
@@ -276,13 +276,6 @@ def count_n12(foam, coloring):
     )
 
 
-def _red_factor(dots, squares):
-    """(X1 + X2)^dots * (X1*X2)^squares, expanded binomially."""
-    return IntPoly2(
-        {(k + squares, dots - k + squares): math.comb(dots, k) for k in range(dots + 1)}
-    )
-
-
 def _colorings(foam):
     """The part of the evaluation that reads no dots.
 
@@ -300,13 +293,15 @@ def _colorings(foam):
     reds = []
     chi_red = chi_b = red_squares = 0
     for i, f in enumerate(foam.facets):
+        euler = 2 - 2 * f.genus - len(f.slots)
         if f.color == BLUE:
-            blue.append((i, f.id, f.euler))
-            chi_b += f.euler
+            blue.append((i, f.id, euler))
+            chi_b += euler
         else:
             reds.append(i)
-            chi_red += f.euler
+            chi_red += euler
             red_squares += f.squares
+    firsts = [u for u, _ in foam.pages]
     terms = []
     for coloring in enumerate_colorings(foam):
         chi1 = chi_red
@@ -318,35 +313,64 @@ def _colorings(foam):
         _even_euler(SIGMA_1, chi1)
         if not terms:  # chi(Sb) is the same for every coloring
             _even_euler(SIGMA_B, chi_b)
+        # the coloring is proper, so a first page colored 1 makes (1, 2)
         n12 = 0
-        for u, v in foam.pages:
-            if coloring[u] == 1 and coloring[v] == 2:
+        for u in firsts:
+            if coloring[u] == 1:
                 n12 += 1
         terms.append((-1 if (chi1 // 2 + n12) % 2 else 1, ones))
     return terms, chi_b // 2, reds, red_squares
 
 
+def _times_binomial(row, m, sign):
+    """The row times (X1 + sign*X2)^m, whose coefficient at
+    X1^j * X2^(m-j) is comb(m, j) * sign^(m-j)."""
+    if not m:
+        return row
+    binomial = [math.comb(m, j) * sign ** (m - j) for j in range(m + 1)]
+    out = [0] * (len(row) + m)
+    for a, c in enumerate(row):
+        if c:
+            for j, b in enumerate(binomial, a):
+                out[j] += c * b
+    return out
+
+
 def _value(colorings, dots):
     """The value part of the evaluation, from :func:`_colorings` and the
-    dots of each facet, in the order of ``foam.facets``."""
+    dots of each facet, in the order of ``foam.facets``.
+
+    Every term has the same blue degree D, so the arithmetic runs on one
+    row of D + 1 ints, ``row[a]`` the coefficient of X1^a * X2^(D-a).
+    """
     terms, half_chi_b, reds, red_squares = colorings
     red_dots = 0
     for i in reds:
         red_dots += dots[i]
-    blue_dots = sum(dots) - red_dots
-    # signed monomials X1^a * X2^b of the blue dots, as {(a, b): coefficient}
-    blue_sum = {}
+    row = [0] * (sum(dots) - red_dots + 1)
     for sign, ones in terms:
         a = 0
         for i in ones:
             a += dots[i]
-        blue_sum[a, blue_dots - a] = blue_sum.get((a, blue_dots - a), 0) + sign
-    quotient = IntPoly2(blue_sum).divide_by_difference_power(half_chi_b)
-    if not quotient:
-        # zero whatever the red decorations; (X1 + X2)^dots alone has
-        # dots + 1 terms
-        return quotient
-    return quotient * _red_factor(red_dots, red_squares)
+        row[a] += sign
+    if not any(row):
+        # zero whatever the division and the red decorations
+        return IntPoly2.zero()
+    row = _times_binomial(row, max(-half_chi_b, 0), -1)
+    for _ in range(half_chi_b):
+        # (X1 - X2) * q has coefficient q[a-1] - q[a] at X1^a, so q[a-1]
+        # is the sum of row[a:], and the sum of the whole row is the
+        # remainder, at X2^degree
+        sums = list(itertools.accumulate(reversed(row)))
+        if sums[-1]:
+            raise NonExactDivision(
+                "remainder %s after division by (X1 - X2)"
+                % IntPoly2({(0, len(row) - 1): sums[-1]}))
+        row = sums[-2::-1]
+    row = _times_binomial(row, red_dots, 1)
+    top = len(row) - 1 + red_squares
+    return IntPoly2._adopt({(a + red_squares, top - a): c
+                            for a, c in enumerate(row) if c})
 
 
 def evaluate_foam(foam):
@@ -433,14 +457,19 @@ def _capped(foam, dots):
 def _closure_value(combination, dots, capped):
     """Sum over the terms of coefficient times the value of the closure.
 
-    ``capped`` holds one :func:`_capped` value function per term seen so
-    far; a term's function is made at its first closure.
+    ``capped`` holds, per term seen so far, its coefficient and its
+    :func:`_capped` value function, both made at the term's first
+    closure.  A constant coefficient is kept as an int, so it scales the
+    value rather than multiplying it as a polynomial.
     """
     total = IntPoly2.zero()
     for k, (coeff, foam) in enumerate(combination.terms):
         if k == len(capped):
-            capped.append(_capped(foam, dots))
-        total = total + coeff * capped[k](dots)
+            terms = coeff.terms
+            scale = terms[0, 0] if terms.keys() == {(0, 0)} else coeff
+            capped.append((scale, _capped(foam, dots)))
+        scale, value = capped[k]
+        total = total + scale * value(dots)
     return total
 
 

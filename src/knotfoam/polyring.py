@@ -10,18 +10,13 @@ a map ``exponent -> coefficient``; they differ in the exponent type:
   and the Jones polynomial, with integer exponents.
 
 Values are immutable after construction and all operations are pure, so
-instances may be shared freely.
+instances may be shared freely.  The rings hold no division: foam
+evaluation divides by (X1 - X2)^k on its own row of coefficients.
 """
 
 from __future__ import annotations
 
 import math
-
-from .errors import NonExactDivision
-
-
-def _clean(terms):
-    return {k: c for k, c in terms.items() if c != 0}
 
 
 class _Poly:
@@ -30,13 +25,22 @@ class _Poly:
     Every result is built with ``type(self)``, so it stays in the ring
     of its operands.  A ring sets ``_UNIT``, the exponent of 1; the
     product here adds exponents with ``+``, which a ring whose exponents
-    are tuples replaces with its own ``__mul__``.
+    are tuples replaces with its own ``__mul__``.  The constructor copies
+    its terms and drops zeros; results are built by ``_adopt``.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        self._terms = _clean(dict(terms or {}))
+        self._terms = {k: c for k, c in dict(terms or {}).items() if c}
+
+    @classmethod
+    def _adopt(cls, terms):
+        """The polynomial that takes ``terms``, a fresh dict with no zero
+        coefficient, as its own, without copying or checking it."""
+        p = object.__new__(cls)
+        p._terms = terms
+        return p
 
     @classmethod
     def zero(cls):
@@ -62,28 +66,24 @@ class _Poly:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other):
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return type(self)(out)
+        return self._adopt(_summed(self._terms, other._terms, 1))
 
     def __sub__(self, other):
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) - c
-        return type(self)(out)
+        return self._adopt(_summed(self._terms, other._terms, -1))
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self._terms.items()})
+        return self._adopt({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return type(self)({k: c * other for k, c in self._terms.items()})
+            if not other:
+                return self.zero()
+            return self._adopt({k: c * other for k, c in self._terms.items()})
         out = {}
         for a, c in self._terms.items():
             for b, d in other._terms.items():
                 out[a + b] = out.get(a + b, 0) + c * d
-        return type(self)(out)
+        return self._adopt({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -101,6 +101,22 @@ class _Poly:
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, self)
+
+
+def _summed(terms, other, sign):
+    """A copy of ``terms`` plus ``sign`` times ``other``, with no zeros.
+
+    A coefficient of ``other`` is never zero, so a sum that is zero
+    cancels a term already in the copy.
+    """
+    out = dict(terms)
+    for k, c in other.items():
+        c = out.get(k, 0) + sign * c
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    return out
 
 
 class IntPoly2(_Poly):
@@ -147,72 +163,17 @@ class IntPoly2(_Poly):
             for (b1, b2), d in other._terms.items():
                 k = (a1 + b1, a2 + b2)
                 out[k] = out.get(k, 0) + c * d
-        return IntPoly2(out)
+        return IntPoly2._adopt({k: c for k, c in out.items() if c})
 
     # -- structure ----------------------------------------------------
 
     def swap_variables(self):
         """The polynomial with X1 and X2 exchanged."""
-        return IntPoly2({(e2, e1): c for (e1, e2), c in self._terms.items()})
+        return IntPoly2._adopt({(e2, e1): c for (e1, e2), c in self._terms.items()})
 
     def is_symmetric(self):
         """True iff swapping X1 <-> X2 fixes the polynomial."""
         return self == self.swap_variables()
-
-    def substitute_equal(self):
-        """Collapse X1 = X2 = t; returns a map ``t-exponent -> coefficient``."""
-        out = {}
-        for (e1, e2), c in self._terms.items():
-            k = e1 + e2
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return out
-
-    def divide_by_difference_power(self, k):
-        """Exact division by (X1 - X2)**k.
-
-        For negative ``k`` the polynomial is multiplied by
-        (X1 - X2)**(-k) instead.  Raises :class:`NonExactDivision` when a
-        division step leaves a remainder.
-        """
-        if k < 0:
-            m = -k
-            return self * IntPoly2(
-                {(j, m - j): (-1) ** (m - j) * math.comb(m, j) for j in range(m + 1)}
-            )
-        p = self
-        for _ in range(k):
-            p = p._divide_by_difference_once()
-        return p
-
-    def _divide_by_difference_once(self):
-        # In each homogeneous degree n, (X1 - X2) * sum_j q_j X1^j X2^(n-1-j)
-        # has coefficient q_(j-1) - q_j at X1^j X2^(n-j).  So sweeping from
-        # the highest X1-power down, q_(j-1) is the running sum of the
-        # coefficients at X1^j and above, and the sum over the whole degree
-        # is the remainder, left at X1^0 X2^n.
-        degrees = {}
-        for (e1, e2), c in self._terms.items():
-            degrees.setdefault(e1 + e2, {})[e1] = c
-        quot = {}
-        rem = {}
-        for n, row in degrees.items():
-            acc = 0
-            for j in range(max(row), 0, -1):
-                acc += row.get(j, 0)
-                if acc:
-                    quot[(j - 1, n - j)] = acc
-            acc += row.get(0, 0)
-            if acc:
-                rem[(0, n)] = acc
-        if rem:
-            raise NonExactDivision(
-                "remainder %s after division by (X1 - X2)" % _render_xx(rem)
-            )
-        return IntPoly2(quot)
 
     def __str__(self):
         return _render_xx(self._terms)
@@ -267,11 +228,11 @@ class LaurentQ(_Poly):
         """(q + q^-1)^n, the graded dimension of n circles, in binomial form."""
         if n < 0:
             raise ValueError("negative power")
-        return cls({n - 2 * k: math.comb(n, k) for k in range(n + 1)})
+        return cls._adopt({n - 2 * k: math.comb(n, k) for k in range(n + 1)})
 
     def shifted(self, k):
         """Multiply by q**k (k may be negative)."""
-        return LaurentQ({e + k: c for e, c in self._terms.items()})
+        return LaurentQ._adopt({e + k: c for e, c in self._terms.items()})
 
     def __str__(self):
         if not self._terms:

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from knotfoam.errors import MalformedFoam, NonBipartiteBinding, OddEuler
+import knotfoam.foam
+from bivariate_division import divide_by_difference_power
+from knotfoam.errors import MalformedFoam, NonBipartiteBinding, NonExactDivision, OddEuler
 from knotfoam.foam import (
     BLUE,
     RED,
@@ -25,6 +27,8 @@ from knotfoam.polyring import IntPoly2
 
 E = IntPoly2.x1_plus_x2()
 PI = IntPoly2.x1_times_x2()
+X1 = IntPoly2.x1()
+X2 = IntPoly2({(0, 1): 1})
 
 
 def blue_sphere(dots=0):
@@ -240,7 +244,7 @@ def test_blue_two_dot_reduction_consistency():
     checked = 0
     while checked < 25:
         foam = random_closed_foam(rng)
-        blues = foam.blue_facets()
+        blues = [f for f in foam.facets if f.color == BLUE]
         if not blues:
             continue
         target = blues[0].id
@@ -296,13 +300,13 @@ def _oracle_evaluate(foam):
             else:
                 term = term * E ** f.dots * PI ** f.squares
         total = total + term
-    return total.divide_by_difference_power(chib // 2)
+    return divide_by_difference_power(total, chib // 2)
 
 
 def _outcome(evaluate, foam):
     try:
         return evaluate(foam)
-    except (OddEuler, NonBipartiteBinding, MalformedFoam) as exc:
+    except (OddEuler, NonBipartiteBinding, MalformedFoam, NonExactDivision) as exc:
         return type(exc), str(exc)
 
 
@@ -315,6 +319,96 @@ def test_evaluation_matches_term_by_term_oracle():
             assert evaluate_foam(foam) == _oracle_evaluate(foam)
             checked += 1
     assert checked >= 500
+
+
+def _redecorated(foam, rng):
+    """The foam with wider decorations: dots 0-6, genus 0-3 and, on red
+    facets, squares 0-3."""
+    return Foam(
+        tuple(Facet(f.id, f.color, rng.randint(0, 3), rng.randint(0, 6),
+                    rng.randint(0, 3) if f.color == RED else 0, f.slots)
+              for f in foam.facets),
+        foam.bindings,
+    )
+
+
+def test_evaluation_matches_the_oracle_on_wide_decorations():
+    # the same value, or the same exception and message, on 2,400 foams:
+    # as drawn, and redrawn with larger dots, genus and squares
+    checked = 0
+    for seed in range(40, 52):
+        rng = random.Random(seed)
+        for _ in range(100):
+            foam = random_closed_foam(rng)
+            for f in (foam, _redecorated(foam, rng)):
+                assert _outcome(evaluate_foam, f) == _outcome(_oracle_evaluate, f), f
+                checked += 1
+    assert checked >= 2000
+
+
+def test_one_coloring_pass_per_evaluation(monkeypatch):
+    # evaluate_foam looks enumerate_colorings up in its module, once
+    calls = []
+    enumerate_all = knotfoam.foam.enumerate_colorings
+
+    def counted(foam):
+        calls.append(enumerate_all(foam))
+        return calls[-1]
+
+    monkeypatch.setattr(knotfoam.foam, "enumerate_colorings", counted)
+    rng = random.Random(13)
+    for _ in range(60):
+        foam = random_closed_foam(rng)
+        calls.clear()
+        evaluate_foam(foam)
+        assert len(calls) == 1
+        assert len(calls[0]) == 2 ** len(blue_components(foam))
+
+
+def test_row_edge_cases():
+    dotted_pair = Foam((Facet("a", BLUE, dots=1), Facet("b", BLUE)), ())
+    genus_two = Foam((Facet("g", BLUE, genus=2, dots=1),), ())
+    with_red = Foam(genus_two.facets + (Facet("r", RED, dots=2, squares=1),), ())
+    cases = [
+        # a zero blue sum under k = 2 divisions, of degree 0 and 1
+        (Foam((Facet("a", BLUE), Facet("b", BLUE)), ()), IntPoly2.zero()),
+        (dotted_pair, IntPoly2.zero()),
+        # k = -1 multiplies by X1 - X2, with and without a red facet
+        (genus_two, -1 * (X1 - X2) * (X1 - X2)),
+        (with_red, (X1 - X2) * (X1 - X2) * E ** 2 * PI),
+        # no red facet: -(X1^3 - X2^3) / (X1 - X2)
+        (blue_sphere(dots=3), -1 * (X1 * X1 + X1 * X2 + X2 * X2)),
+    ]
+    for foam, expected in cases:
+        assert evaluate_foam(foam) == expected == _oracle_evaluate(foam), foam
+
+
+def test_row_arithmetic_matches_the_polynomial_oracle():
+    # the value part on hand-made rows: a blue sum sum_a row[a] X1^a X2^(D-a)
+    # (D facets of one dot; a term colors the first a of them 1), k
+    # divisions by X1 - X2 (k < 0 multiplies), and red dots and squares
+    rng = random.Random(14)
+    raised = 0
+    for _ in range(400):
+        degree = rng.randint(0, 6)
+        row = [rng.choice((0, 0, 1, -1, 2)) for _ in range(degree + 1)]
+        if rng.random() < 0.5:  # make the blue sum a multiple of (X1 - X2)^j
+            for _ in range(rng.randint(1, 3)):
+                row = [p - c for p, c in zip([0] + row, row + [0])]
+        k = rng.randint(-3, 4)
+        red_dots, squares = rng.randint(0, 3), rng.randint(0, 2)
+        terms = [(1 if c > 0 else -1, list(range(a)))
+                 for a, c in enumerate(row) for _ in range(abs(c))]
+        dots = [1] * (len(row) - 1) + [red_dots]
+        colorings = (terms, k, [len(dots) - 1], squares)
+        blue_sum = IntPoly2({(a, len(row) - 1 - a): c for a, c in enumerate(row)})
+
+        outcome = _outcome(lambda c: knotfoam.foam._value(c, dots), colorings)
+        assert outcome == _outcome(
+            lambda p: divide_by_difference_power(p, k) * E ** red_dots * PI ** squares,
+            blue_sum), (row, k)
+        raised += type(outcome) is tuple
+    assert raised >= 50
 
 
 def _odd_cycle(genus=0):

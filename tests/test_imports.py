@@ -42,8 +42,6 @@ TEST_ONLY = {
     "graph_to_json": "the writer side of graph_from_json",
     "blue_components": "the component count k that the 2**k colorings of "
                        "enumerate_colorings are checked against",
-    "IntPoly2.substitute_equal": "the X1 = X2 collapse that picks the "
-                                 "polynomials X1 - X2 does not divide",
 }
 
 
