@@ -5,7 +5,8 @@ Over Z ``cancel_units`` cancels +-1 entries, so every entry stays an
 int: the bulk work for Khovanov homology, Smith normal form, Lee rank
 and s.  Over Q, where ``homology.reduce_complex`` finishes the Lee
 complex, any nonzero entry may be the pivot, divided exactly in
-``Fraction``.
+``Fraction``.  One pivot rule serves both: of the entries that may be
+the pivot, the one whose row is shortest.
 """
 
 from __future__ import annotations
@@ -22,21 +23,17 @@ def cancel_units(rows, cols, row_q, col_q, chains=(), rational=False):
     shortest.  Columns go in ascending q, ties in reverse ``cols`` order:
     on Lee complexes this was measured to cut the fill-in, and the time,
     several-fold against plain index order.  With ``rational`` any
-    nonzero entry is a unit, and the first one found is taken.  Returns
-    the (g, h) pairs.
+    nonzero entry is a unit.  Returns the (g, h) pairs.
     """
     pairs = []
     for g in sorted(reversed(list(cols)), key=col_q.__getitem__):
         col = cols[g]
         q = col_q[g]
         h = None
-        if rational:
-            h = next((r for r in col if row_q[r] == q), None)
-        else:
-            for r, v in col.items():
-                if (v == 1 or v == -1) and row_q[r] == q and (
-                        h is None or len(rows[r]) < len(rows[h])):
-                    h = r
+        for r, v in col.items():
+            if (rational or v == 1 or v == -1) and row_q[r] == q and (
+                    h is None or len(rows[r]) < len(rows[h])):
+                h = r
         if h is None:
             continue
         del cols[g]

@@ -26,12 +26,12 @@ import sys
 import time
 
 from . import __version__, errors
-from .diagram import braid_to_pd, link_components, parse_pd, compute_signs
+from .diagram import braid_to_pd, link_components, parse_pd
 from .foam import evaluate_foam, foam_from_json
 from .graphs import graded_dimension, graph_evaluation, graph_from_json
 from .homology import homology_table, reduce_complex
-from .khovanov import MAX_CROSSINGS, graded_euler_characteristic
-from .lee import (build_lee, lee_invariants, oriented_resolution_generators,
+from .khovanov import LEE, MAX_CROSSINGS, build_complex, graded_euler_characteristic
+from .lee import (lee_invariants, oriented_resolution_generators,
                   slice_genus_lower_bound)
 from .relations import verify_all_relations
 
@@ -199,9 +199,8 @@ def _compute_record(pd, echo, skip, max_crossings):
     """The record of one diagram, from one Lee complex reduced once."""
     timings = {}
     t0 = time.perf_counter()
-    n_plus, n_minus, _ = compute_signs(pd)
     components = link_components(pd)
-    fc = build_lee(pd, max_crossings=max_crossings)
+    fc = build_complex(pd, LEE, max_crossings=max_crossings)
     jones = graded_euler_characteristic(fc)
     fc.check_d_squared()
     with_s = "lee" not in skip and "s" not in skip and components == 1
@@ -221,8 +220,8 @@ def _compute_record(pd, echo, skip, max_crossings):
 
     record = {
         "input": echo,
-        "n_plus": n_plus,
-        "n_minus": n_minus,
+        "n_plus": fc.n_plus,
+        "n_minus": fc.n_minus,
         "components": components,
         "jones": str(jones),
         "khovanov": [

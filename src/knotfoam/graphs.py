@@ -14,16 +14,18 @@ graded dimension, so a reduction that removes every red edge computes
 deg S(G) = (q + q^-1)^(number of blue loops).  A side bigon and a
 square are removed by one move with factor 1: erase the face's red
 edges and smooth every vertex on it.  Not every graph with a red edge
-has such a face: the smoothing graph of the closure of (s1 s2^-1)^3 at
-state (1,0,1,0,1,0) has none, and graded_dimension raises
-ReductionStuck there.
+has such a face (the smoothing graph of the closure of (s1 s2^-1)^3 at
+state (1,0,1,0,1,0) has none), but none is needed: a 2-labelled edge of
+a gl2 web is removed without a shift (Blanchet 2010), and erasing a red
+edge and smoothing its two vertices keeps every blue loop.
 
 graded_dimension copies its argument once and reduces that working
 copy in place.  Each step removes the bigon (central or side) with the
-least dart, or else the square with the least dart, by one move,
-:func:`_move`, and then validates the copy again.  reduce_step is the
-same move on a fresh copy, once its face descriptor is checked.  The
-factors are kept as one exponent k of (q + q^-1)^k.
+least dart, or else the square with the least dart, or else erases the
+red edge with the least dart, by one move, :func:`_move`, and then
+validates the copy again.  reduce_step is the same move on a fresh
+copy, once its face descriptor is checked.  The factors are kept as one
+exponent k of (q + q^-1)^k.
 """
 
 from __future__ import annotations
@@ -205,7 +207,7 @@ def _least_face(g):
 
 def _move(g, face):
     """Remove one bigon or square from g in place, without validating g
-    or the face.
+    or the face; a "side-bigon" of one red dart erases just that edge.
 
     Returns the number of red edges erased and the exponent k of the
     graded factor (q + q^-1)^k.
@@ -294,9 +296,9 @@ def graded_dimension(g):
     reds = g.red_edge_count()
     loops = 0
     while reds:
-        face = _least_face(work)
-        if face is None:
-            raise ReductionStuck("red edges remain but no bigon or square found")
+        face = _least_face(work) or Face(
+            (min(h for h in work.pairing if work.colors[h] == RED),),
+            "side-bigon")
         erased, k = _move(work, face)
         work.validate()
         reds -= erased

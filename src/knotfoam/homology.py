@@ -13,9 +13,10 @@ Khovanov complex over Z, from the Khovanov or the Lee complex alike.
 The reduction either leaves its input as it is, copying each column it
 cancels in, or, with ``consume``, owns the input's differentials and
 cancels in them in place; only a caller that built the complex itself
-hands it over.  Smith normal form, the same cancellation on one matrix,
-finishes its small (degree, q) blocks; only invariant factors are
-computed.
+hands it over.  What it returns is again a ``GradedChainComplex``, with
+the chains it carried as ``cycles``.  Smith normal form, the same
+cancellation on one matrix, finishes its small (degree, q) blocks and
+returns their invariant factors alone.
 """
 
 from __future__ import annotations
@@ -28,12 +29,6 @@ from ._linalg import cancel_units
 from .errors import NotAComplex
 from .khovanov import KH, GradedChainComplex
 from .polyring import LaurentQ
-
-
-@dataclass
-class SNFResult:
-    invariant_factors: tuple  # nonnegative, each dividing the next
-    rank: int
 
 
 def _core_factors(m):
@@ -70,7 +65,8 @@ def _core_factors(m):
 
 
 def smith_normal_form(entries):
-    """Invariant factors of a sparse integer matrix ``{(r, c): v}``.
+    """Invariant factors of a sparse integer matrix ``{(r, c): v}``, each
+    dividing the next; there are as many as its rank.
 
     As a two-term complex in one q-degree, each cancelled +-1 entry is a
     factor 1; the small rest goes through the dense routine.
@@ -85,7 +81,7 @@ def smith_normal_form(entries):
     left = sorted({c for row in rows.values() for c in row})
     rest = _core_factors([[row.get(c, 0) for c in left]
                           for row in rows.values() if row])
-    return SNFResult((1,) * units + rest, units + len(rest))
+    return (1,) * units + rest
 
 
 def _prime_power_orders(n):
@@ -110,12 +106,6 @@ class HomologyTable:
 
     entries: dict = field(default_factory=dict)  # (i, q) -> (betti, [orders])
 
-    def betti(self, i, q):
-        return self.entries.get((i, q), (0, []))[0]
-
-    def torsion(self, i, q):
-        return self.entries.get((i, q), (0, []))[1]
-
     def total_torsion(self):
         return sum(len(t) for _, t in self.entries.values())
 
@@ -134,20 +124,14 @@ class HomologyTable:
         ]
 
 
-class Residue(GradedChainComplex):
-    """What :func:`reduce_complex` leaves: the q-degrees the input
-    reported for the surviving generators, the reduced differentials, its
-    ``q_levels`` and the carried ``cycles``."""
-
-
-def reduce_complex(cx, window=None, cycles=(), rational=False,
-                   consume=False):
-    """The residue of Gaussian elimination on ``cx``, or on its degrees in
-    the range ``window``, holding one differential's row and column maps
-    at a time; the residue's differentials are column maps too.
-    ``cycles`` are (degree, chain) pairs in the window, carried through
-    every cancellation into ``residue.cycles``.  An entry that lowers q,
-    or in a Khovanov complex changes it, is NotAComplex.
+def reduce_complex(cx, cycles=(), rational=False, consume=False):
+    """The residue of Gaussian elimination on ``cx``, holding one
+    differential's row and column maps at a time: a complex with the
+    q-degrees ``cx`` gave the survivors, the reduced differentials, as
+    column maps, and ``cx``'s q-levels.  ``cycles`` are (degree, chain)
+    pairs, carried through every cancellation into ``residue.cycles``.
+    An entry that lowers q, or in a Khovanov complex changes it, is
+    NotAComplex.
 
     Two ownership modes.  By default ``cx`` is left as it is: every
     column read is copied before it is cancelled in.  With ``consume``
@@ -160,11 +144,11 @@ def reduce_complex(cx, window=None, cycles=(), rational=False,
     With ``rational`` each d_i is then cancelled over Q, smallest q-jump
     first, until it is empty: the E-infinity page (see ``lee``).
     """
-    degrees = [i for i in cx.degrees if window is None or i in window]
+    degrees = cx.degrees
     take = cx.differentials.get
     if consume:
         take, cx.differentials = cx.differentials.pop, {}
-    res = Residue(cx.side, cx.n_plus, cx.n_minus)
+    res = GradedChainComplex(cx.side, cx.n_plus, cx.n_minus)
     res.q_levels = cx.q_levels
     chains = [(i, dict(chain)) for i, chain in cycles]
     dead = set()  # generators of degree i cancelled by d_{i-1}
@@ -218,13 +202,11 @@ def homology_table(res):
         for q, block in blocks.items():
             snf[(i, q)] = smith_normal_form(block)
     dims = Counter((i, q) for i in res.degrees for q in res.q_degrees(i))
-    none = SNFResult((), 0)
     table = HomologyTable()
     for (i, q), dim in sorted(dims.items()):
-        incoming = snf.get((i - 1, q), none)
-        betti = dim - snf.get((i, q), none).rank - incoming.rank
-        torsion = sorted(p for f in incoming.invariant_factors
-                         for p in _prime_power_orders(f))
+        incoming = snf.get((i - 1, q), ())
+        betti = dim - len(snf.get((i, q), ())) - len(incoming)
+        torsion = sorted(p for f in incoming for p in _prime_power_orders(f))
         if betti or torsion:
             table.entries[(i, q)] = (betti, torsion)
     return table

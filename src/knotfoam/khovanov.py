@@ -67,8 +67,11 @@ class GradedChainComplex:
     order and ``differentials[i]`` is the column map ``{col: {row: entry}}``
     of d_i, from degree i to degree i+1, with only nonzero entries and no
     empty column.  A cube build also sets ``runs`` and ``q_levels`` (see
-    :func:`build_complex`); :meth:`generator` reads the former.
+    :func:`build_complex`); :meth:`generator` reads the former.  The
+    residue of a reduction sets ``cycles``, the chains it carried.
     """
+
+    cycles = ()
 
     def __init__(self, side, n_plus, n_minus):
         self.side = side
@@ -82,9 +85,6 @@ class GradedChainComplex:
     @property
     def degrees(self):
         return sorted(self.qs)
-
-    def dim(self, i):
-        return len(self.qs.get(i, ()))
 
     def q_degrees(self, i):
         return self.qs.get(i, [])

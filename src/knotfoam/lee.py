@@ -23,13 +23,15 @@ cancelled rows of the next differential is the clearing step.  The
 survivors form a basis of H whose span at q >= j is the image of
 H(F^j) -> H(C): the rank is their number, the profile at level j
 counts those with q >= j, and a carried class's filtration degree is
-the least q in its support.
+the least q in its support.  The rank and s take that one rational
+reduction, of a Lee complex or of its residue over Z alike.
 
 s reads only the degrees i - 1, i and i + 1 around the oriented
 resolution's degree i (as in Schuetz, "A fast algorithm for calculating
-s-invariants", Glasgow Math. J. 2021), so it builds only that window of
-the cube and hands it to the reduction; the levels still span the whole
-cube, and the residue keeps them.
+s-invariants", Glasgow Math. J. 2021), so only that window of the cube
+is built; the reduction owns it and reads all of it, with no window of
+its own.  The levels still span the whole cube, and the residue keeps
+them.
 """
 
 from __future__ import annotations
@@ -39,34 +41,33 @@ from collections import deque
 from .diagram import compute_signs, link_components, oriented_state
 from .errors import NotACycle, NotAKnot, PropositionViolated, RankMismatch
 from .homology import reduce_complex
-from .khovanov import LEE, MAX_CROSSINGS, build_complex
+from .khovanov import LEE, build_complex
 
 
-def build_lee(pd, max_crossings=MAX_CROSSINGS, degrees=None):
-    """The Lee complex of a diagram (generators and q-degrees as in Kh),
-    or its window of homological ``degrees`` as in ``build_complex``."""
-    return build_complex(pd, LEE, max_crossings=max_crossings, degrees=degrees)
+def build_lee(pd):
+    """The Lee complex of a diagram (generators and q-degrees as in Kh)."""
+    return build_complex(pd, LEE)
 
 
 def lee_rank(fc, components):
     """Total Lee homology rank; must equal 2**components."""
-    return lee_invariants(reduce_complex(fc), components)[0]
+    return lee_invariants(fc, components)[0]
 
 
-def lee_invariants(res, components):
+def lee_invariants(cx, components):
     """Lee rank and (s, detail) or None, from one E-infinity page.
 
-    ``res`` is the residue of a Lee complex; s comes when it carries the
-    two oriented-resolution classes of a knot.
+    ``cx`` is a Lee complex or its residue over Z; s comes when the
+    latter carries the two oriented-resolution classes of a knot.
     """
-    e_inf = reduce_complex(res, cycles=res.cycles, rational=True)
+    e_inf = reduce_complex(cx, cx.cycles, rational=True)
     total = e_inf.total_dim()
     if total != 2 ** components:
         raise RankMismatch(
             "Lee homology has rank %d, expected %d (survivors per degree %s)"
             % (total, 2 ** components,
                {i: len(qs) for i, qs in e_inf.qs.items() if qs}))
-    return total, (_s_from(e_inf) if res.cycles else None)
+    return total, (_s_from(e_inf) if cx.cycles else None)
 
 
 def _apply(matrix, chain):
@@ -193,11 +194,9 @@ def s_invariant(pd):
     if link_components(pd) != 1:
         raise NotAKnot("the s-invariant needs a one-component diagram")
     i = _oriented_degree(pd)[1]
-    window = range(i - 1, i + 2)
-    fc = build_lee(pd, degrees=window)
-    res = reduce_complex(fc, window, oriented_resolution_generators(pd, fc),
-                         rational=True, consume=True)
-    return _s_from(res)
+    fc = build_complex(pd, LEE, degrees=range(i - 1, i + 2))
+    return _s_from(reduce_complex(fc, oriented_resolution_generators(pd, fc),
+                                  rational=True, consume=True))
 
 
 def _s_from(e_inf):

@@ -334,16 +334,16 @@ def test_exit_4_from_halfway_through_the_owning_reduction(monkeypatch,
     # cancelled in place, then d_1's q-preserving entries lower q
     from knotfoam import cli
 
-    build = cli.build_lee
+    build = cli.build_complex
     built = []
 
-    def lowered(pd, **kwargs):
-        fc = build(pd, **kwargs)
+    def lowered(pd, *args, **kwargs):
+        fc = build(pd, *args, **kwargs)
         fc.qs[2] = [q - 2 for q in fc.qs[2]]
         built.append(fc)
         return fc
 
-    monkeypatch.setattr(cli, "build_lee", lowered)
+    monkeypatch.setattr(cli, "build_complex", lowered)
     code, out, err = run_cli(["invariants", "--braid", "1 1 1", "--strands",
                               "2"], capsys)
     assert (code, out) == (4, "")
@@ -435,6 +435,20 @@ def test_graph_dim_theta(tmp_path, capsys):
               "r1": "red", "r2": "red"}
     g = TrivalentGraph(rotations, pairing, colors)
     path = tmp_path / "theta_graph.json"
+    path.write_text(json.dumps(graph_to_json(g)))
+    code, out, _err = run_cli(["graph-dim", str(path)], capsys)
+    assert code == 0
+    assert out.splitlines() == ["q + q^-1", "matches circle count: true"]
+
+
+def test_graph_dim_without_a_bigon_or_square(tmp_path, capsys):
+    # (s1 s2^-1)^3 at state (1,0,1,0,1,0) has red edges and no bigon or
+    # square; graph-dim used to exit 4 on it
+    from knotfoam.diagram import State, braid_to_pd
+    from knotfoam.graphs import smoothing_graph
+
+    g = smoothing_graph(braid_to_pd([1, -2] * 3, 3), State((1, 0, 1, 0, 1, 0)))
+    path = tmp_path / "stuck_graph.json"
     path.write_text(json.dumps(graph_to_json(g)))
     code, out, _err = run_cli(["graph-dim", str(path)], capsys)
     assert code == 0

@@ -119,7 +119,8 @@ def test_oriented_state_gives_seifert_circles():
 
 def _all_generators(pd):
     cx = build_complex(pd)
-    return [cx.generator(i, k) for i in cx.degrees for k in range(cx.dim(i))]
+    return [cx.generator(i, k) for i in cx.degrees
+            for k in range(len(cx.q_degrees(i)))]
 
 
 def test_state_height():

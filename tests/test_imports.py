@@ -45,15 +45,18 @@ TEST_ONLY = {
 }
 
 
-def _names(nodes):
-    """Every name the nodes read, call, import or take as an attribute."""
+def _names(nodes, attributes=False):
+    """Every name the nodes read, call, import or take as an attribute;
+    with ``attributes``, only the names taken as attributes (``x.name``)."""
     found = set()
     for top in nodes:
         for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                found.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 found.add(node.attr)
+            elif attributes:
+                continue
+            elif isinstance(node, ast.Name):
+                found.add(node.id)
             elif isinstance(node, ast.alias):
                 found.add(node.name.rpartition(".")[2])
     return found
@@ -63,16 +66,19 @@ def test_no_public_helpers_only_tests_call():
     # every public module-level def or class of src/knotfoam, and every
     # public method or property of such a class, is named outside tests/:
     # elsewhere in src/ (its own definition and the __init__.py re-export
-    # aside), or in demos/, scripts/ or perfbench/
+    # aside), or in demos/, scripts/ or perfbench/; a method counts as
+    # named only where it is taken as an attribute, so that a local
+    # variable of the same name does not hide it
     modules = {p: ast.parse(p.read_text(), str(p))
                for p in sorted((ROOT / "src" / "knotfoam").glob("*.py"))
                if p.name != "__init__.py"}
-    outside = set()
-    for folder in ("demos", "scripts", "perfbench"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            outside |= _names([ast.parse(path.read_text(), str(path))])
+    others = [ast.parse(path.read_text(), str(path))
+              for folder in ("demos", "scripts", "perfbench")
+              for path in sorted((ROOT / folder).rglob("*.py"))]
+    outside = _names(others)
     assert len(modules) > 10 and outside
     in_src = {path: _names(tree.body) for path, tree in modules.items()}
+    attrs = {path: _names(tree.body, True) for path, tree in modules.items()}
     defined = set()
     test_only = []
     for path, tree in modules.items():
@@ -87,6 +93,9 @@ def test_no_public_helpers_only_tests_call():
             if node.name not in used:
                 test_only.append("%s:%d %s" % (path.name, node.lineno, node.name))
             if isinstance(node, ast.ClassDef):
+                taken = _names(others, True).union(
+                    *(a for p, a in attrs.items() if p != path))
+                taken |= _names([n for n in tree.body if n is not node], True)
                 for method in node.body:
                     if (not isinstance(method, ast.FunctionDef)
                             or method.name.startswith("_")):
@@ -95,8 +104,8 @@ def test_no_public_helpers_only_tests_call():
                     defined.add(name)
                     if name in TEST_ONLY:
                         continue
-                    if method.name not in used | _names(
-                            [n for n in node.body if n is not method]):
+                    if method.name not in taken | _names(
+                            [n for n in node.body if n is not method], True):
                         test_only.append("%s:%d %s" % (path.name, method.lineno,
                                                        name))
     assert not test_only, test_only

@@ -17,7 +17,7 @@ from knotfoam.lee import (
     slice_genus_lower_bound,
 )
 from knotfoam.homology import reduce_complex, smith_normal_form
-from knotfoam.khovanov import KH, build_complex, kauffman_oracle
+from knotfoam.khovanov import KH, LEE, build_complex, kauffman_oracle
 from knotfoam.polyring import LaurentQ
 
 
@@ -81,7 +81,7 @@ def test_unknot_generators():
     pd = parse_pd("")
     fc = build_lee(pd)
     (_, chain_a), (_, chain_b) = oriented_resolution_generators(pd, fc)
-    gens = [fc.generator(0, k) for k in range(fc.dim(0))]
+    gens = [fc.generator(0, k) for k in range(len(fc.q_degrees(0)))]
     coeff_a = {gens[i].labels: v for i, v in chain_a.items()}
     coeff_b = {gens[i].labels: v for i, v in chain_b.items()}
     assert coeff_a == {(0,): 1, (1,): 1}     # 1 + X
@@ -100,7 +100,7 @@ def test_scaling_preserves_filtration_degree():
     fc = build_lee(pd)
     sa, _sb = oriented_resolution_generators(pd, fc)
     scaled = (sa[0], {k: 3 * v for k, v in sa[1].items()})
-    assert _class_degree(fc, scaled) == _class_degree(fc, sa)
+    assert _class_degree(pd, scaled) == _class_degree(pd, sa)
 
 
 def test_unknot_profile():
@@ -184,7 +184,7 @@ def test_generators_without_a_prebuilt_complex():
             full = oriented_resolution_generators(diagram,
                                                   build_lee(diagram))
             i = full[0][0]
-            window = build_lee(diagram, degrees=range(i, i + 2))
+            window = build_complex(diagram, LEE, degrees=range(i, i + 2))
             assert set(window.degrees) <= {i, i + 1}
             assert oriented_resolution_generators(diagram, window) == full
 
@@ -195,13 +195,12 @@ def test_s_reduces_only_the_oriented_degree(monkeypatch):
     def no_rank(*_args):
         raise AssertionError("s_invariant computed a rank")
 
-    windows = []
+    calls = []
     reduce = lee.reduce_complex
 
-    def recording_reduce(cx, window=None, cycles=(), rational=False,
-                         consume=False):
-        res = reduce(cx, window, cycles, rational, consume)
-        windows.append((window, res.degrees, rational, consume))
+    def recording_reduce(cx, cycles=(), rational=False, consume=False):
+        res = reduce(cx, cycles, rational, consume)
+        calls.append((cx.degrees, res.degrees, rational, consume))
         return res
 
     monkeypatch.setattr(lee, "reduce_complex", recording_reduce)
@@ -210,7 +209,7 @@ def test_s_reduces_only_the_oriented_degree(monkeypatch):
     i = oriented_resolution_generators(pd, build_lee(pd))[0][0]
     assert s_invariant(pd)[0] == 0
     # one call, over Q, on d_{i-1} and d_i only, owning the window it built
-    assert windows == [(range(i - 1, i + 2), [i - 1, i, i + 1], True, True)]
+    assert calls == [([i - 1, i, i + 1], [i - 1, i, i + 1], True, True)]
 
 
 def test_s_gates_name_the_degree(monkeypatch):
@@ -219,12 +218,13 @@ def test_s_gates_name_the_degree(monkeypatch):
     unknot = parse_pd("")
 
     def lee_builds(fc):
-        # s_invariant builds its window through lee.build_lee
-        monkeypatch.setattr(lee, "build_lee", lambda pd, degrees: fc)
+        # s_invariant builds its window through lee.build_complex
+        monkeypatch.setattr(lee, "build_complex",
+                            lambda pd, side, degrees: fc)
 
     def unknot_with_q(qs):
         # generator 0 is labelled 1, generator 1 is labelled X
-        fc = build_lee(unknot)
+        fc = build_complex(unknot, LEE)
         fc.qs[0] = list(qs)
         fc.q_levels = range(min(qs), max(qs) + 1, 2)
         return fc
@@ -238,7 +238,7 @@ def test_s_gates_name_the_degree(monkeypatch):
         s_invariant(unknot)
     # without d_{-1} every degree-0 chain of the negative trefoil survives
     trefoil = braid_to_pd([-1, -1, -1], 2)
-    fc = build_lee(trefoil)
+    fc = build_complex(trefoil, LEE)
     del fc.differentials[-1]
     lee_builds(fc)
     with pytest.raises(RankMismatch, match=r"degree 0 has rank 4 \(q-level -9\)"):
@@ -373,14 +373,14 @@ def _restrict(columns, row=lambda r: True, col=lambda c: True):
 
 
 def _rank(entries):
-    return smith_normal_form(entries).rank
+    return len(smith_normal_form(entries))
 
 
 def _oracle_profile(fc):
     """dim(Z cap F^j) - dim(B cap F^j) by separate ranks, per degree."""
     ranks = {i: _rank(_restrict(fc.matrix(i))) for i in fc.degrees}
     homology = [i for i in fc.degrees
-                if fc.dim(i) - ranks[i] - ranks.get(i - 1, 0)]
+                if len(fc.q_degrees(i)) - ranks[i] - ranks.get(i - 1, 0)]
     levels = sorted({q for i in fc.degrees for q in fc.q_degrees(i)})
     out = {}
     for j in levels + [levels[-1] + 1]:
@@ -404,12 +404,14 @@ def _in_column_span(entries, vector):
     return _rank(augmented) == _rank(entries)
 
 
-def _class_degree(fc, cls):
-    """Largest level j with the class (i, chain) in the image of
-    H(F^j) -> H(C), from the E-infinity page of d_{i-1} alone: the least
-    q in what is left of the chain."""
+def _class_degree(pd, cls):
+    """Largest level j with the class (i, chain) of ``pd``'s Lee complex
+    in the image of H(F^j) -> H(C), from the E-infinity page of d_{i-1}
+    alone, the window of degrees i - 1 and i: the least q in what is left
+    of the chain."""
     i = cls[0]
-    res = reduce_complex(fc, range(i - 1, i + 1), [cls], rational=True)
+    fc = build_complex(pd, LEE, degrees=range(i - 1, i + 1))
+    res = reduce_complex(fc, [cls], rational=True)
     return min((res.q_degrees(i)[r] for r in res.cycles[0][1]),
                default=fc.q_levels[-1])
 
@@ -463,6 +465,6 @@ def test_reduction_matches_rank_oracle():
         if link_components(pd) == 1:
             knot_count += 1
             for cls in oriented_resolution_generators(pd, fc):
-                assert (_class_degree(fc, cls)
+                assert (_class_degree(pd, cls)
                         == _oracle_class_degree(fc, cls)), pd
     assert knot_count >= 20
