@@ -5,36 +5,16 @@ braid words: the evaluation of closed decorated foams, the local
 relations it satisfies, graded dimensions of trivalent graphs, Khovanov
 homology over Z (with torsion), the Jones polynomial, Lee homology, and
 the Rasmussen s-invariant with its slice-genus bound.
+
+Importing the package loads the diagram engine only; the foam, relations
+and graphs names load their modules on first use.
 """
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .polyring import IntPoly2, LaurentQ
-from .foam import (
-    Binding,
-    Facet,
-    Foam,
-    FoamCombination,
-    blue_components,
-    cap_closure,
-    chi_subsurface,
-    count_n12,
-    enumerate_colorings,
-    evaluate_foam,
-    random_closed_foam,
-    verify_local_relation,
-)
-from .relations import relation_fixtures, verify_all_relations
-from .graphs import (
-    TrivalentGraph,
-    blue_loop_count,
-    cup_basis,
-    find_bigon_or_square,
-    graded_dimension,
-    graph_evaluation,
-    reduce_step,
-    smoothing_graph,
-)
 from .diagram import (
     PDCode,
     State,
@@ -68,3 +48,34 @@ from .lee import (
     s_invariant,
     slice_genus_lower_bound,
 )
+
+# name -> the submodule it is read from on first use (PEP 562); the
+# submodules themselves also load on first use as package attributes
+_LAZY = {
+    **dict.fromkeys(
+        ("Binding", "Facet", "Foam", "FoamCombination", "blue_components",
+         "cap_closure", "chi_subsurface", "count_n12", "enumerate_colorings",
+         "evaluate_foam", "random_closed_foam", "verify_local_relation"),
+        "foam"),
+    **dict.fromkeys(("relation_fixtures", "verify_all_relations"),
+                    "relations"),
+    **dict.fromkeys(
+        ("TrivalentGraph", "blue_loop_count", "cup_basis",
+         "find_bigon_or_square", "graded_dimension", "graph_evaluation",
+         "reduce_step", "smoothing_graph"),
+        "graphs"),
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        module = importlib.import_module("." + _LAZY[name], __name__)
+        globals()[name] = value = getattr(module, name)
+        return value
+    if name in _LAZY.values():
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_LAZY.values()))

@@ -9,6 +9,10 @@ Subcommands:
 * ``knotfoam graph-dim FILE`` -- graded dimension of a trivalent graph.
 * ``knotfoam verify-relations`` -- run the local-relation harness.
 
+Importing this module loads the diagram engine that ``invariants`` runs;
+the other three subcommands import the foam, graphs and relations
+modules when they run.
+
 Results on stdout are byte-identical across repeated runs: timing
 information goes to stderr, and cached records are replayed verbatim.
 Exit codes: 1 when ``verify-relations`` finds a relation that fails,
@@ -27,13 +31,10 @@ import time
 
 from . import __version__, errors
 from .diagram import braid_to_pd, link_components, parse_pd
-from .foam import evaluate_foam, foam_from_json
-from .graphs import graded_dimension, graph_evaluation, graph_from_json
 from .homology import homology_table, reduce_complex
 from .khovanov import LEE, MAX_CROSSINGS, build_complex, graded_euler_characteristic
 from .lee import (lee_invariants, oriented_resolution_generators,
                   slice_genus_lower_bound)
-from .relations import verify_all_relations
 
 TOOL_VERSION = "knotfoam-" + __version__
 
@@ -285,6 +286,8 @@ def _load_json(path):
 
 
 def _cmd_eval_foam(args):
+    from .foam import evaluate_foam, foam_from_json
+
     foam = foam_from_json(_load_json(args.path))
     value = evaluate_foam(foam)
     print(value)
@@ -293,6 +296,8 @@ def _cmd_eval_foam(args):
 
 
 def _cmd_graph_dim(args):
+    from .graphs import graded_dimension, graph_evaluation, graph_from_json
+
     g = graph_from_json(_load_json(args.path))
     dim = graded_dimension(g)
     print(dim)
@@ -302,6 +307,8 @@ def _cmd_graph_dim(args):
 
 
 def _cmd_verify_relations(args):
+    from .relations import verify_all_relations
+
     if args.max_dots < 0:
         raise errors.ParseError("--max-dots must be at least 0, got %d"
                                 % args.max_dots)

@@ -473,6 +473,25 @@ def _closure_value(combination, dots, capped):
     return total
 
 
+def _dot_tuples(max_dots, m):
+    """Every m-tuple over 0..max_dots, in lexicographic order.
+
+    The order is ``itertools.product``'s, but the tuples are made one at
+    a time: ``product`` first stores ``range(max_dots + 1)`` as a tuple,
+    which a large ``max_dots`` cannot fit in memory.
+    """
+    dots = [0] * m
+    while True:
+        yield tuple(dots)
+        k = m - 1
+        while k >= 0 and dots[k] == max_dots:
+            dots[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        dots[k] += 1
+
+
 def verify_local_relation(lhs, rhs, max_dots=2):
     """Check an identity of foam combinations under every disk closure.
 
@@ -499,7 +518,7 @@ def verify_local_relation(lhs, rhs, max_dots=2):
         sig = sig_l
     capped_l = []
     capped_r = []
-    for dots in itertools.product(range(max_dots + 1), repeat=len(sig)):
+    for dots in _dot_tuples(max_dots, len(sig)):
         lv = _closure_value(lhs, dots, capped_l)
         rv = _closure_value(rhs, dots, capped_r)
         if lv != rv:

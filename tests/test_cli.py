@@ -208,6 +208,28 @@ def test_cached_call_does_not_load_openssl(tmp_path, capsys):
     assert proc.stderr.endswith("\n0 False\n")
 
 
+def test_invariants_does_not_load_the_foam_side(capsys):
+    # invariants runs on the diagram engine alone; foam, graphs and
+    # relations load only for the subcommands that use them
+    argv = ["invariants", "--braid", "1 1 1", "--strands", "2"]
+    code, out, _err = run_cli(argv, capsys)
+    assert code == 0
+    script = ("import sys\n"
+              "import knotfoam\n"
+              "from knotfoam.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "loaded = [m for m in ('foam', 'graphs', 'relations')\n"
+              "          if 'knotfoam.' + m in sys.modules]\n"
+              "print(code, loaded, file=sys.stderr)\n")
+    src = str(pathlib.Path(knotfoam.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("KNOTFOAM_CACHE", None)
+    proc = subprocess.run([sys.executable, "-c", script] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout == out
+    assert proc.stderr.endswith("\n0 []\n")
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KNOTFOAM_CACHE", str(tmp_path))
     code, _out, _err = run_cli(["invariants", "--pd", "", "--format", "json"], capsys)
@@ -463,10 +485,10 @@ def test_verify_relations(capsys):
 
 
 def test_verify_relations_failure_exits_1(monkeypatch, capsys):
-    from knotfoam import cli
+    from knotfoam import relations
     from knotfoam.polyring import IntPoly2
 
-    real = cli.verify_all_relations
+    real = relations.verify_all_relations
     witness = {"dots": (1, 0), "lhs": IntPoly2.x1(), "rhs": IntPoly2.zero()}
 
     def one_failing(max_dots):
@@ -474,7 +496,7 @@ def test_verify_relations_failure_exits_1(monkeypatch, capsys):
         results[8] = (results[8][0], False, witness)
         return results
 
-    monkeypatch.setattr(cli, "verify_all_relations", one_failing)
+    monkeypatch.setattr(relations, "verify_all_relations", one_failing)
     code, out, _err = run_cli(["verify-relations", "--max-dots", "0"], capsys)
     assert code == 1
     lines = out.splitlines()

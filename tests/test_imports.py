@@ -1,6 +1,9 @@
 import ast
+import importlib
 import pathlib
 import sys
+
+import pytest
 
 import knotfoam
 
@@ -10,6 +13,21 @@ PACKAGE = pathlib.Path(knotfoam.__file__).parent
 # CPython's builtin SHA-256 module is _sha256 up to 3.11 and _sha2 from
 # 3.12; each is in the standard library of its own versions only
 STDLIB = sys.stdlib_module_names | {"_sha2", "_sha256"}
+
+
+def test_lazy_names_are_the_submodules_objects():
+    # the foam, relations and graphs names load their module on first use
+    # and are then the module's own objects, as plain re-exports were
+    modules = sorted(set(knotfoam._LAZY.values()))
+    assert modules == ["foam", "graphs", "relations"]
+    for name, module in knotfoam._LAZY.items():
+        source = importlib.import_module("knotfoam." + module)
+        assert getattr(knotfoam, name) is getattr(source, name), name
+    for module in modules:
+        assert getattr(knotfoam, module) is sys.modules["knotfoam." + module]
+    assert set(knotfoam._LAZY) | set(modules) <= set(dir(knotfoam))
+    with pytest.raises(AttributeError, match="'knotfoam' has no attribute 'nope'"):
+        knotfoam.nope
 
 
 def test_no_runtime_dependencies():

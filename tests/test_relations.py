@@ -83,6 +83,16 @@ def test_corrupted_dotless_relation_detected():
     assert not ok
 
 
+def test_huge_max_dots_returns_the_first_witness():
+    # the closures are made one at a time: a failing all-zero closure is
+    # the witness however many dots the later closures would carry
+    _name, _desc, lhs, rhs = load_fixture("blue-dot-reduction")
+    assert lhs.signature() == rhs.signature() == ("blue",)
+    ok, witness = verify_local_relation(lhs, flipped(rhs), max_dots=10**12)
+    assert not ok and witness["dots"] == (0,)
+    assert (ok, witness) == verify_local_relation(lhs, flipped(rhs), max_dots=0)
+
+
 def test_signature_mismatch_raises():
     _n1, _d1, lhs, _r1 = load_fixture("blue-neck-cutting")
     _n2, _d2, _l2, rhs = load_fixture("red-neck-cutting")
