@@ -53,9 +53,9 @@ from .lee import (
 # submodules themselves also load on first use as package attributes
 _LAZY = {
     **dict.fromkeys(
-        ("Binding", "Facet", "Foam", "FoamCombination", "blue_components",
-         "cap_closure", "chi_subsurface", "count_n12", "enumerate_colorings",
-         "evaluate_foam", "random_closed_foam", "verify_local_relation"),
+        ("Binding", "Facet", "Foam", "FoamCombination", "cap_closure",
+         "enumerate_colorings", "evaluate_foam", "random_closed_foam",
+         "verify_local_relation"),
         "foam"),
     **dict.fromkeys(("relation_fixtures", "verify_all_relations"),
                     "relations"),

@@ -16,8 +16,9 @@ modules when they run.
 Results on stdout are byte-identical across repeated runs: timing
 information goes to stderr, and cached records are replayed verbatim.
 Exit codes: 1 when ``verify-relations`` finds a relation that fails,
-2 for input errors, 3 when the crossing limit is exceeded, 4 when an
-internal structural invariant fails (``invariants`` names the diagram).
+2 for input errors, 3 size limit: crossings or dots (``--max-crossings``,
+or a ``--max-dots`` above ``MAX_DOTS``), 4 when an internal structural
+invariant fails (``invariants`` names the diagram).
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .lee import (lee_invariants, oriented_resolution_generators,
                   slice_genus_lower_bound)
 
 TOOL_VERSION = "knotfoam-" + __version__
+# the largest --max-dots: a four-circle fixture closes in (16 + 1)^4 ways
+MAX_DOTS = 16
 
 
 @functools.cache
@@ -63,7 +66,8 @@ def _parser():
     gd.add_argument("path")
 
     vr = sub.add_parser("verify-relations", help="run the local-relation harness")
-    vr.add_argument("--max-dots", type=int, default=2)
+    vr.add_argument("--max-dots", type=int, default=2,
+                    help="caps carry 0..MAX_DOTS dots, at most %d" % MAX_DOTS)
     return parser
 
 
@@ -312,6 +316,9 @@ def _cmd_verify_relations(args):
     if args.max_dots < 0:
         raise errors.ParseError("--max-dots must be at least 0, got %d"
                                 % args.max_dots)
+    if args.max_dots > MAX_DOTS:
+        raise errors.TooLarge("--max-dots %d exceeds limit %d"
+                              % (args.max_dots, MAX_DOTS))
     results = verify_all_relations(max_dots=args.max_dots)
     failed = 0
     for name, ok, witness in results:

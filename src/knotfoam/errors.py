@@ -55,7 +55,8 @@ class InvalidSite(InputError):
 
 
 class TooLarge(KnotfoamError):
-    """The diagram exceeds the configured crossing limit."""
+    """A size limit is exceeded: a diagram's crossings or the relation
+    harness's dots."""
 
 
 class NotAComplex(InternalError):

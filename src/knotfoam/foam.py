@@ -20,33 +20,48 @@ ordered blue pages are colored (1, 2), and P_F is X_c^dots on a blue
 facet and (X1+X2)^dots * (X1*X2)^squares on a red one.  The result is a
 symmetric polynomial with integer coefficients.
 
+Proper colorings are the base coloring of a breadth-first walk with
+any set of blue components flipped, and chi(S1), n12 and the blue
+monomial each split over the components (every binding's blue pages lie
+in one).  So the sum over the 2^k colorings is a product of k factors:
+
+    sign * prod_j (X1^a_j * X2^b_j + eps_j * X1^b_j * X2^a_j)
+
+where sign is the base coloring's sign, a_j and b_j are the dots of
+component j's facets colored 1 and 2 in the base, and eps_j is the sign
+that flipping component j alone multiplies in (Robert and Wagner,
+arXiv:1702.04140).  The evaluation never lists the colorings.  chi(S1)
+must still be even on every coloring; it is exactly when it is on the
+base and on each single flip, and the first odd coloring in the order
+of :func:`enumerate_colorings` is one of those, so checking them in that
+order raises the same OddEuler message as the term-by-term sum.
+
 The red weights do not depend on the coloring, so their product R is
-shared by every term and applied once: each coloring adds only a sign
-to the monomial X1^a * X2^b of its blue dots, and the evaluation is
-(sum of those signed monomials) / (X1 - X2)^(chi(Sb)/2) * R.  Dividing
-before multiplying by R is exact: X1 - X2 is prime in Z[X1, X2] and
-divides neither X1 + X2 nor X1 * X2, so it divides the blue sum times R
-as often as it divides the blue sum, and a non-exact division fails on
-the same foams either way.
+shared by every term and applied once: the evaluation is (blue
+product) / (X1 - X2)^(chi(Sb)/2) * R.  Dividing before multiplying by R
+is exact: X1 - X2 is prime in Z[X1, X2] and divides neither X1 + X2 nor
+X1 * X2, so it divides the blue product times R as often as it divides
+the blue product, and a non-exact division fails on the same foams
+either way.
 
 A foam checks itself once, when it is built, and raises MalformedFoam
 if it is not well formed; it then carries its free boundary and the
 facets of each binding's blue pages.  The evaluation runs in two parts.
-The first reads no dots: it walks the blue pages, enumerates the colorings,
-checks the parity of chi(S1) and chi(Sb), and keeps each coloring's
-sign and the blue facets it colors 1.  The second takes the facet dots
-and runs on one row of ints.  Every coloring shares out the same D blue
-dots between X1 and X2, so the blue sum is homogeneous of degree D: a
-row of D + 1 coefficients.  Dividing it by X1 - X2 takes running sums,
-a power of X1 + X2 or X1 - X2 convolves it with a binomial row, and
-(X1*X2)^squares shifts both exponents.  The relation harness closes
-every term with disk caps in (max_dots + 1)^m ways, m the number of
-free circles.  A cap erases its circle and adds its dots to the facet.
-Every closure of a term erases the same circles and keeps every genus
-and binding, so the closures differ only in dots and share their
-colorings, signs and Euler characteristics.  The harness therefore runs
-the first part once per term, at its first closure, and the second part
-for each closure.
+The first reads no dots: it walks the blue pages once, checks the
+parity of chi(S1) and chi(Sb), and keeps the base sign and, per blue
+component, its facets colored 1 and 2 in the base and its eps.  The
+second takes the facet dots and runs on one row of ints.  The blue
+product is homogeneous of the degree D of all blue dots: a row of D + 1
+coefficients, each factor a two-entry convolution.  Dividing it by
+X1 - X2 takes running sums, a power of X1 + X2 or X1 - X2 convolves it
+with a binomial row, and (X1*X2)^squares shifts both exponents.  The
+relation harness closes every term with disk caps in (max_dots + 1)^m
+ways, m the number of free circles.  A cap erases its circle and adds
+its dots to the facet.  Every closure of a term erases the same circles
+and keeps every genus and binding, so the closures differ only in dots
+and share their components, signs and Euler characteristics.  The
+harness therefore runs the first part once per term, at its first
+closure, and the second part for each closure.
 """
 
 from __future__ import annotations
@@ -73,11 +88,6 @@ class Facet:
 
     def __post_init__(self):
         object.__setattr__(self, "slots", tuple(self.slots))
-
-    @property
-    def euler(self):
-        """chi = 2 - 2*genus - number of boundary circles."""
-        return 2 - 2 * self.genus - len(self.slots)
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,49 +172,45 @@ class Foam:
             for b in self.bindings))
 
 
-def blue_components(foam):
-    """Connected components of the blue subsurface.
-
-    Two blue facets are adjacent iff they are the two blue pages of some
-    binding.  Returns a list of sorted facet-id lists, sorted by their
-    smallest member, so the component count k is ``len(result)``.
-    """
-    return _blue_walk(foam)[0]
-
-
 def _blue_walk(foam):
     """Breadth-first 2-coloring of the blue facets, component by component.
 
     Each walk starts at the smallest unvisited id with color 1 and visits
-    neighbours in id order.  Returns ``(components, base, conflict)``: the
-    components as in :func:`blue_components`, the color of every blue
-    facet, and the first pair of adjacent facets that got the same color
-    (None when there is none).
+    neighbours in id order, so the components are numbered by their
+    smallest ids.  Returns ``(base, k)``: per blue facet id, the index of
+    its component and its color, and the number k of components.  Raises
+    NonBipartiteBinding when a binding has both blue pages on one facet,
+    or at the first pair of adjacent facets that get the same color.
     """
+    for b, (u, v) in zip(foam.bindings, foam.pages):
+        if u == v:
+            raise NonBipartiteBinding(
+                "binding %r has both blue pages on facet %r" % (b.id, u)
+            )
     adj = {f.id: [] for f in foam.facets if f.color == BLUE}
     for u, v in foam.pages:
         adj[u].append(v)
         adj[v].append(u)
-    components = []
     base = {}
-    conflict = None
+    k = 0
     for root in sorted(adj):
         if root in base:
             continue
-        base[root] = 1
-        comp = [root]
-        for cur in comp:  # comp is the walk's queue and grows as it goes
-            want = 3 - base[cur]
+        base[root] = (k, 1)
+        queue = [root]
+        for cur in queue:  # the queue grows as the walk goes
+            want = 3 - base[cur][1]
             for nxt in sorted(adj[cur]):
                 have = base.get(nxt)
                 if have is None:
-                    base[nxt] = want
-                    comp.append(nxt)
-                elif have != want and conflict is None:
-                    conflict = (cur, nxt)
-        comp.sort()
-        components.append(comp)
-    return components, base, conflict
+                    base[nxt] = (k, want)
+                    queue.append(nxt)
+                elif have[1] != want:
+                    raise NonBipartiteBinding(
+                        "facets %r and %r force conflicting colors" % (cur, nxt)
+                    )
+        k += 1
+    return base, k
 
 
 def enumerate_colorings(foam):
@@ -212,114 +218,79 @@ def enumerate_colorings(foam):
 
     There are exactly 2**k of them, where k is the number of blue
     components: each component is 2-colored once by breadth-first
-    propagation and then flipped independently, so that bit i of a
-    coloring's index says whether component i is flipped.  Raises
-    NonBipartiteBinding when propagation hits a contradiction.
+    propagation and then flipped independently, so that bit j of a
+    coloring's index says whether component j is flipped.  Raises
+    NonBipartiteBinding when propagation hits a contradiction.  The
+    evaluation does not call this: it takes the sum over the colorings
+    as a product over the components.
     """
-    for b, (u, v) in zip(foam.bindings, foam.pages):
-        if u == v:
-            raise NonBipartiteBinding(
-                "binding %r has both blue pages on facet %r" % (b.id, u)
-            )
-    components, base, conflict = _blue_walk(foam)
-    if conflict:
-        raise NonBipartiteBinding(
-            "facets %r and %r force conflicting colors" % conflict
-        )
-
-    colorings = [{}]
-    for comp in components:  # each component doubles the list
-        kept = {fid: base[fid] for fid in comp}
-        flipped = {fid: 3 - c for fid, c in kept.items()}
-        colorings = ([{**c, **kept} for c in colorings]
-                     + [{**c, **flipped} for c in colorings])
-    return colorings
-
-
-SIGMA_1 = "S1"
-SIGMA_B = "Sb"
+    base, k = _blue_walk(foam)
+    return [{fid: 3 - c if flips >> j & 1 else c for fid, (j, c) in base.items()}
+            for flips in range(2 ** k)]
 
 
 def _even_euler(which, total):
     if total % 2:
         raise OddEuler("chi(%s) = %d is odd" % (which, total))
-    return total
-
-
-def chi_subsurface(foam, coloring, which):
-    """Euler characteristic of a colored subsurface of a closed foam.
-
-    ``which`` is ``SIGMA_1`` (blue facets colored 1 plus all red facets)
-    or ``SIGMA_B`` (all blue facets).  Binding circles contribute zero,
-    so the value is the plain sum of facet Euler characteristics; it is
-    always even for a valid closed foam.
-    """
-    total = 0
-    for f in foam.facets:
-        if which == SIGMA_B:
-            if f.color == BLUE:
-                total += f.euler
-        elif which == SIGMA_1:
-            if f.color == RED or coloring.get(f.id) == 1:
-                total += f.euler
-        else:
-            raise ValueError("unknown subsurface selector %r" % which)
-    return _even_euler(which, total)
-
-
-def count_n12(foam, coloring):
-    """Number of bindings whose ordered blue pages are colored (1, 2)."""
-    return sum(
-        1
-        for first, second in foam.pages
-        if coloring[first] == 1 and coloring[second] == 2
-    )
 
 
 def _colorings(foam):
     """The part of the evaluation that reads no dots.
 
-    Requires a closed foam, enumerates its colorings and checks that
-    chi(S1) is even on each and chi(Sb) after the first chi(S1), the
-    order of the term-by-term formula, so a bad foam fails with the same
-    message.  Returns ``(terms, half_chi_b, reds, red_squares)``: per
-    coloring its sign and the indices of the blue facets it colors 1;
-    chi(Sb)/2; the indices of the red facets; and their squares in all.
-    Indices are positions in ``foam.facets``.
+    Requires a closed foam and walks its blue pages once.  Returns
+    ``(sign, factors, half_chi_b, reds, red_squares)``: the sign of the
+    base coloring; per blue component ``(ones, twos, eps)``, the indices
+    of its facets colored 1 and 2 in the base and its eps; chi(Sb)/2; the
+    indices of the red facets; and their squares in all.  Indices are
+    positions in ``foam.facets``.
+
+    Flipping component j alone adds c'_j - c_j to chi(S1), the Euler
+    characteristics of its facets colored 2 and 1 in the base, and turns
+    each of its m_j bindings from (1, 2) to (2, 1) or back, so
+    eps_j = (-1)^((c'_j - c_j)/2 + m_j).  A coloring that flips several
+    components adds all their c'_j - c_j.  In the order of
+    :func:`enumerate_colorings` the flip of component j alone comes after
+    every coloring of components 0..j-1 only, so the first coloring with
+    odd chi(S1) is the base or a single flip.  The checks run as the
+    term-by-term sum's do: chi(S1) on the base, chi(Sb), then each single
+    flip in component order, so OddEuler carries the same message.
     """
     if foam.free_boundary:
         raise MalformedFoam("cannot evaluate a foam with free boundary")
-    blue = []
+    base, k = _blue_walk(foam)
+    sides = [([], []) for _ in range(k)]  # facets colored 1 and 2 in the base
+    chis = [[0, 0] for _ in range(k)]     # and the sums of their euler
+    bindings = [0] * k
     reds = []
-    chi_red = chi_b = red_squares = 0
+    chi1 = chi_b = red_squares = 0
     for i, f in enumerate(foam.facets):
-        euler = 2 - 2 * f.genus - len(f.slots)
+        euler = 2 - 2 * f.genus - len(f.slots)  # chi of the facet
         if f.color == BLUE:
-            blue.append((i, f.id, euler))
+            j, c = base[f.id]
+            sides[j][c - 1].append(i)
+            chis[j][c - 1] += euler
             chi_b += euler
         else:
             reds.append(i)
-            chi_red += euler
+            chi1 += euler
             red_squares += f.squares
-    firsts = [u for u, _ in foam.pages]
-    terms = []
-    for coloring in enumerate_colorings(foam):
-        chi1 = chi_red
-        ones = []
-        for i, fid, euler in blue:
-            if coloring[fid] == 1:
-                chi1 += euler
-                ones.append(i)
-        _even_euler(SIGMA_1, chi1)
-        if not terms:  # chi(Sb) is the same for every coloring
-            _even_euler(SIGMA_B, chi_b)
-        # the coloring is proper, so a first page colored 1 makes (1, 2)
-        n12 = 0
-        for u in firsts:
-            if coloring[u] == 1:
-                n12 += 1
-        terms.append((-1 if (chi1 // 2 + n12) % 2 else 1, ones))
-    return terms, chi_b // 2, reds, red_squares
+    # the coloring is proper, so a first page colored 1 makes (1, 2)
+    n12 = 0
+    for u, _ in foam.pages:
+        j, c = base[u]
+        bindings[j] += 1
+        if c == 1:
+            n12 += 1
+    for c, _ in chis:
+        chi1 += c
+    _even_euler("S1", chi1)
+    _even_euler("Sb", chi_b)
+    factors = []
+    for (ones, twos), (c, flipped), m in zip(sides, chis, bindings):
+        _even_euler("S1", chi1 - c + flipped)
+        factors.append((ones, twos, -1 if ((flipped - c) // 2 + m) % 2 else 1))
+    sign = -1 if (chi1 // 2 + n12) % 2 else 1
+    return sign, factors, chi_b // 2, reds, red_squares
 
 
 def _times_binomial(row, m, sign):
@@ -340,22 +311,31 @@ def _value(colorings, dots):
     """The value part of the evaluation, from :func:`_colorings` and the
     dots of each facet, in the order of ``foam.facets``.
 
-    Every term has the same blue degree D, so the arithmetic runs on one
-    row of D + 1 ints, ``row[a]`` the coefficient of X1^a * X2^(D-a).
+    The blue sum is sign * prod_j (X1^a * X2^b + eps * X1^b * X2^a), a
+    and b the dots of component j's facets colored 1 and 2 in the base.
+    It is homogeneous of the blue degree D, so the arithmetic runs on
+    one row of D + 1 ints, ``row[a]`` the coefficient of X1^a * X2^(D-a).
     """
-    terms, half_chi_b, reds, red_squares = colorings
+    sign, factors, half_chi_b, reds, red_squares = colorings
+    row = [sign]
+    for ones, twos, eps in factors:
+        a = b = 0
+        for i in ones:
+            a += dots[i]
+        for i in twos:
+            b += dots[i]
+        if a == b and eps < 0:
+            # a zero factor, and Z[X1, X2] has no zero divisors: the value
+            # is zero whatever the division and the red decorations
+            return IntPoly2.zero()
+        out = [0] * (len(row) + a + b)
+        for x, c in enumerate(row):
+            out[x + a] += c
+            out[x + b] += eps * c
+        row = out
     red_dots = 0
     for i in reds:
         red_dots += dots[i]
-    row = [0] * (sum(dots) - red_dots + 1)
-    for sign, ones in terms:
-        a = 0
-        for i in ones:
-            a += dots[i]
-        row[a] += sign
-    if not any(row):
-        # zero whatever the division and the red decorations
-        return IntPoly2.zero()
     row = _times_binomial(row, max(-half_chi_b, 0), -1)
     for _ in range(half_chi_b):
         # (X1 - X2) * q has coefficient q[a-1] - q[a] at X1^a, so q[a-1]

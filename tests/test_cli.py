@@ -8,7 +8,7 @@ import time
 import pytest
 
 import knotfoam
-from knotfoam.cli import TOOL_VERSION, main
+from knotfoam.cli import MAX_DOTS, TOOL_VERSION, main
 from knotfoam.foam import BLUE, RED, Binding, Facet, Foam, foam_to_json
 from knotfoam.graphs import graph_to_json
 
@@ -511,6 +511,33 @@ def test_verify_relations_rejects_negative_max_dots(capsys):
     # range(0) dots would evaluate no closure and report every relation held
     assert run_cli(["verify-relations", "--max-dots", "-1"], capsys) == (
         2, "", "input error: --max-dots must be at least 0, got -1\n")
+
+
+def test_verify_relations_refuses_max_dots_above_the_limit():
+    # a fresh interpreter under a timeout, so that a harness that starts
+    # on 10^11 closures per one-circle fixture fails instead of hanging
+    src = str(pathlib.Path(knotfoam.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "knotfoam.cli", "verify-relations",
+         "--max-dots", "100000000000"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "size limit: --max-dots 100000000000 exceeds limit 16\n")
+
+
+def test_verify_relations_max_dots_limit_is_inclusive(monkeypatch, capsys):
+    from knotfoam import relations
+
+    calls = []
+    monkeypatch.setattr(relations, "verify_all_relations",
+                        lambda max_dots: calls.append(max_dots) or [])
+    assert run_cli(["verify-relations", "--max-dots", str(MAX_DOTS)],
+                   capsys) == (0, "0/0 relations hold\n", "")
+    assert run_cli(["verify-relations", "--max-dots", str(MAX_DOTS + 1)],
+                   capsys) == (3, "", "size limit: --max-dots %d exceeds limit %d\n"
+                               % (MAX_DOTS + 1, MAX_DOTS))
+    assert calls == [MAX_DOTS]
 
 
 def test_invariants_rejects_negative_max_crossings(capsys):

@@ -1,22 +1,27 @@
+import json
+import pathlib
 import random
 
 import pytest
 
 import knotfoam.foam
 from bivariate_division import divide_by_difference_power
+from foam_oracle import (
+    SIGMA_1,
+    SIGMA_B,
+    blue_components,
+    chi_subsurface,
+    count_n12,
+    evaluate_term_by_term,
+)
 from knotfoam.errors import MalformedFoam, NonBipartiteBinding, NonExactDivision, OddEuler
 from knotfoam.foam import (
     BLUE,
     RED,
-    SIGMA_1,
-    SIGMA_B,
     Binding,
     Facet,
     Foam,
-    blue_components,
     cap_closure,
-    chi_subsurface,
-    count_n12,
     enumerate_colorings,
     evaluate_foam,
     foam_from_json,
@@ -281,28 +286,6 @@ def test_json_rejects_mismatched_boundary():
         foam_from_json(data)
 
 
-def _oracle_evaluate(foam):
-    """The evaluation restated term by term: for every coloring, the
-    product of every facet's weight, signed by chi_subsurface and
-    count_n12, then the whole sum divided by (X1 - X2)^(chi(Sb)/2)."""
-    if foam.free_boundary:
-        raise MalformedFoam("cannot evaluate a foam with free boundary")
-    total = IntPoly2.zero()
-    for coloring in enumerate_colorings(foam):
-        chi1 = chi_subsurface(foam, coloring, SIGMA_1)
-        chib = chi_subsurface(foam, coloring, SIGMA_B)
-        sign = -1 if (chi1 // 2 + count_n12(foam, coloring)) % 2 else 1
-        term = IntPoly2.constant(sign)
-        for f in foam.facets:
-            if f.color == BLUE:
-                exp = (f.dots, 0) if coloring[f.id] == 1 else (0, f.dots)
-                term = term * IntPoly2({exp: 1})
-            else:
-                term = term * E ** f.dots * PI ** f.squares
-        total = total + term
-    return divide_by_difference_power(total, chib // 2)
-
-
 def _outcome(evaluate, foam):
     try:
         return evaluate(foam)
@@ -316,7 +299,7 @@ def test_evaluation_matches_term_by_term_oracle():
         rng = random.Random(seed)
         for _ in range(120):
             foam = random_closed_foam(rng)
-            assert evaluate_foam(foam) == _oracle_evaluate(foam)
+            assert evaluate_foam(foam) == evaluate_term_by_term(foam)
             checked += 1
     assert checked >= 500
 
@@ -341,28 +324,42 @@ def test_evaluation_matches_the_oracle_on_wide_decorations():
         for _ in range(100):
             foam = random_closed_foam(rng)
             for f in (foam, _redecorated(foam, rng)):
-                assert _outcome(evaluate_foam, f) == _outcome(_oracle_evaluate, f), f
+                assert (_outcome(evaluate_foam, f)
+                        == _outcome(evaluate_term_by_term, f)), f
                 checked += 1
     assert checked >= 2000
 
 
+def _refuse_colorings(monkeypatch):
+    """Make enumerate_colorings raise: the evaluation must not list them."""
+    def refuse(foam):
+        raise AssertionError("the evaluation enumerated the colorings")
+
+    monkeypatch.setattr(knotfoam.foam, "enumerate_colorings", refuse)
+
+
 def test_one_coloring_pass_per_evaluation(monkeypatch):
-    # evaluate_foam looks enumerate_colorings up in its module, once
-    calls = []
-    enumerate_all = knotfoam.foam.enumerate_colorings
+    # evaluate_foam walks the blue pages once, looking _blue_walk up in its
+    # module, and takes one factor per blue component instead of listing
+    # the 2**k colorings
+    walks = []
+    walk = knotfoam.foam._blue_walk
 
     def counted(foam):
-        calls.append(enumerate_all(foam))
-        return calls[-1]
+        walks.append(walk(foam))
+        return walks[-1]
 
-    monkeypatch.setattr(knotfoam.foam, "enumerate_colorings", counted)
+    _refuse_colorings(monkeypatch)
+    monkeypatch.setattr(knotfoam.foam, "_blue_walk", counted)
     rng = random.Random(13)
     for _ in range(60):
         foam = random_closed_foam(rng)
-        calls.clear()
+        walks.clear()
         evaluate_foam(foam)
-        assert len(calls) == 1
-        assert len(calls[0]) == 2 ** len(blue_components(foam))
+        assert len(walks) == 1
+        k = len(blue_components(foam))
+        assert walks[0][1] == k
+        assert len(knotfoam.foam._colorings(foam)[1]) == k
 
 
 def test_row_edge_cases():
@@ -380,35 +377,90 @@ def test_row_edge_cases():
         (blue_sphere(dots=3), -1 * (X1 * X1 + X1 * X2 + X2 * X2)),
     ]
     for foam, expected in cases:
-        assert evaluate_foam(foam) == expected == _oracle_evaluate(foam), foam
+        assert evaluate_foam(foam) == expected == evaluate_term_by_term(foam), foam
 
 
 def test_row_arithmetic_matches_the_polynomial_oracle():
-    # the value part on hand-made rows: a blue sum sum_a row[a] X1^a X2^(D-a)
-    # (D facets of one dot; a term colors the first a of them 1), k
-    # divisions by X1 - X2 (k < 0 multiplies), and red dots and squares
+    # the value part on hand-made factors: a blue sum
+    # sign * prod_j (X1^a_j X2^b_j + eps_j X1^b_j X2^a_j), the dots a_j and
+    # b_j shared out over 0-2 facets on each side, k divisions by X1 - X2
+    # (k < 0 multiplies), and red dots and squares
     rng = random.Random(14)
     raised = 0
     for _ in range(400):
-        degree = rng.randint(0, 6)
-        row = [rng.choice((0, 0, 1, -1, 2)) for _ in range(degree + 1)]
-        if rng.random() < 0.5:  # make the blue sum a multiple of (X1 - X2)^j
-            for _ in range(rng.randint(1, 3)):
-                row = [p - c for p, c in zip([0] + row, row + [0])]
+        sign = rng.choice((1, -1))
+        blue_sum = IntPoly2.constant(sign)
+        factors = []
+        dots = []
+        for _ in range(rng.randint(0, 4)):
+            sides = []
+            for _ in range(2):
+                side = [rng.randint(0, 2) for _ in range(rng.randint(0, 2))]
+                sides.append(list(range(len(dots), len(dots) + len(side))))
+                dots += side
+            a, b = (sum(dots[i] for i in side) for side in sides)
+            eps = rng.choice((1, -1))
+            factors.append((*sides, eps))
+            blue_sum = blue_sum * (IntPoly2({(a, b): 1}) + eps * IntPoly2({(b, a): 1}))
         k = rng.randint(-3, 4)
         red_dots, squares = rng.randint(0, 3), rng.randint(0, 2)
-        terms = [(1 if c > 0 else -1, list(range(a)))
-                 for a, c in enumerate(row) for _ in range(abs(c))]
-        dots = [1] * (len(row) - 1) + [red_dots]
-        colorings = (terms, k, [len(dots) - 1], squares)
-        blue_sum = IntPoly2({(a, len(row) - 1 - a): c for a, c in enumerate(row)})
+        dots.append(red_dots)
+        colorings = (sign, factors, k, [len(dots) - 1], squares)
 
         outcome = _outcome(lambda c: knotfoam.foam._value(c, dots), colorings)
         assert outcome == _outcome(
             lambda p: divide_by_difference_power(p, k) * E ** red_dots * PI ** squares,
-            blue_sum), (row, k)
+            blue_sum), (factors, dots, k)
         raised += type(outcome) is tuple
     assert raised >= 50
+
+
+def _union(parts):
+    """The disjoint union of the parts, every id of part i prefixed "i."."""
+    facets = []
+    bindings = []
+    for i, foam in enumerate(parts):
+        pre = "%d." % i
+        facets += [Facet(pre + f.id, f.color, f.genus, f.dots, f.squares,
+                         tuple(pre + s for s in f.slots)) for f in foam.facets]
+        bindings += [Binding(pre + b.id, tuple(pre + s for s in b.blue_pages),
+                             pre + b.red_page) for b in foam.bindings]
+    return Foam(tuple(facets), tuple(bindings))
+
+
+THETAS_24 = pathlib.Path(__file__).parent / "data" / "foams" / "thetas-24"
+
+
+def _thetas_24_parts():
+    """24 thetas with 1-2 dots on the upper page, and four random foams of
+    nonzero value at random places among them."""
+    rng = random.Random(24)
+    parts = [theta(dots_u=rng.randint(1, 2)) for _ in range(24)]
+    mixed = 0
+    while mixed < 4:
+        foam = random_closed_foam(rng)
+        if evaluate_foam(foam):
+            parts.insert(rng.randrange(len(parts) + 1), foam)
+            mixed += 1
+    return parts
+
+
+def test_disjoint_union_is_the_product_of_its_parts(monkeypatch):
+    # the sum over the union's 2**k colorings (k = 24 + the random parts'
+    # components) is out of reach; the product over components is not.
+    # The CLI step of CI evaluates the same union from the JSON file.
+    _refuse_colorings(monkeypatch)
+    parts = _thetas_24_parts()
+    union = _union(parts)
+    assert foam_from_json(json.loads(THETAS_24.with_suffix(".json").read_text())) == union
+    k = len(blue_components(union))
+    assert k == 29
+    product = IntPoly2.one()
+    for part in parts:
+        product = product * evaluate_foam(part)
+    value = evaluate_foam(union)
+    assert value == product and value
+    assert THETAS_24.with_suffix(".txt").read_text() == "%s\nsymmetric: true\n" % value
 
 
 def _odd_cycle(genus=0):
@@ -444,6 +496,9 @@ def test_evaluation_raises_like_the_oracle():
         (_with_genus(theta(), U=half, L=half), OddEuler),  # only chi(S1) odd
         (_with_genus(theta(), U=half), OddEuler),  # chi(Sb) odd
         (_with_genus(blue_sphere(), b=half), OddEuler),
+        # chi(Sb) and the base are even; the first odd coloring flips the
+        # second theta alone, after the even flip of the first
+        (_with_genus(_union([theta()] * 3), **{"1.U": half, "2.U": half}), OddEuler),
         (one_facet_pages, NonBipartiteBinding),
         (_odd_cycle(), NonBipartiteBinding),
         (_odd_cycle(half), NonBipartiteBinding),  # checked before chi
@@ -451,4 +506,4 @@ def test_evaluation_raises_like_the_oracle():
     for foam, expected in cases:
         outcome = _outcome(evaluate_foam, foam)
         assert outcome[0] is expected, foam
-        assert outcome == _outcome(_oracle_evaluate, foam), foam
+        assert outcome == _outcome(evaluate_term_by_term, foam), foam

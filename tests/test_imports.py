@@ -55,11 +55,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # public names that only tests call, each with the reason it stays
 TEST_ONLY = {
-    "chi_subsurface": "with count_n12, the term-by-term oracle of evaluate_foam",
-    "count_n12": "with chi_subsurface, the term-by-term oracle of evaluate_foam",
     "graph_to_json": "the writer side of graph_from_json",
-    "blue_components": "the component count k that the 2**k colorings of "
-                       "enumerate_colorings are checked against",
 }
 
 

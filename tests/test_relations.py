@@ -191,16 +191,16 @@ def test_harness_raises_like_reference(fixture, replace, error):
 
 
 def test_harness_colors_each_term_once(monkeypatch):
-    # capping changes dots only, so a term's colorings are enumerated at
-    # its first closure and reused by every other closure
+    # capping changes dots only, so the dots-free part of a term's
+    # evaluation runs at its first closure and every other closure reuses it
     calls = []
-    colorings = knotfoam.foam.enumerate_colorings
+    colorings = knotfoam.foam._colorings
 
     def counted(foam):
         calls.append(foam)
         return colorings(foam)
 
-    monkeypatch.setattr(knotfoam.foam, "enumerate_colorings", counted)
+    monkeypatch.setattr(knotfoam.foam, "_colorings", counted)
     for name, _desc, lhs, rhs in relation_fixtures():
         calls.clear()
         assert verify_local_relation(lhs, rhs, max_dots=2) == (True, None)
