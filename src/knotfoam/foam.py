@@ -81,7 +81,7 @@ RED = "red"
 class Facet:
     id: str
     color: str
-    genus: int = 0
+    genus: int = 0  # a multiple of 1/2; chi = 2 - 2 genus - len(slots)
     dots: int = 0
     squares: int = 0
     slots: tuple = ()
@@ -129,6 +129,9 @@ class Foam:
                 raise MalformedFoam("facet %r has unknown color %r" % (f.id, f.color))
             if f.genus < 0 or f.dots < 0 or f.squares < 0:
                 raise MalformedFoam("facet %r has negative decoration data" % f.id)
+            if 2 * f.genus % 1:
+                raise MalformedFoam("facet %r has genus %r, not a multiple of 1/2"
+                                    % (f.id, f.genus))
             if f.color == BLUE and f.squares:
                 raise MalformedFoam("facet %r is blue but carries squares" % f.id)
             for s in f.slots:
@@ -264,7 +267,7 @@ def _colorings(foam):
     reds = []
     chi1 = chi_b = red_squares = 0
     for i, f in enumerate(foam.facets):
-        euler = 2 - 2 * f.genus - len(f.slots)  # chi of the facet
+        euler = 2 - int(2 * f.genus) - len(f.slots)  # chi of the facet
         if f.color == BLUE:
             j, c = base[f.id]
             sides[j][c - 1].append(i)

@@ -116,10 +116,50 @@ class GradedChainComplex:
                          i, self.qs[i][k])
 
     def check_d_squared(self):
+        """Check d_{i+1} d_i = 0, or raise NotAComplex naming the degree and
+        q-degree of the first nonzero column, in ascending degree.
+
+        Column c of the product is sum_k d_i[k, c] * (column k of d_{i+1}).
+        Where every entry met is +1 or -1, each product is +1 or -1 at one
+        row, so the column is zero exactly when the rows reached with + and
+        with - are equal as multisets: two sorted lists, extended by each
+        column of d_{i+1} split once into its rows at +1 and at -1.  Cube
+        builds have no other entries.  A column that meets one, such as the
+        2 of a hand-built complex, is summed exactly.
+        """
         for i in self.degrees:
             d1, d2 = self.matrix(i), self.matrix(i + 1)
-            # compose: (d2 * d1)[r, c] = sum_k d2[r, k] * d1[k, c]
+            split, other = {}, set()  # unit columns of d2 split; the others
+            for k, col in d2.items():
+                p, m = [], []
+                for r, w in col.items():
+                    if w == 1:
+                        p.append(r)
+                    elif w == -1:
+                        m.append(r)
+                    else:
+                        other.add(k)
+                        break
+                else:
+                    split[k] = (tuple(p), tuple(m))
             for c, col in d1.items():
+                pos, neg = [], []
+                for k, v in col.items():
+                    p, m = split.get(k, ((), ()))
+                    if v == 1:
+                        pos += p
+                        neg += m
+                    elif v == -1:
+                        pos += m
+                        neg += p
+                    else:
+                        break
+                else:
+                    pos.sort()
+                    neg.sort()
+                    if pos == neg and other.isdisjoint(col):
+                        continue
+                # (d2 * d1)[r, c] = sum_k d2[r, k] * d1[k, c]
                 acc = {}
                 for k, v in col.items():
                     for r, w in d2.get(k, {}).items():

@@ -36,7 +36,7 @@ def chi_subsurface(foam, coloring, which):
         else:
             raise ValueError("unknown subsurface selector %r" % which)
         if inside:
-            total += 2 - 2 * f.genus - len(f.slots)
+            total += 2 - int(2 * f.genus) - len(f.slots)
     if total % 2:
         raise OddEuler("chi(%s) = %d is odd" % (which, total))
     return total

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -70,6 +71,15 @@ def test_validate_ok():
 def test_validate_rejects_squares_on_blue():
     with pytest.raises(MalformedFoam, match="^facet 'b' is blue but carries squares$"):
         Foam((Facet("b", BLUE, squares=1),), ())
+
+
+def test_validate_rejects_genus_off_the_half_integers():
+    for genus in (0.25, Fraction(1, 3)):
+        with pytest.raises(MalformedFoam, match="^facet 'b' has genus .*, "
+                           "not a multiple of 1/2$"):
+            Foam((Facet("b", BLUE, genus=genus),), ())
+    for genus in (0.5, Fraction(3, 2), 2):
+        assert Foam((Facet("b", RED, genus=genus),), ())
 
 
 def test_validate_rejects_missing_slot():
@@ -461,6 +471,25 @@ def test_disjoint_union_is_the_product_of_its_parts(monkeypatch):
     value = evaluate_foam(union)
     assert value == product and value
     assert THETAS_24.with_suffix(".txt").read_text() == "%s\nsymmetric: true\n" % value
+
+
+def test_half_integer_genus_evaluates_or_raises_odd_euler():
+    # the seed-11 foams with 1/2 added to the genus of each facet at
+    # random: every chi is an int, so where all of them are even the foam
+    # evaluates to the oracle's value, and elsewhere both raise OddEuler
+    rng = random.Random(11)
+    kinds = {OddEuler: 0, IntPoly2: 0}
+    for _ in range(4000):
+        foam = random_closed_foam(rng)
+        foam = Foam(
+            tuple(Facet(f.id, f.color, f.genus + rng.choice((0, 0.5)), f.dots,
+                        f.squares, f.slots) for f in foam.facets),
+            foam.bindings,
+        )
+        outcome = _outcome(evaluate_foam, foam)
+        assert outcome == _outcome(evaluate_term_by_term, foam), foam
+        kinds[type(outcome) if isinstance(outcome, IntPoly2) else outcome[0]] += 1
+    assert kinds[OddEuler] > 3000 and kinds[IntPoly2] > 500, kinds
 
 
 def _odd_cycle(genus=0):

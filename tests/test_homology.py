@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -241,6 +242,57 @@ def test_not_a_complex():
     cx.qs[1] = [2]
     with pytest.raises(NotAComplex, match=r"d_0 sends q-degree 0 to q-degree 2"):
         integral_homology(cx)
+
+
+def _three_term_complex(d0, d1):
+    # Z^a --d0--> Z^b --d1--> Z^c in degrees 0, 1, 2, all at q = 0; the
+    # column maps {col: {row: entry}} give the sizes
+    cx = GradedChainComplex(KH, 0, 0)
+    cx.qs[0] = [0] * len(d0)
+    cx.qs[1] = [0] * len(d1)
+    cx.qs[2] = [0] * (1 + max(r for col in d1.values() for r in col))
+    cx.differentials[0] = d0
+    cx.differentials[1] = d1
+    return cx
+
+
+def test_d_squared_with_entries_other_than_units():
+    broken = r"^d o d != 0 at degree 0 in q-block 0$"
+    # 2 * 3 - 6 in one column, then 2 * 3 - 5
+    assert _three_term_complex({0: {0: 2, 1: 1}},
+                               {0: {0: 3}, 1: {0: -6}}).check_d_squared()
+    cx = _three_term_complex({0: {0: 2, 1: 1}}, {0: {0: 3}, 1: {0: -5}})
+    with pytest.raises(NotAComplex, match=broken):
+        cx.check_d_squared()
+    # a column of units in d_0 that meets columns of d_1 with other entries
+    assert _three_term_complex({0: {0: 1, 1: -1}},
+                               {0: {0: 6}, 1: {0: 6}}).check_d_squared()
+    cx = _three_term_complex({0: {0: 1, 1: -1}}, {0: {0: 6}, 1: {0: 5}})
+    with pytest.raises(NotAComplex, match=broken):
+        cx.check_d_squared()
+    # entries of 10**12: the cost does not grow with their size
+    big = 10 ** 12
+    t0 = time.perf_counter()
+    assert _three_term_complex({0: {0: big, 1: big}},
+                               {0: {0: big}, 1: {0: -big}}).check_d_squared()
+    assert time.perf_counter() - t0 < 1
+    cx = _three_term_complex({0: {0: big, 1: -big}},
+                             {0: {0: big}, 1: {0: big - 1}})
+    with pytest.raises(NotAComplex, match=broken):
+        cx.check_d_squared()
+
+
+def test_d_squared_counts_multiplicities():
+    # column 0 reaches row 0 twice with + and once with -: the same set of
+    # rows on both sides, but not the same multiset
+    cx = _three_term_complex({0: {0: 1, 1: 1, 2: 1}},
+                             {0: {0: 1}, 1: {0: 1}, 2: {0: -1}})
+    with pytest.raises(NotAComplex, match=r"^d o d != 0 at degree 0 in q-block 0$"):
+        cx.check_d_squared()
+    cx.differentials[0][0][3] = -1
+    cx.differentials[1][3] = {0: 1}
+    cx.qs[1].append(0)
+    assert cx.check_d_squared()
 
 
 def test_snf_of_dense_matrices_gives_the_determinant():

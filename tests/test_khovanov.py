@@ -18,6 +18,7 @@ from knotfoam.khovanov import (
     KH,
     LEE,
     Generator,
+    GradedChainComplex,
     _MAPS,
     build_complex,
     frobenius,
@@ -242,6 +243,63 @@ def test_a_flipped_entry_breaks_d_squared(side):
             cx.check_d_squared()
             flipped += 1
     assert flipped >= 20
+
+
+def _d_squared_by_products(cx):
+    """The d o d gate product by product, as an exact integer sum per
+    column of d_{i+1} d_i: None, or the message of the first nonzero
+    column, degrees ascending and columns in the order of d_i."""
+    for i in cx.degrees:
+        d1, d2 = cx.matrix(i), cx.matrix(i + 1)
+        for c, col in d1.items():
+            acc = {}
+            for k, v in col.items():
+                for r, w in d2.get(k, {}).items():
+                    acc[r] = acc.get(r, 0) + v * w
+            if any(acc.values()):
+                return ("d o d != 0 at degree %d in q-block %d"
+                        % (i, cx.q_degrees(i)[c]))
+    return None
+
+
+def _d_squared_outcome(cx):
+    try:
+        cx.check_d_squared()
+    except NotAComplex as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("side", [KH, LEE])
+def test_d_squared_matches_the_product_by_product_sum(side):
+    # built complexes, and copies with one entry flipped, scaled by 2 or
+    # -3 (which sends its columns to the exact sum) or deleted
+    rng = random.Random(49)
+    edits = {"flip": -1, "double": 2, "times -3": -3, "delete": 0}
+    broken = dict.fromkeys(edits, 0)
+    for _ in range(20):
+        cx = build_complex(random_braid_pd(rng, max_letters=7), side)
+        assert _d_squared_outcome(cx) is None
+        assert _d_squared_by_products(cx) is None
+        entries = [(i, c, r) for i, d in cx.differentials.items()
+                   for c, col in d.items() for r in col]
+        for edit, factor in edits.items():
+            i, c, r = rng.choice(entries)
+            copy = GradedChainComplex(cx.side, cx.n_plus, cx.n_minus)
+            copy.qs = cx.qs
+            copy.differentials = {j: {k: dict(col) for k, col in d.items()}
+                                  for j, d in cx.differentials.items()}
+            col = copy.differentials[i][c]
+            if factor:
+                col[r] *= factor
+            else:
+                del col[r]
+                if not col:
+                    del copy.differentials[i][c]
+            expected = _d_squared_by_products(copy)
+            assert _d_squared_outcome(copy) == expected, (edit, i, c, r)
+            broken[edit] += expected is not None
+    assert min(broken.values()) >= 10, broken
 
 
 def _assert_entries_follow_the_edge_maps(pd, side):
