@@ -21,6 +21,10 @@ must close up, or the constructor raises InvalidDiagram.  The code then
 carries the port array ``far`` (port -> the other port of its arc, the
 one arc index) and the trace ``over_from_3``, and no reader checks or
 indexes it again.
+
+After its first cube build a code also carries ``cube``, the walk of
+:func:`_smoothings` and the states of each height a build has asked for,
+which its later builds reuse (see ``khovanov.build_complex``).
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ class PDCode:
     far: tuple = field(init=False, compare=False, repr=False)
     # per crossing, true when the over-strand runs slot 3 -> slot 1
     over_from_3: tuple = field(init=False, compare=False, repr=False)
+    # khovanov._Cube, made by the code's first cube build
+    cube: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(

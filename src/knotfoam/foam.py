@@ -69,6 +69,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 from .errors import MalformedFoam, NonBipartiteBinding, NonExactDivision, OddEuler
 from .polyring import IntPoly2
@@ -127,6 +128,13 @@ class Foam:
             seen_ids.add(f.id)
             if f.color not in (BLUE, RED):
                 raise MalformedFoam("facet %r has unknown color %r" % (f.id, f.color))
+            # bool is an int subclass, and not a number here
+            if type(f.dots) is not int or type(f.squares) is not int:
+                raise MalformedFoam("facet %r: %s must be an integer" % (
+                    f.id, "dots" if type(f.dots) is not int else "squares"))
+            if type(f.genus) is not int and (isinstance(f.genus, bool)
+                                             or not isinstance(f.genus, Real)):
+                raise MalformedFoam("facet %r: genus must be a number" % f.id)
             if f.genus < 0 or f.dots < 0 or f.squares < 0:
                 raise MalformedFoam("facet %r has negative decoration data" % f.id)
             if 2 * f.genus % 1:

@@ -198,15 +198,18 @@ def build_complex(pd, side=KH, max_crossings=MAX_CROSSINGS, degrees=None):
     base offset: a generator's index is that base plus its labels read
     as a bitmask, the first (smallest) circle id being the most
     significant bit; ``runs[i]`` holds each state's (base, mask, circle
-    ids), and no generator is stored as an object.  A circle the edge does
-    not touch keeps its arcs, so it keeps its id and its place among the
-    ids; its bit in the target follows from the bits of the touched
-    circles on both sides.  An edge's entries, as (column offset, row
-    offset, entry), are therefore fixed by its shape: the source circle
-    count, the bits of the circles at slots 0 and 2 of the crossing before
-    it and at slots 0 and 1 after it (the first two differ on a merge).
-    Each shape's pattern is worked out once per build, and an edge writes
-    it, with its base offsets and sign, straight into the columns of the
+    ids), and no generator is stored as an object.  The walk and the
+    states are the diagram's, ``pd.cube`` (a :class:`_Cube`): every
+    later build of the code, of either side, reads them and copies its
+    lists.  The edges are the build's.  A circle the edge does not touch
+    keeps its arcs, so it keeps its id and its place among the ids; its
+    bit in the target follows from the bits of the touched circles on
+    both sides.  An edge's entries, as (column offset, row offset, entry),
+    are therefore fixed by its shape: the source circle count, the bits
+    of the circles at slots 0 and 2 of the crossing before it and at
+    slots 0 and 1 after it (the first two differ on a merge).  Each
+    shape's pattern is worked out once per build, and an edge writes it,
+    with its base offsets and sign, straight into the columns of the
     source state's generators; these join d_i in ascending index, empty
     ones left out.  Every row and column key of degree i comes from one
     list of the indices 0 .. dim(i) - 1: one int object per index, however
@@ -219,66 +222,90 @@ def build_complex(pd, side=KH, max_crossings=MAX_CROSSINGS, degrees=None):
         raise TooLarge("%d crossings exceeds limit %d" % (n, max_crossings))
     n_plus, n_minus, _ = compute_signs(pd)
     cx = GradedChainComplex(side, n_plus, n_minus)
-    # per height (number of 1s in the state): is its degree built
-    built = [degrees is None or h - n_minus in degrees for h in range(n + 2)]
+    cube = pd.cube or _Cube(pd, n_plus - 2 * n_minus)
+    object.__setattr__(pd, "cube", cube)
+    cx.q_levels = cube.q_levels
+    heights = [h for h in range(n + 1) if degrees is None or h - n_minus in degrees]
+    index = {}  # height -> its indices 0 .. dim - 1
+    for h in heights:
+        runs, q_runs = cube.height(h)
+        cx.runs[h - n_minus] = list(runs)
+        qs = cx.qs[h - n_minus] = []
+        for run in q_runs:
+            qs += run
+        index[h] = list(range(len(qs)))
 
-    # per built state: the label bit of each arc's circle (arcs in the
-    # order of _smoothings), the circle count and the base index
-    arcs, members = _smoothings(pd)
-    shift = n_plus - 2 * n_minus
-    # the 0-crossing diagram's one state has no arcs and one circle
-    cx.q_levels = range(shift - (len(set(members[0])) or 1),
-                        shift + n + (len(set(members[-1])) or 1) + 1, 2)
-    state_qs = {}  # (circle count, top q) -> the q-degrees of one state
-    size = len(members)
-    bits, counts, base = [None] * size, [0] * size, [0] * size
-    for mask, member in enumerate(members):
-        h = mask.bit_count()
-        if not built[h]:
-            continue
-        i = h - n_minus
-        cids = tuple(sorted(set(member))) or (0,)
-        c = counts[mask] = len(cids)
-        qs = cx.qs.setdefault(i, [])
-        bit = {cid: c - 1 - k for k, cid in enumerate(cids)}
-        bits[mask] = list(map(bit.__getitem__, member))
-        base[mask] = len(qs)
-        cx.runs.setdefault(i, []).append((len(qs), mask, cids))
-        top = c + h + shift
-        run = state_qs.get((c, top))
-        if run is None:
-            run = state_qs[c, top] = [top - 2 * k.bit_count()
-                                      for k in range(1 << c)]
-        qs += run
-    index = {i: list(range(len(qs))) for i, qs in cx.qs.items()}
-
-    at = {a: k for k, a in enumerate(arcs)}
-    ends = [(at[a], at[b], at[c]) for a, b, c, _d in pd.crossings]
+    bits, base, ends, maps = cube.bits, cube.base, cube.ends, _MAPS[side]
     patterns = {}
-    for mask in range(2 ** n):
-        h = mask.bit_count()
-        if not (built[h] and built[h + 1]):
+    for h in heights:
+        rows, keys = index.get(h + 1), index[h]
+        if rows is None:
             continue
-        src, col0 = bits[mask], base[mask]
-        rows = index.get(h + 1 - n_minus)  # None at the top state only
-        cols = [{} for _ in range(1 << counts[mask])]
-        for j, (a, b, c) in enumerate(ends):
-            if mask >> j & 1:
-                continue
-            tgt, row0 = bits[mask | 1 << j], base[mask | 1 << j]
-            shape = (counts[mask], src[a], src[c], tgt[a], tgt[b])
-            pattern = patterns.get(shape)
-            if pattern is None:
-                pattern = patterns[shape] = _edge_pattern(shape, *_MAPS[side])
-            sign = -1 if (mask & ((1 << j) - 1)).bit_count() % 2 else 1
-            # no row repeats in a column: the edge fixes the target state
-            for dc, dr, v in pattern:
-                cols[dc][rows[row0 + dr]] = sign * v
-        keys = index[h - n_minus][col0:col0 + len(cols)]
-        filled = [(k, col) for k, col in zip(keys, cols) if col]
-        if filled:
-            cx.differentials.setdefault(h - n_minus, {}).update(filled)
+        d = {}
+        for col0, mask, cids in cube.height(h)[0]:
+            src, c = bits[mask], len(cids)
+            cols = [{} for _ in range(1 << c)]
+            for j, (a, b, ac) in enumerate(ends):
+                if mask >> j & 1:
+                    continue
+                tgt, row0 = bits[mask | 1 << j], base[mask | 1 << j]
+                shape = (c, src[a], src[ac], tgt[a], tgt[b])
+                pattern = patterns.get(shape)
+                if pattern is None:
+                    pattern = patterns[shape] = _edge_pattern(shape, *maps)
+                sign = -1 if (mask & ((1 << j) - 1)).bit_count() % 2 else 1
+                # no row repeats in a column: the edge fixes the target state
+                for dc, dr, v in pattern:
+                    cols[dc][rows[row0 + dr]] = sign * v
+            d.update([(k, col) for k, col in zip(keys[col0:col0 + len(cols)], cols)
+                      if col])
+        if d:
+            cx.differentials[h - n_minus] = d
     return cx
+
+
+class _Cube:
+    """The side-independent half of a cube build, kept on its PDCode: the
+    walk of :func:`diagram._smoothings`, and per state its circle ids,
+    label bits (arcs in the walk's order), base offset and q-degrees,
+    filled for a height the first time a build asks for it."""
+
+    def __init__(self, pd, shift):
+        arcs, self.members = _smoothings(pd)
+        at = {a: k for k, a in enumerate(arcs)}
+        self.ends = [(at[a], at[b], at[c]) for a, b, c, _d in pd.crossings]
+        self.shift = shift
+        # the 0-crossing diagram's one state has no arcs and one circle
+        self.q_levels = range(shift - (len(set(self.members[0])) or 1),
+                              shift + pd.n + (len(set(self.members[-1])) or 1) + 1, 2)
+        self.bits, self.base = [None] * len(self.members), [0] * len(self.members)
+        self.masks = [[] for _ in range(pd.n + 1)]  # per height, ascending
+        for mask in range(len(self.members)):
+            self.masks[mask.bit_count()].append(mask)
+        self.heights = {}
+        self.q_runs = {}  # (circle count, top q) -> the q-degrees of a state
+
+    def height(self, h):
+        """(runs, each state's q-degrees) of height h, filled on first use."""
+        if h not in self.heights:
+            runs, q_runs, col0 = [], [], 0
+            for mask in self.masks[h]:
+                member = self.members[mask]
+                cids = tuple(sorted(set(member))) or (0,)
+                c = len(cids)
+                bit = {cid: c - 1 - k for k, cid in enumerate(cids)}
+                self.bits[mask] = list(map(bit.__getitem__, member))
+                self.base[mask] = col0
+                runs.append((col0, mask, cids))
+                top = c + h + self.shift
+                run = self.q_runs.get((c, top))
+                if run is None:
+                    run = self.q_runs[c, top] = [top - 2 * k.bit_count()
+                                                 for k in range(1 << c)]
+                q_runs.append(run)
+                col0 += 1 << c
+            self.heights[h] = runs, q_runs
+        return self.heights[h]
 
 
 def _edge_pattern(shape, merge_map, split_map):

@@ -31,7 +31,8 @@ resolution's degree i (as in Schuetz, "A fast algorithm for calculating
 s-invariants", Glasgow Math. J. 2021), so only that window of the cube
 is built; the reduction owns it and reads all of it, with no window of
 its own.  The levels still span the whole cube, and the residue keeps
-them.
+them.  The window reuses the diagram's walk of the cube and the states
+of any height an earlier build of the same code filled.
 """
 
 from __future__ import annotations
@@ -186,8 +187,9 @@ def s_invariant(pd):
     Only d_{i-1} and d_i at the oriented-resolution degree i are
     cancelled, and the Lee rank in degree i must be 2.  They read only
     the degrees i - 1, i and i + 1, so only that window of the Lee
-    complex is built, and the reduction owns it; the window keeps the
-    q-levels of the whole cube, so the profile is that of the whole
+    complex is built, and the reduction owns it; it reuses the walk and
+    states that earlier builds of ``pd`` left on it.  The window keeps
+    the q-levels of the whole cube, so the profile is that of the whole
     complex.  Returns ``(s, detail)`` where detail records s_min, s_max,
     the filtration profile and the filtration degrees of [s_a], [s_b].
     """

@@ -82,6 +82,32 @@ def test_validate_rejects_genus_off_the_half_integers():
         assert Foam((Facet("b", RED, genus=genus),), ())
 
 
+def test_validate_rejects_half_a_dot():
+    with pytest.raises(MalformedFoam, match="^facet 'b': dots must be an integer$"):
+        Foam((Facet("b", BLUE, dots=0.5),), ())
+
+
+def test_validate_rejects_a_float_dot_count():
+    with pytest.raises(MalformedFoam, match="^facet 'b': dots must be an integer$"):
+        Foam((Facet("b", BLUE, dots=1.0),), ())
+
+
+def test_validate_rejects_a_bool_dot_count():
+    with pytest.raises(MalformedFoam, match="^facet 'b': dots must be an integer$"):
+        Foam((Facet("b", BLUE, dots=True),), ())
+
+
+def test_validate_rejects_half_a_square():
+    with pytest.raises(MalformedFoam, match="^facet 'r': squares must be an integer$"):
+        red_sphere(squares=0.5)
+
+
+def test_validate_rejects_a_genus_that_is_not_a_number():
+    for genus in ("1", True, None, 1j):
+        with pytest.raises(MalformedFoam, match="^facet 'b': genus must be a number$"):
+            Foam((Facet("b", BLUE, genus=genus),), ())
+
+
 def test_validate_rejects_missing_slot():
     with pytest.raises(MalformedFoam,
                        match="^binding 'x' references missing slot 't'$"):

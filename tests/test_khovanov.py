@@ -7,6 +7,7 @@ from knotfoam.diagram import (
     PDCode,
     State,
     braid_to_pd,
+    link_components,
     mirror,
     parse_pd,
     smooth_state,
@@ -553,3 +554,100 @@ def test_closed_form_levels_are_the_cube_q_set():
         qs = sorted({q for i in full.degrees for q in full.q_degrees(i)})
         assert list(full.q_levels) == qs, pd
         assert _levels(full) == qs + [qs[-1] + 1]
+
+
+
+def _shared_walk_diagrams():
+    """Seeded 3-9-crossing braid closures, two of each kind: knots and
+    links, with positive, negative and mixed crossings."""
+    rng = random.Random(57)
+    found = {}
+    while sum(map(len, found.values())) < 12:
+        strands, sign = rng.randint(2, 4), rng.choice([1, -1, 0])  # 0: mixed
+        word = [(sign or rng.choice([1, -1])) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(3, 9))]
+        if sign == 0 and len({w > 0 for w in word}) == 1:
+            continue
+        try:
+            pd = braid_to_pd(word, strands)
+        except InvalidBraid:
+            continue
+        same = found.setdefault((sign, link_components(pd) > 1), [])
+        if len(same) < 2:
+            same.append(pd)
+    return [pd for same in found.values() for pd in same]
+
+
+def _built(cx):
+    return cx.qs, cx.runs, cx.q_levels, cx.differentials
+
+
+def test_builds_sharing_a_walk_equal_builds_on_fresh_codes():
+    for pd in _shared_walk_diagrams():
+        degrees = build_complex(parse_pd(str(pd)), LEE).degrees
+        builds = [(KH, None), (LEE, None)] + [
+            (LEE, range(i - 1, i + 2)) for i in degrees]
+        fresh = [_built(build_complex(parse_pd(str(pd)), side, degrees=window))
+                 for side, window in builds]
+        for order in builds, builds[::-1]:  # full-first, window-first
+            shared = parse_pd(str(pd))
+            for side, window in order:
+                got = _built(build_complex(shared, side, degrees=window))
+                assert got == fresh[builds.index((side, window))], (pd, side, window)
+
+
+def test_a_window_build_fills_only_its_heights():
+    pd = braid_to_pd([1, -2, 1, -2, 1], 3)
+    cx = build_complex(pd, LEE, degrees=range(-1, 2))
+    assert sorted(pd.cube.heights) == [h + cx.n_minus for h in cx.degrees]
+
+
+def test_editing_a_build_changes_no_later_build():
+    for pd in _shared_walk_diagrams()[:6]:
+        text = str(pd)
+        for side in KH, LEE:
+            cx = build_complex(pd, side)
+            i = cx.degrees[0]
+            cx.qs[i].append(99)
+            cx.runs[i].clear()
+            cx.q_levels = range(0)
+            first = next(iter(cx.matrix(i).values()))
+            first[next(iter(first))] = 7
+            cx.differentials.clear()
+        part = build_complex(pd, LEE, degrees=range(i, i + 2))
+        reduce_complex(part, rational=True, consume=True)
+        for side in KH, LEE:
+            assert _built(build_complex(pd, side)) == \
+                _built(build_complex(parse_pd(text), side)), (text, side)
+
+
+def test_a_build_leaves_the_code_value_alone():
+    for pd in _shared_walk_diagrams():
+        before = (pd, hash(pd), repr(pd), str(pd))
+        twin = parse_pd(str(pd))
+        build_complex(pd, LEE, degrees=range(0, 2))
+        build_complex(pd, KH)
+        assert (pd, hash(pd), repr(pd), str(pd)) == before
+        assert pd == twin and hash(pd) == hash(twin) and repr(pd) == repr(twin)
+
+
+def test_kh_lee_and_s_of_one_code_walk_the_cube_once(monkeypatch):
+    import knotfoam.khovanov
+    from knotfoam.diagram import _smoothings
+    from knotfoam.lee import build_lee, s_invariant
+
+    calls = []
+
+    def counting(pd):
+        calls.append(pd)
+        return _smoothings(pd)
+
+    monkeypatch.setattr(knotfoam.khovanov, "_smoothings", counting)
+    for pd in braid_to_pd([1, 2, -1, 2], 3), braid_to_pd([1, -2] * 4, 3):
+        calls.clear()
+        build_complex(pd, KH)
+        build_lee(pd)
+        s_invariant(pd)
+        assert calls == [pd]
+        s_invariant(mirror(pd))  # a new code walks its own cube
+        assert len(calls) == 2
