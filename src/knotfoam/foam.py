@@ -122,7 +122,10 @@ class Foam:
         object.__setattr__(self, "bindings", tuple(self.bindings))
         seen_ids = set()
         owners = {}
+        # names are hashed and sorted together, so all must be strings
         for f in self.facets:
+            if type(f.id) is not str:
+                raise MalformedFoam("facet id %r is not a string" % (f.id,))
             if f.id in seen_ids:
                 raise MalformedFoam("duplicate facet id %r" % f.id)
             seen_ids.add(f.id)
@@ -143,6 +146,8 @@ class Foam:
             if f.color == BLUE and f.squares:
                 raise MalformedFoam("facet %r is blue but carries squares" % f.id)
             for s in f.slots:
+                if type(s) is not str:
+                    raise MalformedFoam("facet %r: slot %r is not a string" % (f.id, s))
                 if s in owners:
                     raise MalformedFoam("slot %r appears on two facets" % s)
                 owners[s] = f
@@ -150,12 +155,16 @@ class Foam:
         used = set()
         binding_ids = set()
         for b in self.bindings:
+            if type(b.id) is not str or type(b.red_page) is not str:
+                raise MalformedFoam("binding %r: names must be strings" % (b.id,))
             if b.id in binding_ids:
                 raise MalformedFoam("duplicate binding id %r" % b.id)
             binding_ids.add(b.id)
             if len(b.blue_pages) != 2:
                 raise MalformedFoam("binding %r needs exactly two blue pages" % b.id)
             for s in b.blue_pages:
+                if type(s) is not str:
+                    raise MalformedFoam("binding %r: names must be strings" % (b.id,))
                 if s not in owners:
                     raise MalformedFoam("binding %r references missing slot %r"
                                         % (b.id, s))
@@ -495,18 +504,11 @@ def verify_local_relation(lhs, rhs, max_dots=2):
     """
     if max_dots < 0:
         raise ValueError("max_dots must be at least 0, got %d" % max_dots)
-    sig_l = lhs.signature()
-    sig_r = rhs.signature()
-    if sig_l is None and sig_r is None:
-        sig = ()
-    elif sig_l is None:
-        sig = sig_r
-    elif sig_r is None:
-        sig = sig_l
-    elif sig_l != sig_r:
+    # a side with no terms has no signature and matches any other
+    sigs = {lhs.signature(), rhs.signature()} - {None}
+    if len(sigs) > 1:
         raise MalformedFoam("left and right boundary signatures differ")
-    else:
-        sig = sig_l
+    sig = sigs.pop() if sigs else ()
     capped_l = []
     capped_r = []
     for dots in _dot_tuples(max_dots, len(sig)):
@@ -642,18 +644,11 @@ def foam_from_json(data):
             declared = [(d["slot"], d["color"]) for d in declared]
     except (KeyError, TypeError) as exc:
         raise MalformedFoam("bad foam JSON: %s" % exc) from exc
-    # names are hashed and sorted together, so all must be strings
-    names = [x for f in facets for x in (f.id, *f.slots)]
-    names += [x for b in bindings for x in (b.id, *b.blue_pages, b.red_page)]
-    names += [x for pair in declared or () for x in pair]
-    if not all(type(x) is str for x in names):
-        raise MalformedFoam("bad foam JSON: ids, slots, pages and free-boundary "
-                            "entries must be strings")
-    for f in facets:
-        for name in ("genus", "dots", "squares"):
-            if type(getattr(f, name)) is not int:  # bool is an int subclass
-                raise MalformedFoam("facet %r: %s must be an integer"
-                                    % (f.id, name))
+    for f in facets:  # JSON has no half-integer genus; bool is an int subclass
+        if type(f.genus) is not int:
+            raise MalformedFoam("facet %r: genus must be an integer" % (f.id,))
+    if not all(type(x) is str for pair in declared or () for x in pair):
+        raise MalformedFoam("bad foam JSON: free-boundary entries must be strings")
     foam = Foam(facets, bindings)
     if declared is not None and sorted(declared) != sorted(foam.free_boundary):
         raise MalformedFoam("declared free boundary does not match structure")

@@ -48,6 +48,12 @@ class TrivalentGraph:
         self.rotations = {v: tuple(h) for v, h in rotations.items()}
         self.pairing = dict(pairing)
         self.colors = dict(colors)
+        # names are hashed and sorted together, so all must be strings
+        for x in itertools.chain(self.rotations, self.pairing, *self.rotations.values()):
+            if type(x) is not str:
+                raise MalformedFoam("vertex or half-edge %r is not a string" % (x,))
+        if type(circles) is not int:  # bool is an int subclass
+            raise MalformedFoam("circles must be an integer, not %r" % (circles,))
         self.circles = circles
         self._vertex_of = {h: v for v, hs in self.rotations.items() for h in hs}
         self.validate()
@@ -452,12 +458,4 @@ def graph_from_json(data):
         circles = data.get("circles", 0)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFoam("bad graph JSON: %s" % exc) from exc
-    # names are hashed and sorted together, so all must be strings
-    names = [*rotations, *pairing, *(h for hs in rotations.values() for h in hs)]
-    if not all(type(x) is str for x in names):
-        raise MalformedFoam(
-            "bad graph JSON: vertex ids and half-edges must be strings"
-        )
-    if type(circles) is not int:  # bool is an int subclass
-        raise MalformedFoam("bad graph JSON: circles must be an integer")
     return TrivalentGraph(rotations, pairing, colors, circles)

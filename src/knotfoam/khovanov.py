@@ -159,15 +159,19 @@ class GradedChainComplex:
                     neg.sort()
                     if pos == neg and other.isdisjoint(col):
                         continue
-                # (d2 * d1)[r, c] = sum_k d2[r, k] * d1[k, c]
-                acc = {}
-                for k, v in col.items():
-                    for r, w in d2.get(k, {}).items():
-                        acc[r] = acc.get(r, 0) + v * w
-                if any(acc.values()):
+                if _apply(d2, col):
                     raise NotAComplex("d o d != 0 at degree %d in q-block %d"
                                       % (i, self.q_degrees(i)[c]))
         return True
+
+
+def _apply(matrix, chain):
+    """The chain ``matrix * chain``, a map row -> entry with no zeros."""
+    out = {}
+    for c, coeff in chain.items():
+        for r, v in matrix.get(c, {}).items():
+            out[r] = out.get(r, 0) + v * coeff
+    return {k: v for k, v in out.items() if v}
 
 
 def _state_tuple(mask, n):

@@ -26,23 +26,25 @@ counts those with q >= j, and a carried class's filtration degree is
 the least q in its support.  The rank and s take that one rational
 reduction, of a Lee complex or of its residue over Z alike.
 
-s reads only the degrees i - 1, i and i + 1 around the oriented
-resolution's degree i (as in Schuetz, "A fast algorithm for calculating
-s-invariants", Glasgow Math. J. 2021), so only that window of the cube
-is built; the reduction owns it and reads all of it, with no window of
-its own.  The levels still span the whole cube, and the residue keeps
-them.  The window reuses the diagram's walk of the cube and the states
-of any height an earlier build of the same code filled.
+s reads only the degrees -1, 0 and 1 around the oriented resolution
+(as in Schuetz, "A fast algorithm for calculating s-invariants", Glasgow
+Math. J. 2021), so only that window of the cube is built.  The oriented
+resolution is in degree 0 for every diagram: its state is 1 at exactly
+the n_- negative crossings, and degrees are shifted by -n_-.  The
+reduction owns the window and reads all of it, with no window of its
+own.  The levels still span the whole cube, and the residue keeps them.
+The window reuses the diagram's walk of the cube and the states of any
+height an earlier build of the same code filled.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .diagram import compute_signs, link_components, oriented_state
+from .diagram import link_components, oriented_state
 from .errors import NotACycle, NotAKnot, PropositionViolated, RankMismatch
 from .homology import reduce_complex
-from .khovanov import LEE, build_complex
+from .khovanov import LEE, _apply, build_complex
 
 
 def build_lee(pd):
@@ -71,14 +73,6 @@ def lee_invariants(cx, components):
     return total, (_s_from(e_inf) if cx.cycles else None)
 
 
-def _apply(matrix, chain):
-    out = {}
-    for c, coeff in chain.items():
-        for r, v in matrix.get(c, {}).items():
-            out[r] = out.get(r, 0) + v * coeff
-    return {k: v for k, v in out.items() if v}
-
-
 def oriented_resolution_generators(pd, fc):
     """The two generating cycles at the oriented resolution.
 
@@ -91,18 +85,20 @@ def oriented_resolution_generators(pd, fc):
     exists because two circles joined by a crossing never coincide and
     the circle adjacency graph is bipartite; s_a roots the smallest
     circle at +1 and s_b is its complement.  ``fc`` is the Lee complex
-    of ``pd``, or a window of it that holds the oriented resolution's
-    degree i and i + 1.  Both chains are verified to be Lee cycles and
-    come back as the (i, chain) pairs that ``reduce_complex`` carries;
-    a chain maps generator indices of degree i to integers.
+    of ``pd``, or a window of it that holds degrees 0 and 1.  Both
+    chains are verified to be Lee cycles and come back as the (0, chain)
+    pairs that ``reduce_complex`` carries; a chain maps generator
+    indices of degree 0 to integers.
     """
-    st, degree = _oriented_degree(pd)
+    # the state is 1 at the n_- negative crossings and degrees are
+    # shifted by -n_-, so the oriented resolution is in degree 0
+    st = oriented_state(pd).assignment
     epsilon = _alternating_signs(pd, st)
 
     chain_a = {}
     chain_b = {}
-    for idx in fc.state_run(degree, st):
-        g = fc.generator(degree, idx)
+    for idx in fc.state_run(0, st):
+        g = fc.generator(0, idx)
         coeff = 1
         for cid, label in zip(g.circles, g.labels):
             if label:
@@ -110,15 +106,9 @@ def oriented_resolution_generators(pd, fc):
         chain_a[idx] = coeff
         chain_b[idx] = coeff * (-1) ** sum(g.labels)
     for name, chain in (("s_a", chain_a), ("s_b", chain_b)):
-        if _apply(fc.matrix(degree), chain):
+        if _apply(fc.matrix(0), chain):
             raise NotACycle("%s is not a Lee cycle" % name)
-    return (degree, chain_a), (degree, chain_b)
-
-
-def _oriented_degree(pd):
-    """The oriented resolution's state and its homological degree."""
-    st = oriented_state(pd).assignment
-    return st, sum(st) - compute_signs(pd)[1]
+    return (0, chain_a), (0, chain_b)
 
 
 def _alternating_signs(pd, state_tuple):
@@ -184,9 +174,9 @@ def filtration_profile(fc):
 def s_invariant(pd):
     """The s-invariant of a knot diagram, with its structural checks.
 
-    Only d_{i-1} and d_i at the oriented-resolution degree i are
-    cancelled, and the Lee rank in degree i must be 2.  They read only
-    the degrees i - 1, i and i + 1, so only that window of the Lee
+    Only d_{-1} and d_0 are cancelled, around the oriented resolution,
+    which is in degree 0, and the Lee rank in degree 0 must be 2.  They
+    read only the degrees -1, 0 and 1, so only that window of the Lee
     complex is built, and the reduction owns it; it reuses the walk and
     states that earlier builds of ``pd`` left on it.  The window keeps
     the q-levels of the whole cube, so the profile is that of the whole
@@ -195,8 +185,7 @@ def s_invariant(pd):
     """
     if link_components(pd) != 1:
         raise NotAKnot("the s-invariant needs a one-component diagram")
-    i = _oriented_degree(pd)[1]
-    fc = build_complex(pd, LEE, degrees=range(i - 1, i + 2))
+    fc = build_complex(pd, LEE, degrees=range(-1, 2))
     return _s_from(reduce_complex(fc, oriented_resolution_generators(pd, fc),
                                   rational=True, consume=True))
 

@@ -2,12 +2,13 @@
 
 Two small rings are implemented with plain dictionaries and Python's
 arbitrary-precision integers.  Both are one sparse term ring, ``_Poly``,
-a map ``exponent -> coefficient``; they differ in the exponent type:
+a map ``exponent -> coefficient`` with one product and one printer; each
+ring gives its exponent sum and the body of a term:
 
 * ``IntPoly2`` -- polynomials in Z[X1, X2], the value ring of foam
-  evaluations, with exponent pairs ``(e1, e2)``.
+  evaluations: exponent pairs ``(e1, e2)``, bodies like ``X1^2*X2``.
 * ``LaurentQ`` -- Laurent polynomials in q, used for graded dimensions
-  and the Jones polynomial, with integer exponents.
+  and the Jones polynomial: integer exponents, bodies like ``q^-3``.
 
 Values are immutable after construction and all operations are pure, so
 instances may be shared freely.  The rings hold no division: foam
@@ -17,16 +18,17 @@ evaluation divides by (X1 - X2)^k on its own row of coefficients.
 from __future__ import annotations
 
 import math
+import operator
 
 
 class _Poly:
     """Terms ``exponent -> coefficient`` with no zero coefficients.
 
     Every result is built with ``type(self)``, so it stays in the ring
-    of its operands.  A ring sets ``_UNIT``, the exponent of 1; the
-    product here adds exponents with ``+``, which a ring whose exponents
-    are tuples replaces with its own ``__mul__``.  The constructor copies
-    its terms and drops zeros; results are built by ``_adopt``.
+    of its operands.  A ring sets ``_UNIT``, the exponent of 1, ``_add``,
+    the exponent sum, and ``_body``, a term's monomial ("" for 1).  The
+    constructor copies its terms and drops zeros; results are built by
+    ``_adopt``.
     """
 
     __slots__ = ("_terms",)
@@ -79,10 +81,12 @@ class _Poly:
             if not other:
                 return self.zero()
             return self._adopt({k: c * other for k, c in self._terms.items()})
+        add = self._add
         out = {}
         for a, c in self._terms.items():
             for b, d in other._terms.items():
-                out[a + b] = out.get(a + b, 0) + c * d
+                k = add(a, b)
+                out[k] = out.get(k, 0) + c * d
         return self._adopt({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
@@ -98,6 +102,23 @@ class _Poly:
             base = base * base
             n >>= 1
         return result
+
+    def __str__(self):
+        out = ""
+        for e in sorted(self._terms, reverse=True):
+            c, body = self._terms[e], self._body(e)
+            if not body:
+                core = str(abs(c))
+            elif abs(c) == 1:
+                core = body
+            else:
+                core = "%d*%s" % (abs(c), body)
+            if out:
+                out += " - " if c < 0 else " + "
+            elif c < 0:
+                out = "-"
+            out += core
+        return out or "0"
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, self)
@@ -153,17 +174,14 @@ class IntPoly2(_Poly):
     def x1_times_x2(cls):
         return cls({(1, 1): 1})
 
-    # -- ring operations ----------------------------------------------
+    @staticmethod
+    def _add(a, b):
+        return a[0] + b[0], a[1] + b[1]
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return super().__mul__(other)
-        out = {}
-        for (a1, a2), c in self._terms.items():
-            for (b1, b2), d in other._terms.items():
-                k = (a1 + b1, a2 + b2)
-                out[k] = out.get(k, 0) + c * d
-        return IntPoly2._adopt({k: c for k, c in out.items() if c})
+    @staticmethod
+    def _body(e):
+        factors = (_render_var("X1", e[0]), _render_var("X2", e[1]))
+        return "*".join(f for f in factors if f)
 
     # -- structure ----------------------------------------------------
 
@@ -175,9 +193,6 @@ class IntPoly2(_Poly):
         """True iff swapping X1 <-> X2 fixes the polynomial."""
         return self == self.swap_variables()
 
-    def __str__(self):
-        return _render_xx(self._terms)
-
 
 def _render_var(name, e):
     if e == 0:
@@ -187,37 +202,16 @@ def _render_var(name, e):
     return "%s^%d" % (name, e)
 
 
-def _render_xx(terms):
-    if not terms:
-        return "0"
-    parts = []
-    for (e1, e2) in sorted(terms, reverse=True):
-        c = terms[(e1, e2)]
-        factors = [f for f in (_render_var("X1", e1), _render_var("X2", e2)) if f]
-        body = "*".join(factors)
-        parts.append(_signed(c, body, first=not parts))
-    return "".join(parts)
-
-
-def _signed(c, body, first):
-    sign = "-" if c < 0 else ("" if first else "+")
-    mag = abs(c)
-    if not body:
-        core = str(mag)
-    elif mag == 1:
-        core = body
-    else:
-        core = "%d*%s" % (mag, body)
-    if first:
-        return sign + core
-    return " %s %s" % (sign or "+", core)
-
-
 class LaurentQ(_Poly):
     """A Laurent polynomial in q with integer coefficients."""
 
     __slots__ = ()
     _UNIT = 0
+    _add = staticmethod(operator.add)
+
+    @staticmethod
+    def _body(e):
+        return _render_var("q", e)
 
     @classmethod
     def q(cls, power=1):
@@ -233,15 +227,3 @@ class LaurentQ(_Poly):
     def shifted(self, k):
         """Multiply by q**k (k may be negative)."""
         return LaurentQ._adopt({e + k: c for e, c in self._terms.items()})
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for e in sorted(self._terms, reverse=True):
-            c = self._terms[e]
-            body = _render_var("q", e) if e >= 0 else "q^%d" % e
-            if e == 0:
-                body = ""
-            parts.append(_signed(c, body, first=not parts))
-        return "".join(parts)

@@ -21,7 +21,6 @@ from knotfoam.diagram import (
 )
 from knotfoam.errors import InvalidBraid, InvalidDiagram, InvalidSite, ParseError
 from knotfoam.khovanov import build_complex
-from knotfoam.lee import _oriented_degree
 
 
 def test_parse_basic():
@@ -125,7 +124,7 @@ def _all_generators(pd):
 
 def test_state_height():
     t = braid_to_pd([-1, -1, -1], 2)
-    assert _oriented_degree(t)[1] == 0
+    assert sum(oriented_state(t).assignment) == compute_signs(t)[1]
     zero = [g for g in _all_generators(t) if g.state == (0, 0, 0)]
     assert zero and all(g.hom_degree == -3 for g in zero)
 

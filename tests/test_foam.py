@@ -102,6 +102,13 @@ def test_validate_rejects_half_a_square():
         red_sphere(squares=0.5)
 
 
+def test_validate_rejects_a_facet_id_that_is_not_a_string():
+    # evaluation sorts the blue facet ids, and 2 does not compare with "b1"
+    with pytest.raises(MalformedFoam, match="^facet id 2 is not a string$"):
+        Foam((Facet("b1", BLUE, slots=("u",)), Facet(2, BLUE, slots=("l",)),
+              Facet("r", RED, slots=("r",))), (Binding("beta", ("u", "l"), "r"),))
+
+
 def test_validate_rejects_a_genus_that_is_not_a_number():
     for genus in ("1", True, None, 1j):
         with pytest.raises(MalformedFoam, match="^facet 'b': genus must be a number$"):

@@ -54,6 +54,30 @@ def nonplanar_theta_graph():
     return TrivalentGraph(rotations, pairing, colors)
 
 
+def test_constructor_rejects_a_half_edge_that_is_not_a_string():
+    # half-edges are sorted together, and 1 does not compare with "l2"
+    g = theta_graph()
+
+    def rename(h):
+        return 1 if h == "l1" else h
+
+    rotations = {v: tuple(map(rename, hs)) for v, hs in g.rotations.items()}
+    pairing = {rename(h): rename(h2) for h, h2 in g.pairing.items()}
+    colors = {rename(h): c for h, c in g.colors.items()}
+    with pytest.raises(MalformedFoam, match="^vertex or half-edge 1 is not a string$"):
+        TrivalentGraph(rotations, pairing, colors)
+
+
+def test_constructor_rejects_a_fractional_circle_count():
+    with pytest.raises(MalformedFoam, match="^circles must be an integer, not 1.5$"):
+        circles_only(1.5)
+
+
+def test_constructor_rejects_a_circle_count_string():
+    with pytest.raises(MalformedFoam, match="^circles must be an integer, not '2'$"):
+        circles_only("2")
+
+
 def braid_states(rng, count, letters=(10, 12)):
     """Smoothing graphs of braids of 10-12 (or ``letters``) crossings on
     3-5 strands.

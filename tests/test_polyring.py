@@ -140,6 +140,17 @@ def test_rendering():
         (LaurentQ({2: 1, 0: 2, -2: 1}), "q^2 + 2 + q^-2", "LaurentQ(q^2 + 2 + q^-2)"),
         (LaurentQ.circle(), "q + q^-1", "LaurentQ(q + q^-1)"),
         (LaurentQ.zero(), "0", "LaurentQ(0)"),
+        (LaurentQ.q(-1), "q^-1", "LaurentQ(q^-1)"),
+        (LaurentQ.q(), "q", "LaurentQ(q)"),
+        (LaurentQ({0: 7}), "7", "LaurentQ(7)"),
+        (LaurentQ({2: -1, 0: 1, -3: 2}), "-q^2 + 1 + 2*q^-3",
+         "LaurentQ(-q^2 + 1 + 2*q^-3)"),
+        (LaurentQ({0: -1}), "-1", "LaurentQ(-1)"),
+        (IntPoly2({(0, 3): -1}), "-X2^3", "IntPoly2(-X2^3)"),
+        (IntPoly2.x1(), "X1", "IntPoly2(X1)"),
+        (IntPoly2({(1, 1): 2, (1, 0): 1, (0, 3): -1, (0, 0): -1}),
+         "2*X1*X2 + X1 - X2^3 - 1", "IntPoly2(2*X1*X2 + X1 - X2^3 - 1)"),
+        (IntPoly2.constant(-1), "-1", "IntPoly2(-1)"),
     ):
         assert str(p) == text
         assert repr(p) == rep
