@@ -6,7 +6,7 @@ int: the bulk work for Khovanov homology, Smith normal form, Lee rank
 and s.  Over Q, where ``homology.reduce_complex`` finishes the Lee
 complex, any nonzero entry may be the pivot, divided exactly in
 ``Fraction``.  One pivot rule serves both: of the entries that may be
-the pivot, the one whose row is shortest.
+the pivot, the one whose row is shortest, then lowest.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ def cancel_units(rows, cols, row_q, col_q, chains=(), rational=False):
     subtracts d[r, g] * d[h, c] / u from every other d[r, c]; each of
     the ``chains``, indexed like the rows, goes to z - z[h] / u * (column
     g).  One pass over the columns takes in each the unit whose row is
-    shortest.  Columns go in ascending q, ties in reverse ``cols`` order:
-    on Lee complexes this was measured to cut the fill-in, and the time,
+    shortest, then lowest: on cube columns read +1 rows first, taking
+    the first shortest row was measured to cancel a quarter slower.
+    Columns go in ascending q, ties in reverse ``cols`` order: on Lee
+    complexes this was measured to cut the fill-in, and the time,
     several-fold against plain index order.  With ``rational`` any
     nonzero entry is a unit.  Returns the (g, h) pairs.
     """
@@ -31,9 +33,10 @@ def cancel_units(rows, cols, row_q, col_q, chains=(), rational=False):
         q = col_q[g]
         h = None
         for r, v in col.items():
-            if (rational or v == 1 or v == -1) and row_q[r] == q and (
-                    h is None or len(rows[r]) < len(rows[h])):
-                h = r
+            if (rational or v == 1 or v == -1) and row_q[r] == q:
+                n = len(rows[r])
+                if h is None or n < best or n == best and r < h:
+                    h, best = r, n
         if h is None:
             continue
         del cols[g]

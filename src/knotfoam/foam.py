@@ -88,6 +88,9 @@ class Facet:
     slots: tuple = ()
 
     def __post_init__(self):
+        if type(self.slots) is str:
+            raise MalformedFoam("facet %r: slots must be a tuple of names, not "
+                                "the string %r" % (self.id, self.slots))
         object.__setattr__(self, "slots", tuple(self.slots))
 
 
@@ -98,6 +101,9 @@ class Binding:
     red_page: str      # slot id on a red facet
 
     def __post_init__(self):
+        if type(self.blue_pages) is str:
+            raise MalformedFoam("binding %r: blue_pages must be a pair of names, "
+                                "not the string %r" % (self.id, self.blue_pages))
         object.__setattr__(self, "blue_pages", tuple(self.blue_pages))
 
 

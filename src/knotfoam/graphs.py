@@ -86,10 +86,10 @@ class TrivalentGraph:
         for h, h2 in self.pairing.items():
             if h2 == h or self.pairing.get(h2) != h:
                 raise MalformedFoam("half-edge pairing is not an involution")
-            if colors[h] != colors[h2]:
-                raise MalformedFoam("edge %r-%r changes color" % (h, h2))
             if h not in self._vertex_of:
                 raise MalformedFoam("half-edge %r belongs to no vertex" % h)
+            if colors[h] != colors.get(h2):
+                raise MalformedFoam("edge %r-%r changes color" % (h, h2))
         for h in self._vertex_of:
             if h not in self.pairing:
                 raise MalformedFoam("half-edge %r is unpaired" % h)

@@ -10,13 +10,13 @@ Schuetz, "A fast algorithm for calculating s-invariants", Glasgow Math.
 J. 2021).  No entry lowers q and fill-in adds the q-jumps of the entries
 it combines, so the q-preserving part of the residue is the reduced
 Khovanov complex over Z, from the Khovanov or the Lee complex alike.
-The reduction either leaves its input as it is, copying each column it
-cancels in, or, with ``consume``, owns the input's differentials and
-cancels in them in place; only a caller that built the complex itself
-hands it over.  What it returns is again a ``GradedChainComplex``, with
-the chains it carried as ``cycles``.  Smith normal form, the same
-cancellation on one matrix, finishes its small (degree, q) blocks and
-returns their invariant factors alone.
+The reduction either leaves its input as it is or, with ``consume``,
+owns the input's differentials and releases each as it reads it; only a
+caller that built the complex itself hands it over.  What it returns is
+again a ``GradedChainComplex``, with the chains it carried as
+``cycles``.  Smith normal form, the same cancellation on one matrix,
+finishes its small (degree, q) blocks and returns their invariant
+factors alone.
 """
 
 from __future__ import annotations
@@ -124,22 +124,36 @@ class HomologyTable:
         ]
 
 
-def reduce_complex(cx, cycles=(), rational=False, consume=False):
-    """The residue of Gaussian elimination on ``cx``, holding one
-    differential's row and column maps at a time: a complex with the
-    q-degrees ``cx`` gave the survivors, the reduced differentials, as
-    column maps, and ``cx``'s q-levels.  ``cycles`` are (degree, chain)
-    pairs, carried through every cancellation into ``residue.cycles``.
-    An entry that lowers q, or in a Khovanov complex changes it, is
-    NotAComplex.
+def set_matrix(cx, i, columns):
+    """Set d_i of ``cx`` from the column map ``{col: {row: entry}}``: the
+    one way in for one.  ``cx.qs[i]`` gives the number of columns."""
+    n = len(cx.q_degrees(i))
+    plus, minus, other = [()] * n, [()] * n, {}
+    for c, col in columns.items():
+        plus[c] = tuple(r for r, v in col.items() if v == 1)
+        minus[c] = tuple(r for r, v in col.items() if v == -1)
+        if rest := {r: v for r, v in col.items() if v not in (1, -1)}:
+            other[c] = rest
+    cx.differentials[i] = plus, minus, other
 
-    Two ownership modes.  By default ``cx`` is left as it is: every
-    column read is copied before it is cancelled in.  With ``consume``
-    the reduction owns ``cx``'s differentials: ``cx`` is left with none,
-    each d_i is released as it is read and its columns are cancelled in
-    place, so the peak holds no second copy of the cube.  Only a caller
-    that built ``cx`` itself and reads no differential of it afterwards
-    should consume; ``cx`` keeps its q-degrees, runs and q-levels.
+
+def reduce_complex(cx, cycles=(), rational=False, consume=False):
+    """The residue of Gaussian elimination on ``cx``: a complex with the
+    q-degrees ``cx`` gave the survivors, the reduced differentials, and
+    ``cx``'s q-levels.  ``cycles`` are (degree, chain) pairs, carried
+    through every cancellation into ``residue.cycles``.  An entry that
+    lowers q, or in a Khovanov complex changes it, is NotAComplex.
+
+    Row and column maps, ``{r: {c: v}}`` and ``{c: {r: v}}``, exist only
+    for the degree being reduced: d_i is read from its sign tuples and
+    other entries into new maps, its cancelled columns left out, and
+    what is left of it goes into the residue through :func:`set_matrix`.
+    Two ownership modes.  By default ``cx`` is left as it is.  With
+    ``consume`` the reduction owns ``cx``'s differentials: ``cx`` is left
+    with none and each d_i is released as it is read, so the peak holds
+    no second copy of the cube.  Only a caller that built ``cx`` itself
+    and reads no differential of it afterwards should consume; ``cx``
+    keeps its q-degrees, runs and q-levels.
 
     With ``rational`` each d_i is then cancelled over Q, smallest q-jump
     first, until it is empty: the E-infinity page (see ``lee``).
@@ -150,22 +164,45 @@ def reduce_complex(cx, cycles=(), rational=False, consume=False):
         take, cx.differentials = cx.differentials.pop, {}
     res = GradedChainComplex(cx.side, cx.n_plus, cx.n_minus)
     res.q_levels = cx.q_levels
+    kh = cx.side == KH
     chains = [(i, dict(chain)) for i, chain in cycles]
     dead = set()  # generators of degree i cancelled by d_{i-1}
     above = {}    # what is left of d_{i-1}, its columns renumbered
     for i in degrees:
         qs, qn = cx.q_degrees(i), cx.q_degrees(i + 1)
         rows, cols = {}, {}
-        for c, col in (take(i, {}) if i != degrees[-1] else {}).items():
+        plus, minus, other = (i != degrees[-1] and take(i, None)) or ((), (), {})
+        for c, (p, m) in enumerate(zip(plus, minus)):
             if c in dead:
                 continue
-            q = qs[c]
-            for r, v in col.items():
-                if qn[r] != q and (cx.side == KH or qn[r] < q):
+            q, col = qs[c], {}
+            # each entry goes into the column and its row in one loop:
+            # dict.fromkeys on the tuples was measured slower
+            for r in p:
+                if qn[r] != q and (kh or qn[r] < q):
                     raise NotAComplex("d_%d sends q-degree %d to q-degree %d"
                                       % (i, q, qn[r]))
-                rows.setdefault(r, {})[c] = v
-            cols[c] = col if consume else dict(col)
+                col[r] = 1
+                if r in rows:
+                    rows[r][c] = 1
+                else:
+                    rows[r] = {c: 1}
+            for r in m:
+                if qn[r] != q and (kh or qn[r] < q):
+                    raise NotAComplex("d_%d sends q-degree %d to q-degree %d"
+                                      % (i, q, qn[r]))
+                col[r] = -1
+                if r in rows:
+                    rows[r][c] = -1
+                else:
+                    rows[r] = {c: -1}
+            for r, v in other[c].items() if c in other else ():
+                if qn[r] != q and (kh or qn[r] < q):
+                    raise NotAComplex("d_%d sends q-degree %d to q-degree %d"
+                                      % (i, q, qn[r]))
+                col[r] = rows.setdefault(r, {})[c] = v
+            if col:
+                cols[c] = col
         targets = [z for j, z in chains if j == i + 1]
         pairs = cancel_units(rows, cols, qn, qs, targets)
         while rational and any(cols.values()):
@@ -179,7 +216,7 @@ def reduce_complex(cx, cycles=(), rational=False, consume=False):
         if i != degrees[0]:
             left = ((c, {new[r]: v for r, v in col.items() if r in new})
                     for c, col in above.items())
-            res.differentials[i - 1] = {c: col for c, col in left if col}
+            set_matrix(res, i - 1, {c: col for c, col in left if col})
         above = {new[c]: col for c, col in cols.items() if col}
         chains = [(j, {new[k]: v for k, v in z.items() if k in new})
                   if j == i else (j, z) for j, z in chains]
@@ -195,10 +232,10 @@ def homology_table(res):
     for i in res.degrees:
         qs, qn = res.q_degrees(i), res.q_degrees(i + 1)
         blocks = {}
-        for c, col in res.matrix(i).items():
-            for r, v in col.items():
-                if qn[r] == qs[c]:
-                    blocks.setdefault(qs[c], {})[(r, c)] = v
+        for c, q in enumerate(qs):
+            for r, v in res.column(i, c).items():
+                if qn[r] == q:
+                    blocks.setdefault(q, {})[(r, c)] = v
         for q, block in blocks.items():
             snf[(i, q)] = smith_normal_form(block)
     dims = Counter((i, q) for i in res.degrees for q in res.q_degrees(i))

@@ -64,11 +64,14 @@ class GradedChainComplex:
     """Finitely generated free chain complex with a q-degree per generator.
 
     ``qs[i]`` lists the q-degrees of the degree-i generators in a fixed
-    order and ``differentials[i]`` is the column map ``{col: {row: entry}}``
-    of d_i, from degree i to degree i+1, with only nonzero entries and no
-    empty column.  A cube build also sets ``runs`` and ``q_levels`` (see
-    :func:`build_complex`); :meth:`generator` reads the former.  The
-    residue of a reduction sets ``cycles``, the chains it carried.
+    order and ``differentials[i]`` is d_i, from degree i to degree i+1, as
+    (plus, minus, other): per column, the tuple of its rows at +1 and at
+    -1, and ``{col: {row: entry}}`` for entries that are neither, which
+    cube builds never have.  ``homology.set_matrix`` is the one way in for
+    a column map, :meth:`matrix` the view as one.  A cube build also sets
+    ``runs`` and ``q_levels`` (see :func:`build_complex`);
+    :meth:`generator` reads the former.  The residue of a reduction sets
+    ``cycles``, the chains it carried.
     """
 
     cycles = ()
@@ -92,8 +95,26 @@ class GradedChainComplex:
     def total_dim(self):
         return sum(len(v) for v in self.qs.values())
 
+    def column(self, i, c):
+        """Column c of d_i as a new map row -> entry."""
+        if i not in self.differentials:
+            return {}
+        plus, minus, other = self.differentials[i]
+        return {**dict.fromkeys(plus[c], 1), **dict.fromkeys(minus[c], -1),
+                **other.get(c, {})}
+
     def matrix(self, i):
-        return self.differentials.get(i, {})
+        """d_i as a new column map, with no empty column."""
+        n = len(self.differentials[i][0]) if i in self.differentials else 0
+        return {c: col for c in range(n) if (col := self.column(i, c))}
+
+    def apply(self, i, chain):
+        """d_i applied to a chain col -> entry: row -> entry, no zeros."""
+        out = {}
+        for c, coeff in chain.items():
+            for r, v in self.column(i, c).items():
+                out[r] = out.get(r, 0) + v * coeff
+        return {k: v for k, v in out.items() if v}
 
     def state_run(self, i, state):
         """The indices of the degree-i generators of ``state``."""
@@ -122,56 +143,33 @@ class GradedChainComplex:
         Column c of the product is sum_k d_i[k, c] * (column k of d_{i+1}).
         Where every entry met is +1 or -1, each product is +1 or -1 at one
         row, so the column is zero exactly when the rows reached with + and
-        with - are equal as multisets: two sorted lists, extended by each
-        column of d_{i+1} split once into its rows at +1 and at -1.  Cube
-        builds have no other entries.  A column that meets one, such as the
-        2 of a hand-built complex, is summed exactly.
+        with - are equal as multisets: two sorted lists, extended by the
+        sign tuples of each column k of d_{i+1}, swapped where d_i[k, c]
+        is -1.  Cube builds have no other entries.  A column that meets
+        one, such as a hand-built 2, is summed exactly by :meth:`apply`.
         """
         for i in self.degrees:
-            d1, d2 = self.matrix(i), self.matrix(i + 1)
-            split, other = {}, set()  # unit columns of d2 split; the others
-            for k, col in d2.items():
-                p, m = [], []
-                for r, w in col.items():
-                    if w == 1:
-                        p.append(r)
-                    elif w == -1:
-                        m.append(r)
-                    else:
-                        other.add(k)
-                        break
-                else:
-                    split[k] = (tuple(p), tuple(m))
-            for c, col in d1.items():
+            if i not in self.differentials or i + 1 not in self.differentials:
+                continue
+            plus, minus, other = self.differentials[i]
+            p2, m2, o2 = self.differentials[i + 1]
+            for c, (p, m) in enumerate(zip(plus, minus)):
                 pos, neg = [], []
-                for k, v in col.items():
-                    p, m = split.get(k, ((), ()))
-                    if v == 1:
-                        pos += p
-                        neg += m
-                    elif v == -1:
-                        pos += m
-                        neg += p
-                    else:
-                        break
-                else:
-                    pos.sort()
-                    neg.sort()
-                    if pos == neg and other.isdisjoint(col):
-                        continue
-                if _apply(d2, col):
+                for k in p:
+                    pos += p2[k]
+                    neg += m2[k]
+                for k in m:
+                    pos += m2[k]
+                    neg += p2[k]
+                pos.sort()
+                neg.sort()
+                if pos == neg and c not in other and (
+                        not o2 or o2.keys().isdisjoint(p + m)):
+                    continue
+                if self.apply(i + 1, self.column(i, c)):
                     raise NotAComplex("d o d != 0 at degree %d in q-block %d"
                                       % (i, self.q_degrees(i)[c]))
         return True
-
-
-def _apply(matrix, chain):
-    """The chain ``matrix * chain``, a map row -> entry with no zeros."""
-    out = {}
-    for c, coeff in chain.items():
-        for r, v in matrix.get(c, {}).items():
-            out[r] = out.get(r, 0) + v * coeff
-    return {k: v for k, v in out.items() if v}
 
 
 def _state_tuple(mask, n):
@@ -212,12 +210,11 @@ def build_complex(pd, side=KH, max_crossings=MAX_CROSSINGS, degrees=None):
     are therefore fixed by its shape: the source circle count, the bits
     of the circles at slots 0 and 2 of the crossing before it and at
     slots 0 and 1 after it (the first two differ on a merge).  Each
-    shape's pattern is worked out once per build, and an edge writes it,
-    with its base offsets and sign, straight into the columns of the
-    source state's generators; these join d_i in ascending index, empty
-    ones left out.  Every row and column key of degree i comes from one
-    list of the indices 0 .. dim(i) - 1: one int object per index, however
-    many entries name it.
+    shape's pattern is worked out once per build, and an edge appends
+    each entry's row, at its base offsets, to the +1 or the -1 rows of a
+    source generator as entry times sign is: every entry is +1 or -1.
+    Every row of degree i comes from one list of the indices 0 ..
+    dim(i) - 1: one int object per index, however many entries name it.
     """
     if side not in _MAPS:
         raise ValueError("side must be 'Kh' or 'Lee', got %r" % (side,))
@@ -242,13 +239,13 @@ def build_complex(pd, side=KH, max_crossings=MAX_CROSSINGS, degrees=None):
     bits, base, ends, maps = cube.bits, cube.base, cube.ends, _MAPS[side]
     patterns = {}
     for h in heights:
-        rows, keys = index.get(h + 1), index[h]
+        rows = index.get(h + 1)
         if rows is None:
             continue
-        d = {}
-        for col0, mask, cids in cube.height(h)[0]:
+        plus, minus = [], []
+        for _col0, mask, cids in cube.height(h)[0]:
             src, c = bits[mask], len(cids)
-            cols = [{} for _ in range(1 << c)]
+            ps, ms = [[] for _ in range(1 << c)], [[] for _ in range(1 << c)]
             for j, (a, b, ac) in enumerate(ends):
                 if mask >> j & 1:
                     continue
@@ -260,11 +257,10 @@ def build_complex(pd, side=KH, max_crossings=MAX_CROSSINGS, degrees=None):
                 sign = -1 if (mask & ((1 << j) - 1)).bit_count() % 2 else 1
                 # no row repeats in a column: the edge fixes the target state
                 for dc, dr, v in pattern:
-                    cols[dc][rows[row0 + dr]] = sign * v
-            d.update([(k, col) for k, col in zip(keys[col0:col0 + len(cols)], cols)
-                      if col])
-        if d:
-            cx.differentials[h - n_minus] = d
+                    (ps if v == sign else ms)[dc].append(rows[row0 + dr])
+            plus += map(tuple, ps)
+            minus += map(tuple, ms)
+        cx.differentials[h - n_minus] = plus, minus, {}
     return cx
 
 

@@ -44,7 +44,7 @@ from collections import deque
 from .diagram import link_components, oriented_state
 from .errors import NotACycle, NotAKnot, PropositionViolated, RankMismatch
 from .homology import reduce_complex
-from .khovanov import LEE, _apply, build_complex
+from .khovanov import LEE, build_complex
 
 
 def build_lee(pd):
@@ -106,7 +106,7 @@ def oriented_resolution_generators(pd, fc):
         chain_a[idx] = coeff
         chain_b[idx] = coeff * (-1) ** sum(g.labels)
     for name, chain in (("s_a", chain_a), ("s_b", chain_b)):
-        if _apply(fc.matrix(0), chain):
+        if fc.apply(0, chain):
             raise NotACycle("%s is not a Lee cycle" % name)
     return (0, chain_a), (0, chain_b)
 

@@ -141,6 +141,21 @@ def test_binding_that_lists_one_slot_twice():
         Foam(facets, (Binding("beta", ("u", "u"), "r"),))
 
 
+def test_facet_slots_given_as_a_string_are_malformed():
+    # "uv" would otherwise read as the two slots u and v
+    with pytest.raises(MalformedFoam, match="^facet 'b': slots must be a tuple "
+                       "of names, not the string 'uv'$"):
+        Facet("b", BLUE, slots="uv")
+    assert Facet("b", BLUE, slots=["u", "v"]).slots == ("u", "v")
+
+
+def test_binding_blue_pages_given_as_a_string_are_malformed():
+    with pytest.raises(MalformedFoam, match="^binding 'beta': blue_pages must be "
+                       "a pair of names, not the string 'ul'$"):
+        Binding("beta", "ul", "r")
+    assert Binding("beta", ["u", "l"], "r").blue_pages == ("u", "l")
+
+
 def test_blue_components():
     assert len(blue_components(blue_sphere())) == 1
     two = Foam((Facet("a", BLUE), Facet("b", BLUE)), ())

@@ -344,6 +344,19 @@ def test_half_edge_in_two_rotation_slots_is_malformed(rotations):
         TrivalentGraph(rotations, pairing, colors)
 
 
+def test_paired_half_edge_on_no_vertex_is_malformed():
+    with pytest.raises(MalformedFoam, match="^half-edge 'x' belongs to no vertex$"):
+        TrivalentGraph({}, {"x": "y", "y": "x"}, {})
+    # a vertex half-edge paired with one on no vertex, colored or not
+    g = theta_graph()
+    h, partner = next(iter(g.pairing.items()))
+    pairing = {k: v for k, v in g.pairing.items() if k not in (h, partner)}
+    pairing.update({h: "z", "z": h})
+    for colors in g.colors, {**g.colors, "z": g.colors[h]}:
+        with pytest.raises(MalformedFoam):
+            TrivalentGraph(g.rotations, pairing, colors)
+
+
 def _public_loop(g):
     """graded_dimension spelled out with the public one-step calls."""
     acc = LaurentQ.one()

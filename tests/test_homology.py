@@ -12,6 +12,7 @@ from knotfoam.homology import (
     HomologyTable,
     integral_homology,
     reduce_complex,
+    set_matrix,
     smith_normal_form,
 )
 from knotfoam.khovanov import (
@@ -108,7 +109,7 @@ def _two_term_complex(entry):
     cx = GradedChainComplex(KH, 0, 0)
     cx.qs[0] = [0]
     cx.qs[1] = [0]
-    cx.differentials[0] = {0: {0: entry}}
+    set_matrix(cx, 0, {0: {0: entry}})
     return cx
 
 
@@ -190,7 +191,7 @@ def test_filtered_elimination_by_hand():
     cx = GradedChainComplex(LEE, 0, 0)
     cx.qs[0] = [0, 0]
     cx.qs[1] = [0, 4, 4]
-    cx.differentials[0] = {0: {0: 2, 1: 1}, 1: {1: 1, 2: 1}}
+    set_matrix(cx, 0, {0: {0: 2, 1: 1}, 1: {1: 1, 2: 1}})
     carried = [(1, {0: 1, 1: 1})]
     res = reduce_complex(cx, cycles=carried)
     assert res.qs == {0: [0, 0], 1: [0, 4, 4]}  # nothing cancels over Z
@@ -234,7 +235,7 @@ def test_euler_conservation():
 def test_not_a_complex():
     cx = _two_term_complex(1)
     cx.qs[2] = [0]
-    cx.differentials[1] = {0: {0: 1}}
+    set_matrix(cx, 1, {0: {0: 1}})
     with pytest.raises(NotAComplex, match=r"d o d != 0 at degree 0 in q-block 0"):
         integral_homology(cx)
     # a Khovanov differential must keep q
@@ -251,8 +252,8 @@ def _three_term_complex(d0, d1):
     cx.qs[0] = [0] * len(d0)
     cx.qs[1] = [0] * len(d1)
     cx.qs[2] = [0] * (1 + max(r for col in d1.values() for r in col))
-    cx.differentials[0] = d0
-    cx.differentials[1] = d1
+    set_matrix(cx, 0, d0)
+    set_matrix(cx, 1, d1)
     return cx
 
 
@@ -289,10 +290,38 @@ def test_d_squared_counts_multiplicities():
                              {0: {0: 1}, 1: {0: 1}, 2: {0: -1}})
     with pytest.raises(NotAComplex, match=r"^d o d != 0 at degree 0 in q-block 0$"):
         cx.check_d_squared()
-    cx.differentials[0][0][3] = -1
-    cx.differentials[1][3] = {0: 1}
+    d0, d1 = cx.matrix(0), cx.matrix(1)
+    d0[0][3] = -1
+    d1[3] = {0: 1}
     cx.qs[1].append(0)
+    set_matrix(cx, 0, d0)
+    set_matrix(cx, 1, d1)
     assert cx.check_d_squared()
+
+
+def test_an_entry_of_two_goes_through_the_exact_path(monkeypatch):
+    # the 2 is kept apart from the unit rows, and its column, and each
+    # column that meets it in d_1, is summed exactly by apply
+    applied = []
+    real = GradedChainComplex.apply
+
+    def spy(cx, i, chain):
+        applied.append((i, dict(chain)))
+        return real(cx, i, chain)
+
+    monkeypatch.setattr(GradedChainComplex, "apply", spy)
+    cx = _three_term_complex({0: {0: 2, 1: 1}}, {0: {0: 3}, 1: {0: -6}})
+    assert cx.differentials[0] == ([(1,)], [()], {0: {0: 2}})
+    assert cx.check_d_squared()
+    assert applied == [(1, {0: 2, 1: 1})]
+    cx = _three_term_complex({0: {0: 1, 1: 1}}, {0: {0: 2}, 1: {0: -2}})
+    assert cx.check_d_squared()
+    assert applied[1:] == [(1, {0: 1, 1: 1})]
+    # units alone never take it
+    del applied[:]
+    assert _three_term_complex({0: {0: 1, 1: 1}},
+                               {0: {0: 1}, 1: {0: -1}}).check_d_squared()
+    assert applied == []
 
 
 def test_snf_of_dense_matrices_gives_the_determinant():
@@ -404,12 +433,14 @@ def test_owning_reduction_matches_the_copying_one():
         for build, cycles, rational in _reductions(pd):
             copied = reduce_complex(build(), cycles, rational)
             owned = build()
-            assert owned.differentials
+            assert any(owned.matrix(i) for i in owned.degrees)
             res = reduce_complex(owned, cycles, rational, consume=True)
             assert res.qs == copied.qs
-            assert res.differentials == copied.differentials
+            assert [res.matrix(i) for i in res.degrees] == \
+                [copied.matrix(i) for i in copied.degrees]
             assert res.cycles == copied.cycles
-            assert owned.differentials == {}
+            assert not any(owned.matrix(i) for i in owned.degrees)
+            assert owned.differentials == {}  # released, not emptied
 
 
 def test_readers_leave_the_complex_they_are_given_unchanged():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,7 @@ from knotfoam.diagram import (
 )
 from knotfoam.errors import InvalidBraid, NotAComplex, TooLarge
 from knotfoam.foam import Facet, Foam, evaluate_foam
-from knotfoam.homology import reduce_complex
+from knotfoam.homology import reduce_complex, set_matrix
 from knotfoam.khovanov import (
     KH,
     LEE,
@@ -184,8 +185,10 @@ def test_lee_entries_raise_q_by_zero_or_four():
 
 @pytest.mark.parametrize("side", [KH, LEE])
 def test_differentials_are_column_maps(side):
-    # d_i is {col: {row: entry}}: columns index degree-i generators, rows
-    # degree-(i+1) generators, with no empty column and no zero entry
+    # matrix(i) reads d_i as {col: {row: entry}}: columns index degree-i
+    # generators, rows degree-(i+1) generators, with no empty column and
+    # no zero entry; d_i holds a tuple of +1 rows and one of -1 rows per
+    # column, and a cube build has no other entry
     rng = random.Random(47)
     diagrams = [parse_pd("")] + [random_braid_pd(rng) for _ in range(12)]
     complexes = [build_complex(pd, side) for pd in diagrams]
@@ -195,15 +198,16 @@ def test_differentials_are_column_maps(side):
     assert sorted(complexes[-1].differentials) == [mid - 1, mid]
     for cx in complexes:
         # the residue is laid out the same, and reducing leaves cx as is
-        before = {i: {c: dict(col) for c, col in d.items()}
-                  for i, d in cx.differentials.items()}
+        before = {i: cx.matrix(i) for i in cx.differentials}
         res = reduce_complex(cx)
-        assert cx.differentials == before
+        assert {i: cx.matrix(i) for i in cx.differentials} == before
+        assert all(other == {} for _p, _m, other in cx.differentials.values())
         for x in cx, res:
             assert set(x.differentials) <= set(x.degrees)
-            for i, d in x.differentials.items():
-                assert d == x.matrix(i)
-                for c, col in d.items():
+            for i, (plus, minus, _other) in x.differentials.items():
+                assert len(plus) == len(minus) == len(x.q_degrees(i))
+                assert all(type(t) is tuple for t in plus + minus)
+                for c, col in x.matrix(i).items():
                     assert isinstance(c, int)
                     assert 0 <= c < len(x.q_degrees(i))
                     assert col
@@ -228,19 +232,22 @@ def test_a_flipped_entry_breaks_d_squared(side):
     for pd in braids:
         cx = build_complex(pd, side)
         cx.check_d_squared()
-        entries = [(i, r, c) for i, d in cx.differentials.items()
-                   for c, col in d.items() for r in col
-                   if r in cx.matrix(i + 1)]
+        mats = {i: cx.matrix(i) for i in cx.degrees}
+        entries = [(i, r, c) for i in cx.differentials
+                   for c, col in mats[i].items() for r in col
+                   if r in mats.get(i + 1, {})]
         for i, r, c in rng.sample(entries, 5):
             before = [(i - 1, cx.q_degrees(i - 1)[k])
-                      for k, col in cx.matrix(i - 1).items() if c in col]
+                      for k, col in mats.get(i - 1, {}).items() if c in col]
             degree, q = (before or [(i, cx.q_degrees(i)[c])])[0]
-            col = cx.differentials[i][c]
-            col[r] = -col[r]
+            d = mats[i]
+            d[c][r] = -d[c][r]
+            set_matrix(cx, i, d)
             with pytest.raises(NotAComplex, match=r"^d o d != 0 at degree "
                                r"%d in q-block %d$" % (degree, q)):
                 cx.check_d_squared()
-            col[r] = -col[r]
+            d[c][r] = -d[c][r]
+            set_matrix(cx, i, d)
             cx.check_d_squared()
             flipped += 1
     assert flipped >= 20
@@ -282,25 +289,61 @@ def test_d_squared_matches_the_product_by_product_sum(side):
         cx = build_complex(random_braid_pd(rng, max_letters=7), side)
         assert _d_squared_outcome(cx) is None
         assert _d_squared_by_products(cx) is None
-        entries = [(i, c, r) for i, d in cx.differentials.items()
-                   for c, col in d.items() for r in col]
+        entries = [(i, c, r) for i in cx.differentials
+                   for c, col in cx.matrix(i).items() for r in col]
         for edit, factor in edits.items():
             i, c, r = rng.choice(entries)
             copy = GradedChainComplex(cx.side, cx.n_plus, cx.n_minus)
             copy.qs = cx.qs
-            copy.differentials = {j: {k: dict(col) for k, col in d.items()}
-                                  for j, d in cx.differentials.items()}
-            col = copy.differentials[i][c]
+            for j in cx.differentials:
+                set_matrix(copy, j, cx.matrix(j))
+            d = copy.matrix(i)
             if factor:
-                col[r] *= factor
+                d[c][r] *= factor
             else:
-                del col[r]
-                if not col:
-                    del copy.differentials[i][c]
+                del d[c][r]
+            set_matrix(copy, i, d)
             expected = _d_squared_by_products(copy)
             assert _d_squared_outcome(copy) == expected, (edit, i, c, r)
             broken[edit] += expected is not None
     assert min(broken.values()) >= 10, broken
+
+
+@pytest.mark.parametrize("side", [KH, LEE])
+def test_moving_a_row_to_the_other_sign_tuple_breaks_d_squared(side):
+    # moving row r of a cube column from its +1 tuple to its -1 tuple, or
+    # back, flips d_i[r, c]: the check names the same degree and q-block
+    # as the flip made through set_matrix
+    rng = random.Random(50)
+    moved = 0
+    while moved < 20:
+        pd = random_braid_pd(rng, max_letters=7)
+        if pd.n < 4:
+            continue
+        cx = build_complex(pd, side)
+        mats = {i: cx.matrix(i) for i in cx.degrees}
+        entries = [(i, r, c) for i in cx.differentials
+                   for c, col in mats[i].items() for r in col
+                   if r in mats.get(i + 1, {})]
+        for i, r, c in rng.sample(entries, 4):
+            flipped = GradedChainComplex(cx.side, cx.n_plus, cx.n_minus)
+            flipped.qs = cx.qs
+            mats[i][c][r] *= -1
+            for j, d in mats.items():
+                set_matrix(flipped, j, d)
+            mats[i][c][r] *= -1
+            expected = _d_squared_outcome(flipped)
+            assert expected is not None
+            plus, minus, _other = cx.differentials[i]
+            src, dst = (plus, minus) if r in plus[c] else (minus, plus)
+            kept = src[c], dst[c]
+            src[c] = tuple(x for x in src[c] if x != r)
+            dst[c] += (r,)
+            assert _d_squared_outcome(cx) == expected
+            assert _d_squared_by_products(cx) == expected
+            src[c], dst[c] = kept
+            assert cx.check_d_squared()
+            moved += 1
 
 
 def _assert_entries_follow_the_edge_maps(pd, side):
@@ -324,8 +367,8 @@ def _assert_entries_follow_the_edge_maps(pd, side):
         return {c1}, split[labels[c1]]
 
     nonzeros = 0
-    for i, mat in cx.differentials.items():
-        for c, col in mat.items():
+    for i in cx.differentials:
+        for c, col in cx.matrix(i).items():
             for r, v in col.items():
                 g, h = cx.generator(i, c), cx.generator(i + 1, r)
                 flips = [j for j in range(pd.n) if g.state[j] != h.state[j]]
@@ -523,17 +566,32 @@ def test_generator_view_equals_a_rebuild_from_smooth_state():
 
 
 def test_each_index_is_one_int_object():
-    # every row key of d_i is one of dim(i + 1) objects and every column
-    # key one of dim(i), however many entries name them
+    # every row of d_i is one of dim(i + 1) objects, however many entries
+    # name it; a column is a position, one per degree-i generator
     for pd in braid_to_pd([1] * 7, 2), braid_to_pd([1, -2] * 4, 3):
         full = build_complex(pd, LEE)
         mid = full.degrees[len(full.degrees) // 2]
         for cx in full, build_complex(pd, LEE, degrees=range(mid - 1, mid + 2)):
             assert max(len(cx.q_degrees(i)) for i in cx.degrees) > 256
-            for i, d in cx.differentials.items():
-                assert len({id(c) for c in d}) <= len(cx.q_degrees(i))
-                assert len({id(r) for col in d.values() for r in col}) \
+            for i, (plus, minus, _other) in cx.differentials.items():
+                assert len(plus) == len(minus) == len(cx.q_degrees(i))
+                assert len({id(r) for rows in plus + minus for r in rows}) \
                     <= len(cx.q_degrees(i + 1))
+
+
+def test_a_lee_build_after_the_walk_allocates_little():
+    # the 10-crossing 3-component link of the links-kh benchmark, 9,720
+    # generators: with a dict per column its Lee build took 3.64 MiB
+    pd = braid_to_pd([1, -2, 1, -2, 1, -2, 1, 1, -2, -2], 3)
+    build_complex(pd, KH)  # the walk, and the states of every height
+    tracemalloc.start()
+    try:
+        cx = build_complex(pd, LEE)
+        size, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cx.total_dim() == 9720
+    assert size < 1.5 * 2 ** 20, size
 
 
 def test_closed_form_levels_are_the_cube_q_set():
@@ -611,9 +669,12 @@ def test_editing_a_build_changes_no_later_build():
             cx.qs[i].append(99)
             cx.runs[i].clear()
             cx.q_levels = range(0)
-            first = next(iter(cx.matrix(i).values()))
+            d = cx.matrix(i)
+            first = next(iter(d.values()))
             first[next(iter(first))] = 7
-            cx.differentials.clear()
+            set_matrix(cx, i, d)
+            plus, minus, _other = cx.differentials[i + 1]
+            plus[0], minus[0] = minus[0], plus[0]
         part = build_complex(pd, LEE, degrees=range(i, i + 2))
         reduce_complex(part, rational=True, consume=True)
         for side in KH, LEE:
