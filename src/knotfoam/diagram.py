@@ -15,12 +15,13 @@ then the 0-smoothing at positive crossings and the 1-smoothing at
 negative ones, and its circles are the Seifert circles of the diagram.
 
 A port is one slot of one crossing, numbered 4 * crossing + slot.  A
-code is checked once, when it is built: ``_far_ends`` counts the arc
-occurrences, the projection must be planar and the orientation trace
-must close up, or the constructor raises InvalidDiagram.  The code then
-carries the port array ``far`` (port -> the other port of its arc, the
-one arc index) and the trace ``over_from_3``, and no reader checks or
-indexes it again.
+code is checked once, when it is built: ``_far_ends`` wants four int
+labels per crossing and two ports per positive arc, the pieces (a walk
+along ``far``) and faces must show a planar projection, and the
+orientation trace must close up, or the constructor raises
+InvalidDiagram.  The code then carries the port array ``far`` (port ->
+the other port of its arc, the one arc index) and the trace
+``over_from_3``, and no reader checks or indexes it again.
 
 After its first cube build a code also carries ``cube``, the walk of
 :func:`_smoothings` and the states of each height a build has asked for,
@@ -30,8 +31,9 @@ which its later builds reuse (see ``khovanov.build_complex``).
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, count
 
 from .errors import InvalidBraid, InvalidDiagram, InvalidSite, ParseError
 
@@ -47,10 +49,9 @@ class PDCode:
     cube: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "crossings", tuple(tuple(c) for c in self.crossings)
-        )
-        object.__setattr__(self, "far", tuple(_far_ends(self)))
+        crossings = tuple(map(tuple, self.crossings))
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "far", _far_ends(crossings))
         _check_planar(self)
         object.__setattr__(self, "over_from_3", tuple(_trace(self)))
 
@@ -68,25 +69,37 @@ class PDCode:
         return ";".join("X[%d,%d,%d,%d]" % c for c in self.crossings)
 
 
-def _far_ends(pd):
-    """far[port]: the other port of its arc.
+def _far_ends(crossings):
+    """far[port]: the other port of its arc, as a tuple.
 
-    Checks each arc, in the order of its first port, for a positive
-    label and then for exactly two ports.
+    Checks, crossing by crossing, for four labels of type int, and then
+    each arc, in the order of its first port, for a positive label and
+    for exactly two ports.
     """
-    ports = {}
-    for port, arc in enumerate(a for c in pd.crossings for a in c):
-        ports.setdefault(arc, []).append(port)
-    far = [0] * (4 * pd.n)
-    for arc, pair in ports.items():
-        if arc <= 0:
-            raise InvalidDiagram("arc labels must be positive, got %r" % arc)
-        if len(pair) != 2:
-            raise InvalidDiagram("arc %d appears %d times, expected 2"
-                                 % (arc, len(pair)))
-        p, q = pair
-        far[p], far[q] = q, p
-    return far
+    far = [-1] * (4 * len(crossings))
+    first = {}  # arc -> its first port
+    setdefault = first.setdefault
+    port = 0
+    for ci, c in enumerate(crossings):
+        if len(c) != 4:
+            raise InvalidDiagram("crossing %d has %d labels, expected 4" % (ci, len(c)))
+        for arc in c:
+            if type(arc) is not int:
+                raise InvalidDiagram("arc labels must be integers, got %r" % (arc,))
+            p = setdefault(arc, port)
+            if p != port:
+                far[p] = port
+                far[port] = p
+            port += 1
+    # an arc on one port leaves a -1; with none, 2n labels on 4n ports are two each
+    if -1 in far or 2 * len(first) != port or min(first, default=1) <= 0:
+        for arc, ports in Counter(chain.from_iterable(crossings)).items():
+            if arc <= 0:
+                raise InvalidDiagram("arc labels must be positive, got %r" % arc)
+            if ports != 2:
+                raise InvalidDiagram("arc %d appears %d times, expected 2"
+                                     % (arc, ports))
+    return tuple(far)
 
 
 def _check_planar(pd):
@@ -96,13 +109,23 @@ def _check_planar(pd):
     oriented surface, with the walks of :func:`regions` as faces; each
     piece has V - E + F = 2 - 2 * genus, so the pieces all lie on spheres
     exactly when the totals give 2 per piece.  On a non-planar (virtual)
-    code a cube edge can keep one circle as one circle.
+    code a cube edge can keep one circle as one circle.  Pieces are
+    walks along ``far``; the crossing of port q is q >> 2.
     """
-    piece = list(range(pd.n))
-    for p, q in enumerate(pd.far):
-        piece[_find(piece, p // 4)] = _find(piece, q // 4)
-    pieces = sum(1 for ci in range(pd.n) if piece[ci] == ci)
-    faces = len(_faces(pd.far))
+    far = pd.far
+    seen = [False] * pd.n
+    pieces = 0
+    for start in range(pd.n):
+        if not seen[start]:
+            pieces += 1
+            seen[start] = True
+            piece = [start]
+            for ci in piece:  # grows as the walk reaches new crossings
+                for q in far[4 * ci:4 * ci + 4]:
+                    if not seen[q >> 2]:
+                        seen[q >> 2] = True
+                        piece.append(q >> 2)
+    faces = len(_faces(far))
     if pd.n - 2 * pd.n + faces != 2 * pieces:
         raise InvalidDiagram(
             "PD code is not planar: %d crossings in %d pieces bound %d "
@@ -141,42 +164,39 @@ def _trace(pd):
     the first undetermined crossing is then resolved to positive, which
     keeps the result deterministic.
     """
-    # (port, True) when the arc flows into the crossing there (its head),
-    # (port, False) when it leaves (its tail); each port is queued once,
-    # slots 0 and 2 here and slots 1 and 3 when their crossing is decided
+    # a breadth-first queue of ports, with heads[k] true when the arc at
+    # ports[k] flows into the crossing there and false when it leaves; each
+    # port is queued once, slots 0 and 2 here and 1 and 3 when decided
     far = pd.far
-    queue = deque()
-    for ci in range(pd.n):
-        queue.append((4 * ci, True))
-        queue.append((4 * ci + 2, False))
+    ports = list(range(0, 4 * pd.n, 2))
+    heads = [True, False] * pd.n
     over_from_3 = [None] * pd.n
-
-    def set_over(ci, from_3):
-        if over_from_3[ci] is not None:
-            if over_from_3[ci] != from_3:
-                raise InvalidDiagram("orientation conflict at crossing %d" % ci)
-            return
-        over_from_3[ci] = from_3
-        head, tail = (3, 1) if from_3 else (1, 3)
-        queue.append((4 * ci + head, True))
-        queue.append((4 * ci + tail, False))
-
+    k = undecided = 0
     while True:
-        while queue:
-            port, head = queue.popleft()
-            far_head = not head  # one head and one tail per arc
-            ci, si = divmod(far[port], 4)
-            if si % 2 == 0:
-                if far_head != (si == 0):
+        while k < len(ports):
+            q = far[ports[k]]  # a tail when ports[k] is a head, a head if not
+            head = heads[k]
+            k += 1
+            ci, si = q >> 2, q & 3
+            from_3 = head == (si == 1)  # over runs 3 -> 1: a head at 3, a tail at 1
+            if not si & 1:
+                if head != (si == 2):
                     raise InvalidDiagram("arc %d cannot close up"
                                          % pd.crossings[ci][si])
-            else:
-                set_over(ci, far_head == (si == 3))  # head at 3 <=> over runs 3 -> 1
-        undecided = [ci for ci in range(pd.n) if over_from_3[ci] is None]
-        if not undecided:
-            break
-        set_over(undecided[0], True)
-    return over_from_3
+            elif over_from_3[ci] is None:
+                over_from_3[ci] = from_3
+                # slots 3 and 1, or 1 and 3, of the crossing of q
+                ports += (q | 3, q & ~2) if from_3 else (q & ~2, q | 3)
+                heads += (True, False)
+            elif over_from_3[ci] != from_3:
+                raise InvalidDiagram("orientation conflict at crossing %d" % ci)
+        try:
+            undecided = over_from_3.index(None, undecided)
+        except ValueError:
+            return over_from_3
+        over_from_3[undecided] = True
+        ports += (4 * undecided + 3, 4 * undecided + 1)
+        heads += (True, False)
 
 
 def compute_signs(pd):
@@ -240,42 +260,43 @@ def braid_to_pd(word, strands):
     Positive generator k crosses strand k+1 over strand k.  Every strand
     must be involved in at least one crossing, otherwise the closure has
     a crossingless circle that a PD code cannot carry.
+
+    Arcs are numbered in one pass: position k starts on arc k, and the
+    arc leaving its last crossing closes up onto it, so is arc k too;
+    every other new arc takes the next label from strands + 1, position
+    k before k + 1.  That equals giving each crossing two fresh labels,
+    renaming each position's last one to the position and renumbering
+    the sorted labels from 1: the positions sort first, and the others
+    keep the order in which they appear.
     """
+    if type(strands) is not int:
+        raise InvalidBraid("strand count %r is not an integer" % (strands,))
     if strands < 2:
         raise InvalidBraid("need at least 2 strands")
-    for w in word:
+    last = {}  # strand position -> the index of its last crossing
+    for i, w in enumerate(word):
+        if type(w) is not int:
+            raise InvalidBraid("generator %r is not an integer" % (w,))
         if w == 0 or abs(w) >= strands:
             raise InvalidBraid("generator %d out of range for %d strands" % (w, strands))
-    touched = set()
-    for w in word:
-        touched.add(abs(w))
-        touched.add(abs(w) + 1)
+        last[abs(w)] = last[abs(w) + 1] = i
     # every touched strand is in range, so counting them is enough
-    if len(touched) != strands:
+    if len(last) != strands:
         raise InvalidBraid("closure has a crossingless component")
 
-    cur = {pos: pos for pos in range(1, strands + 1)}
-    next_arc = strands + 1
+    cur = list(range(strands + 1))  # cur[k]: the arc at position k
+    fresh = count(strands + 1)
     crossings = []
-    for w in word:
+    for i, w in enumerate(word):
         k = abs(w)
-        fresh1, fresh2 = next_arc, next_arc + 1
-        next_arc += 2
+        a = k if last[k] == i else next(fresh)
+        b = k + 1 if last[k + 1] == i else next(fresh)
         if w > 0:
             # right strand over left: X[under_in, over_out, under_out, over_in]
-            crossings.append((cur[k], fresh1, fresh2, cur[k + 1]))
-            cur[k], cur[k + 1] = fresh1, fresh2
+            crossings.append((cur[k], a, b, cur[k + 1]))
         else:
-            crossings.append((cur[k + 1], cur[k], fresh1, fresh2))
-            cur[k], cur[k + 1] = fresh1, fresh2
-
-    # every strand took a fresh label at its last crossing: close it up
-    rename = {final: pos for pos, final in cur.items()}
-    crossings = [tuple(rename.get(a, a) for a in c) for c in crossings]
-
-    labels = sorted({a for c in crossings for a in c})
-    relabel = {a: i + 1 for i, a in enumerate(labels)}
-    crossings = [tuple(relabel[a] for a in c) for c in crossings]
+            crossings.append((cur[k + 1], cur[k], a, b))
+        cur[k], cur[k + 1] = a, b
     return PDCode(tuple(crossings))
 
 

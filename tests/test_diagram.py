@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+import pd_oracle
 from knotfoam.diagram import (
     PDCode,
     State,
@@ -322,6 +323,7 @@ def test_kept_trace_matches_a_fresh_trace():
     (((1, 2, 3, 4),), 1, 1),               # every arc once
     (((1, 2, 2, 3), (3, 4, 4, 5)), 1, 1),  # arcs 1 and 5 once
     (((1, 1, 1, 2), (2, 3, 3, 4)), 1, 3),  # arc 1 three times
+    (((1, 1, 1, 2), (2, 2, 3, 3)), 1, 3),  # arcs 1 and 2 three times, none once
 ])
 def test_unvalidated_code_with_a_loose_arc_is_an_invalid_diagram(
         crossings, arc, count):
@@ -397,3 +399,44 @@ def test_unvalidated_code_with_a_bad_arc_is_invalid(crossings, message):
     # no such code reaches the region walk: building it raises
     with pytest.raises(InvalidDiagram, match=message):
         PDCode(crossings)
+
+
+def test_closures_and_corrupted_codes_match_the_oracle():
+    # tests/pd_oracle.py numbers a closure in three passes and checks a
+    # code with a union-find and a queue of (port, head) tuples; seeded
+    # closures, their mirrors and seeded corruptions of both must give
+    # the same crossings, far and trace, or the same first message
+    checked = pd_oracle.compare(1, 3000, 30000)
+    assert checked["codes"] > 4000 and checked["invalid"] > 20000
+    for kind in ("must be positive", "times, expected 2", "is not planar",
+                 "orientation conflict", "cannot close up"):
+        assert any(kind in m for m in checked["messages"]), kind
+
+
+@pytest.mark.parametrize("crossings, message", [
+    (((1, 1, 2, 2, 3), (3, 4, 4, 5, 5)), "crossing 0 has 5 labels, expected 4"),
+    (((),), "crossing 0 has 0 labels, expected 4"),
+    ((("a", "a", "b", "b"),), "arc labels must be integers, got 'a'"),
+    (((1.5, 1.5, 2, 2),), "arc labels must be integers, got 1.5"),
+    (((True, True, 2, 2),), "arc labels must be integers, got True"),
+    # checked before any arc: a later bad crossing wins over arc 0
+    (((0, 0, 1, 1), (2, 2, 3, 3, 4)), "crossing 1 has 5 labels, expected 4"),
+    (((0, 0, 1, 1), (2, 2, 3.0, 3)), "arc labels must be integers, got 3.0"),
+])
+def test_a_crossing_of_other_than_four_int_labels_is_invalid(crossings, message):
+    with pytest.raises(InvalidDiagram) as info:
+        PDCode(crossings)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("word, strands, message", [
+    ([1.0, 1, 1], 2, "generator 1.0 is not an integer"),
+    ([True] * 3, 2, "generator True is not an integer"),
+    (["1"], 2, "generator '1' is not an integer"),
+    ([1, 1, 1], 2.0, "strand count 2.0 is not an integer"),
+])
+def test_a_braid_of_other_than_int_generators_and_strands_is_invalid(
+        word, strands, message):
+    with pytest.raises(InvalidBraid) as info:
+        braid_to_pd(word, strands)
+    assert str(info.value) == message
