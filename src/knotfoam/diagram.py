@@ -15,8 +15,9 @@ then the 0-smoothing at positive crossings and the 1-smoothing at
 negative ones, and its circles are the Seifert circles of the diagram.
 
 A port is one slot of one crossing, numbered 4 * crossing + slot.  A
-code is checked once, when it is built: ``_far_ends`` wants four int
-labels per crossing and two ports per positive arc, the pieces (a walk
+code is checked once, when it is built: it must be a tuple or list of
+crossings, ``_far_ends`` wants a tuple or list of four int labels per
+crossing and two ports per positive arc, the pieces (a walk
 along ``far``) and faces must show a planar projection, and the
 orientation trace must close up, or the constructor raises
 InvalidDiagram.  The code then carries the port array ``far`` (port ->
@@ -49,9 +50,12 @@ class PDCode:
     cube: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        crossings = tuple(map(tuple, self.crossings))
-        object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "far", _far_ends(crossings))
+        if not isinstance(self.crossings, (tuple, list)):
+            raise InvalidDiagram("PD code must be a tuple or list of crossings, not %s"
+                                 % type(self.crossings).__name__)
+        far = _far_ends(self.crossings)
+        object.__setattr__(self, "crossings", tuple(map(tuple, self.crossings)))
+        object.__setattr__(self, "far", far)
         _check_planar(self)
         object.__setattr__(self, "over_from_3", tuple(_trace(self)))
 
@@ -72,15 +76,18 @@ class PDCode:
 def _far_ends(crossings):
     """far[port]: the other port of its arc, as a tuple.
 
-    Checks, crossing by crossing, for four labels of type int, and then
-    each arc, in the order of its first port, for a positive label and
-    for exactly two ports.
+    Checks, crossing by crossing, for a tuple or list of four labels of
+    type int, and then each arc, in the order of its first port, for a
+    positive label and for exactly two ports.
     """
     far = [-1] * (4 * len(crossings))
     first = {}  # arc -> its first port
     setdefault = first.setdefault
     port = 0
     for ci, c in enumerate(crossings):
+        if not isinstance(c, (tuple, list)):  # a set or dict has no slot order
+            raise InvalidDiagram("crossing %d must be a tuple or list, not %s"
+                                 % (ci, type(c).__name__))
         if len(c) != 4:
             raise InvalidDiagram("crossing %d has %d labels, expected 4" % (ci, len(c)))
         for arc in c:

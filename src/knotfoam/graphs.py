@@ -23,9 +23,15 @@ graded_dimension copies its argument once and reduces that working
 copy in place.  Each step removes the bigon (central or side) with the
 least dart, or else the square with the least dart, or else erases the
 red edge with the least dart, by one move, :func:`_move`, and then
-validates the copy again.  reduce_step is the same move on a fresh
-copy, once its face descriptor is checked.  The factors are kept as one
-exponent k of (q + q^-1)^k.
+validates the copy again.  The face is found without making every
+face again: a move deletes whole vertices and re-pairs the half-edges
+left on the others, but never changes the rotation of a vertex that
+survives, so the turn map (dart -> next dart in its vertex's rotation)
+and the sorted darts are made once, and each search follows only the
+2- and 4-cycles of the face permutation from the live darts in order.
+reduce_step is the same move on a fresh copy, once its face descriptor
+is checked against :meth:`TrivalentGraph.faces`.  The factors are kept
+as one exponent k of (q + q^-1)^k.
 """
 
 from __future__ import annotations
@@ -49,9 +55,10 @@ class TrivalentGraph:
         self.pairing = dict(pairing)
         self.colors = dict(colors)
         # names are hashed and sorted together, so all must be strings
-        for x in itertools.chain(self.rotations, self.pairing, *self.rotations.values()):
-            if type(x) is not str:
-                raise MalformedFoam("vertex or half-edge %r is not a string" % (x,))
+        names = (self.rotations, self.pairing, *self.rotations.values())
+        if not set(map(type, itertools.chain(*names))) <= {str}:
+            x = next(x for x in itertools.chain(*names) if type(x) is not str)
+            raise MalformedFoam("vertex or half-edge %r is not a string" % (x,))
         if type(circles) is not int:  # bool is an int subclass
             raise MalformedFoam("circles must be an integer, not %r" % (circles,))
         self.circles = circles
@@ -141,9 +148,7 @@ class TrivalentGraph:
 
     def faces(self):
         """Orbits of the face permutation, each starting at its least dart."""
-        turn = {}
-        for a, b, c in self.rotations.values():
-            turn[a], turn[b], turn[c] = b, c, a
+        turn = _turns(self)
         pairing = self.pairing
         step = {h: turn[pairing[h]] for h in self._vertex_of}
         seen = set()
@@ -159,6 +164,14 @@ class TrivalentGraph:
                 h = step[h]
             out.append(tuple(walk))
         return out
+
+
+def _turns(g):
+    """turn[h]: the dart after h in the rotation of its vertex."""
+    turn = {}
+    for a, b, c in g.rotations.values():
+        turn[a], turn[b], turn[c] = b, c, a
+    return turn
 
 
 def blue_loop_count(g):
@@ -196,18 +209,41 @@ def find_bigon_or_square(g):
     """A reducible face, or None when the graph has no red edges."""
     if g.red_edge_count() == 0:
         return None
-    return _least_face(g)
+    return _least_face(g, sorted(g.pairing), _turns(g))
 
 
-def _least_face(g):
-    """The bigon with the least dart, else the square with the least dart."""
+def _least_face(g, order, turn):
+    """The bigon with the least dart, else the square with the least dart.
+
+    ``order`` holds every live dart of g in ascending order (dead ones
+    are skipped) and ``turn`` maps each live dart to the next in its
+    vertex's rotation, as :func:`_turns` does.  A dart h starts a face,
+    as its least dart, when each later dart of the orbit of h under
+    turn[pairing[.]] is greater than h; only orbits of length 2 and 4 are
+    followed that far.  So the face, and the order of its darts, is the
+    first bigon, else the first square, of :meth:`faces`.
+    """
+    pairing = g.pairing
     square = None
-    for darts in g.faces():
-        kind = _classify_face(g, darts)
-        if kind == "square":
-            square = square or Face(darts, kind)
-        elif kind:
-            return Face(darts, kind)
+    for h in order:
+        p = pairing.get(h)
+        if p is None:  # a dart a move removed
+            continue
+        h1 = turn[p]
+        if h1 <= h:  # a 1-cycle, or h is not least
+            continue
+        h2 = turn[pairing[h1]]
+        if h2 == h:
+            kind = _classify_face(g, (h, h1))
+            if kind:
+                return Face((h, h1), kind)
+            continue
+        if square or h2 < h:
+            continue
+        h3 = turn[pairing[h2]]
+        if h3 > h and turn[pairing[h3]] == h \
+                and _classify_face(g, (h, h1, h2, h3)) == "square":
+            square = Face((h, h1, h2, h3), "square")
     return square
 
 
@@ -297,12 +333,21 @@ def reduce_step(g, face):
 
 
 def graded_dimension(g):
-    """Iterated reduction on a working copy; must equal graph_evaluation(g)."""
+    """Iterated reduction on a working copy; must equal graph_evaluation(g).
+
+    The turn map and the sorted darts are made once, from g.  A move
+    removes whole vertices and re-pairs the half-edges left on the
+    others, but never changes the rotation of a vertex that survives, so
+    the turn map stays right for every live dart and the order only
+    loses darts, which :func:`_least_face` skips.
+    """
     work = g._copy()
+    turn = _turns(g)
+    order = sorted(g.pairing)
     reds = g.red_edge_count()
     loops = 0
     while reds:
-        face = _least_face(work) or Face(
+        face = _least_face(work, order, turn) or Face(
             (min(h for h in work.pairing if work.colors[h] == RED),),
             "side-bigon")
         erased, k = _move(work, face)
@@ -327,6 +372,26 @@ def cup_basis(g):
 # -- graphs from diagram smoothings -------------------------------------
 
 
+# _PORT_NAMES[port] is "h<ci>_<si>" for port 4 * ci + si: one string per
+# port, shared by every smoothing graph, so dict lookups during a
+# reduction compare names by identity
+_PORT_NAMES = ()
+
+
+def _port_names(ports):
+    """_PORT_NAMES, covering at least ``ports`` ports.
+
+    A longer table replaces the old one and never changes once made, so
+    a caller in another thread sees either table, each right.
+    """
+    global _PORT_NAMES
+    names = _PORT_NAMES
+    if len(names) < ports:
+        names = _PORT_NAMES = names + tuple(
+            "h%d_%d" % divmod(port, 4) for port in range(len(names), ports))
+    return names
+
+
 def smoothing_graph(pd, state):
     """The trivalent graph of a complete smoothing.
 
@@ -343,6 +408,7 @@ def smoothing_graph(pd, state):
         raise InvalidDiagram("state length does not match crossing count")
     far = pd.far
 
+    names = _port_names(4 * pd.n)
     rotations = {}
     colors = {}
     pairing = {}
@@ -356,7 +422,7 @@ def smoothing_graph(pd, state):
             else:
                 # 0-smoothing joins ports (0,1) and (2,3)
                 ports = (p + 1, p, p + 3, p + 2)
-            a0, a1, b0, b1 = halves = ["h%d_%d" % divmod(x, 4) for x in ports]
+            a0, a1, b0, b1 = halves = [names[x] for x in ports]
             rA, rB = "r%dA" % ci, "r%dB" % ci
             rotations["v%dA" % ci] = (rA, a0, a1)
             rotations["v%dB" % ci] = (b0, b1, rB)
@@ -389,8 +455,8 @@ def smoothing_graph(pd, state):
             visited[cur] = True
             cur = far[cur]
         visited[cur] = True
-        h1 = "h%d_%d" % divmod(port, 4)
-        h2 = "h%d_%d" % divmod(cur, 4)
+        h1 = names[port]
+        h2 = names[cur]
         pairing[h1] = h2
         pairing[h2] = h1
     # leftover splice ports close up into circles

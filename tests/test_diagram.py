@@ -422,6 +422,19 @@ def test_closures_and_corrupted_codes_match_the_oracle():
     # checked before any arc: a later bad crossing wins over arc 0
     (((0, 0, 1, 1), (2, 2, 3, 3, 4)), "crossing 1 has 5 labels, expected 4"),
     (((0, 0, 1, 1), (2, 2, 3.0, 3)), "arc labels must be integers, got 3.0"),
+    # a code or crossing with no slot order, or none at all
+    (5, "PD code must be a tuple or list of crossings, not int"),
+    ({(1, 1, 2, 2)}, "PD code must be a tuple or list of crossings, not set"),
+    ((5,), "crossing 0 must be a tuple or list, not int"),
+    (({1, 2, 3, 4},), "crossing 0 must be a tuple or list, not set"),
+    (({1: 1, 2: 2, 3: 3, 4: 4},), "crossing 0 must be a tuple or list, not dict"),
+    (("1122",), "crossing 0 must be a tuple or list, not str"),
+    ([[1, 1, 2, 2], (2, 3, 3, 4), None], "crossing 2 must be a tuple or list, not NoneType"),
+    # crossing by crossing: an earlier bad crossing wins, a later one
+    # wins over arc 0
+    (((1, 1, 2), {2, 3, 3, 4}), "crossing 0 has 3 labels, expected 4"),
+    (((1, 1.0, 2, 2), 5), "arc labels must be integers, got 1.0"),
+    (((0, 0, 1, 1), {2, 3, 4, 5}), "crossing 1 must be a tuple or list, not set"),
 ])
 def test_a_crossing_of_other_than_four_int_labels_is_invalid(crossings, message):
     with pytest.raises(InvalidDiagram) as info:

@@ -1,7 +1,9 @@
 import random
 
+import graph_oracle
 import pytest
 
+from knotfoam import graphs
 from knotfoam.diagram import State, braid_to_pd, compute_signs, smooth_state
 from knotfoam.errors import (InvalidBraid, InvalidDiagram, InvalidFace, MalformedFoam,
                              ReductionStuck)
@@ -10,6 +12,8 @@ from knotfoam.graphs import (
     RED,
     Face,
     TrivalentGraph,
+    _classify_face,
+    _port_names,
     blue_loop_count,
     cup_basis,
     find_bigon_or_square,
@@ -66,6 +70,32 @@ def test_constructor_rejects_a_half_edge_that_is_not_a_string():
     colors = {rename(h): c for h, c in g.colors.items()}
     with pytest.raises(MalformedFoam, match="^vertex or half-edge 1 is not a string$"):
         TrivalentGraph(rotations, pairing, colors)
+
+
+def _renamed(g, names):
+    def rename(x):
+        return names.get(x, x)
+
+    rotations = {rename(v): tuple(map(rename, hs)) for v, hs in g.rotations.items()}
+    pairing = {rename(h): rename(h2) for h, h2 in g.pairing.items()}
+    colors = {rename(h): c for h, c in g.colors.items()}
+    return rotations, pairing, colors
+
+
+@pytest.mark.parametrize("names, extra, message", [
+    ({"v2": 7}, {}, "vertex or half-edge 7 is not a string"),
+    ({"r2": b"r2"}, {}, "vertex or half-edge b'r2' is not a string"),
+    ({"ri1": None, "l2": 1.5}, {}, "vertex or half-edge 1.5 is not a string"),
+    # vertex names come first, then paired half-edges, then rotations
+    ({"l1": 1, "v2": (2,)}, {}, r"vertex or half-edge \(2,\) is not a string"),
+    ({"l2": 1, "l1": 2}, {}, "vertex or half-edge 2 is not a string"),
+    # a paired half-edge on no vertex is named before the shape is checked
+    ({}, {3: "x", "x": 3}, "vertex or half-edge 3 is not a string"),
+])
+def test_constructor_names_the_first_name_that_is_not_a_string(names, extra, message):
+    rotations, pairing, colors = _renamed(theta_graph(), names)
+    with pytest.raises(MalformedFoam, match="^%s$" % message):
+        TrivalentGraph(rotations, {**pairing, **extra}, colors)
 
 
 def test_constructor_rejects_a_fractional_circle_count():
@@ -189,6 +219,108 @@ def test_long_braid_graphs_reduce_erasing_where_no_face_is_left():
         assert graded_dimension(g) == graph_evaluation(g), (pd, state)
         erased += isinstance(_outcome(_public_loop, g), str)
     assert erased > 0
+
+
+def dumbbell_graph():
+    # two blue loops, each on one vertex, joined by a red edge; the loop
+    # at v1 bounds the 1-cycle (a), the least dart, and the rest of the
+    # plane is one square
+    rotations = {"v1": ("b", "a", "r1"), "v2": ("d", "c", "r2")}
+    pairing = {"a": "b", "b": "a", "c": "d", "d": "c", "r1": "r2", "r2": "r1"}
+    colors = {"a": BLUE, "b": BLUE, "c": BLUE, "d": BLUE, "r1": RED, "r2": RED}
+    return TrivalentGraph(rotations, pairing, colors)
+
+
+def tetrahedron_graph():
+    # four triangles; the red edges 0-1 and 2-3 are a perfect matching and
+    # the blue ones the loop 0-2-1-3.  Half-edge eij is at i, toward j
+    rotations = {"v0": ("e01", "e02", "e03"), "v1": ("e12", "e10", "e13"),
+                 "v2": ("e23", "e20", "e21"), "v3": ("e31", "e30", "e32")}
+    pairing, colors = {}, {}
+    for hs in rotations.values():
+        for h in hs:
+            pairing[h] = "e" + h[2] + h[1]
+            colors[h] = RED if {h[1], h[2]} in ({"0", "1"}, {"2", "3"}) else BLUE
+    return TrivalentGraph(rotations, pairing, colors)
+
+
+def test_face_search_matches_the_oracle_at_every_step():
+    # tests/graph_oracle.py takes the first bigon, else square, from all
+    # the orbits of faces(), recomputed at each step; graded_dimension's
+    # search from a turn map made once must pick the same face every time
+    extra = (theta_graph(), nonplanar_theta_graph(), dumbbell_graph(),
+             tetrahedron_graph())
+    checked = graph_oracle.compare(1, 1200, 800, extra)
+    assert checked["graphs"] == 2004 and checked["steps"] > 6000
+    for kind in "central-bigon", "side-bigon", "square", "erase":
+        assert checked[kind] > 50, checked
+
+
+def test_face_search_skips_a_red_red_two_cycle():
+    # with one red dart per vertex every 2-cycle of a valid graph is
+    # reducible; recolored, the theta's least face (l1, ri2) is red on
+    # both darts, which no move removes
+    g = theta_graph()._copy()
+    g.colors.update(l1=RED, l2=RED, ri1=RED, ri2=RED, r1=BLUE, r2=BLUE)
+    assert g.faces()[0] == ("l1", "ri2")
+    face = find_bigon_or_square(g)
+    assert face == Face(("l2", "r1"), "side-bigon") == graph_oracle.least_face(g)
+    for kind in "central-bigon", "side-bigon":
+        with pytest.raises(InvalidFace, match="does not match"):
+            reduce_step(g, Face(("ri2", "l1"), kind))
+
+
+def test_face_search_returns_a_square_behind_a_bigon_it_cannot_reduce():
+    # every 2-cycle recolored red on both darts: the least square wins
+    # even where a bigon has a smaller least dart
+    rng = random.Random(29)
+    seen = 0
+    for _ in range(1000):
+        g = random_planar_graph(rng)
+        faces = g.faces()
+        squares = [f for f in faces if _classify_face(g, f) == "square"]
+        bigons = [f for f in faces if len(f) == 2]
+        if not squares or not bigons or bigons[0] > squares[0]:
+            continue
+        g = g._copy()
+        for h in (h for f in bigons for h in f):
+            g.colors[h] = RED
+        face = find_bigon_or_square(g)
+        assert face == Face(squares[0], "square") == graph_oracle.least_face(g)
+        seen += 1
+    assert seen > 20
+
+
+def test_face_search_returns_no_one_or_three_cycle():
+    g = dumbbell_graph()
+    assert g.faces() == [("a",), ("b", "r1", "d", "r2"), ("c",)]
+    assert find_bigon_or_square(g) == Face(("b", "r1", "d", "r2"), "square")
+    assert graded_dimension(g) == graph_evaluation(g) == CIRCLE * CIRCLE
+    t = tetrahedron_graph()
+    assert sorted(map(len, t.faces())) == [3, 3, 3, 3]
+    assert find_bigon_or_square(t) is None
+    assert graded_dimension(t) == graph_evaluation(t) == CIRCLE
+    # reduce_step takes neither as a face of any kind
+    for graph, darts in (g, ("a",)), (g, ("c",)), (t, t.faces()[0]), (t, t.faces()[3]):
+        for kind in "central-bigon", "side-bigon", "square":
+            with pytest.raises(InvalidFace, match="does not match"):
+                reduce_step(graph, Face(darts, kind))
+
+
+def test_shared_port_names_give_the_same_json(monkeypatch):
+    # smoothing_graph takes its half-edge names from one table for every
+    # graph; names formatted on each call must give the same JSON
+    rng = random.Random(30)
+    cases = braid_states(rng, 200) + [(braid_to_pd([1, -2, 3] * 14, 4), State((1,) * 42))]
+    assert _port_names(168)[:168] == tuple("h%d_%d" % divmod(p, 4) for p in range(168))
+    first = smoothing_graph(*cases[-1])
+    again = smoothing_graph(*cases[-1])
+    halves = [sorted(h for h in g.pairing if h[0] == "h") for g in (first, again)]
+    assert halves[0] and all(a is b for a, b in zip(*halves))
+    shared = [graph_to_json(smoothing_graph(pd, s)) for pd, s in cases]
+    monkeypatch.setattr(graphs, "_port_names",
+                        lambda ports: ["h%d_%d" % divmod(p, 4) for p in range(ports)])
+    assert [graph_to_json(smoothing_graph(pd, s)) for pd, s in cases] == shared
 
 
 def test_smoothing_graph_of_unknot():
