@@ -58,20 +58,6 @@ def nonplanar_theta_graph():
     return TrivalentGraph(rotations, pairing, colors)
 
 
-def test_constructor_rejects_a_half_edge_that_is_not_a_string():
-    # half-edges are sorted together, and 1 does not compare with "l2"
-    g = theta_graph()
-
-    def rename(h):
-        return 1 if h == "l1" else h
-
-    rotations = {v: tuple(map(rename, hs)) for v, hs in g.rotations.items()}
-    pairing = {rename(h): rename(h2) for h, h2 in g.pairing.items()}
-    colors = {rename(h): c for h, c in g.colors.items()}
-    with pytest.raises(MalformedFoam, match="^vertex or half-edge 1 is not a string$"):
-        TrivalentGraph(rotations, pairing, colors)
-
-
 def _renamed(g, names):
     def rename(x):
         return names.get(x, x)
@@ -80,6 +66,12 @@ def _renamed(g, names):
     pairing = {rename(h): rename(h2) for h, h2 in g.pairing.items()}
     colors = {rename(h): c for h, c in g.colors.items()}
     return rotations, pairing, colors
+
+
+def test_constructor_rejects_a_half_edge_that_is_not_a_string():
+    # half-edges are sorted together, and 1 does not compare with "l2"
+    with pytest.raises(MalformedFoam, match="^vertex or half-edge 1 is not a string$"):
+        TrivalentGraph(*_renamed(theta_graph(), {"l1": 1}))
 
 
 @pytest.mark.parametrize("names, extra, message", [
