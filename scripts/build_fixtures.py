@@ -33,7 +33,8 @@ def blue(fid, slots=(), dots=0, genus=0):
 
 
 def red(fid, slots=(), dots=0, squares=0, genus=0):
-    return Facet(fid, RED, dots=dots, squares=squares, slots=tuple(slots))
+    return Facet(fid, RED, genus=genus, dots=dots, squares=squares,
+                 slots=tuple(slots))
 
 
 EMPTY = F()

@@ -243,22 +243,15 @@ def parse_pd(text):
             data = ast.literal_eval(text)
         except (ValueError, SyntaxError, MemoryError, RecursionError) as exc:
             raise ParseError("malformed PD list") from exc
-        # rows of four ints; bools, floats and strings are not coerced
-        if not isinstance(data, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) and len(row) == 4
-            and all(type(v) is int for v in row)
-            for row in data
-        ):
-            raise ParseError("PD list must hold rows of four integers")
-        return PDCode(tuple(data))
+        return PDCode(data)  # which checks the shape of what was read
     crossings = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         m = _PD_TOKEN.fullmatch(chunk)
         if not m:
             raise ParseError("expected X[a,b,c,d] at %r" % chunk)
-        crossings.append(tuple(int(g) for g in m.groups()))
-    return PDCode(tuple(crossings))
+        crossings.append(tuple(map(int, m.groups())))
+    return PDCode(crossings)
 
 
 def braid_to_pd(word, strands):
@@ -304,7 +297,7 @@ def braid_to_pd(word, strands):
         else:
             crossings.append((cur[k + 1], cur[k], a, b))
         cur[k], cur[k + 1] = a, b
-    return PDCode(tuple(crossings))
+    return PDCode(crossings)
 
 
 def mirror(pd):
@@ -319,7 +312,7 @@ def mirror(pd):
             crossings.append((d, a, b, c))
         else:
             crossings.append((b, c, d, a))
-    return PDCode(tuple(crossings))
+    return PDCode(crossings)
 
 
 @dataclass(frozen=True)
@@ -328,6 +321,9 @@ class State:
 
     def __post_init__(self):
         object.__setattr__(self, "assignment", tuple(self.assignment))
+        for s in self.assignment:  # as PD labels, no bool and no 1.0
+            if type(s) is not int or not 0 <= s <= 1:
+                raise InvalidDiagram("state entry %r is not 0 or 1" % (s,))
 
 
 @dataclass(frozen=True)
@@ -402,8 +398,7 @@ def _find(parent, x):
 
 def oriented_state(pd):
     """The orientation-respecting state: 0 at positive, 1 at negative."""
-    _, _, signs = compute_signs(pd)
-    return State(tuple(0 if s > 0 else 1 for s in signs))
+    return State(tuple(0 if o else 1 for o in pd.over_from_3))
 
 
 # -- diagram regions (used to pick valid R2 sites) ----------------------
@@ -453,11 +448,10 @@ def _r1(pd, positive, arc):
     crossings = [list(c) for c in pd.crossings]
     crossings[ci][si] = z
     if positive:
-        kink = (arc, z, y, y)
+        crossings.append((arc, z, y, y))
     else:
-        kink = (arc, y, y, z)
-    crossings.append(list(kink))
-    return PDCode(tuple(tuple(c) for c in crossings))
+        crossings.append((arc, y, y, z))
+    return PDCode(crossings)
 
 
 def r2_sites(pd):
@@ -489,12 +483,7 @@ def _r2(pd, site):
         px, py = site
     except (TypeError, ValueError):
         raise InvalidSite("R2 site must be a pair of ports") from None
-    region_walk = None
-    for walk in regions(pd):
-        if px in walk and py in walk:
-            region_walk = walk
-            break
-    if region_walk is None:
+    if not any(px in walk and py in walk for walk in regions(pd)):
         raise InvalidSite("ports do not bound a common region")
     x = pd.crossings[px[0]][px[1]]
     y = pd.crossings[py[0]][py[1]]
@@ -528,6 +517,6 @@ def _r2(pd, site):
         # other way round from its incoming under-strand
         k1 = (k1[0], k1[3], k1[2], k1[1])
         k2 = (k2[0], k2[3], k2[2], k2[1])
-    crossings.append(list(k1))
-    crossings.append(list(k2))
-    return PDCode(tuple(tuple(c) for c in crossings))
+    crossings.append(k1)
+    crossings.append(k2)
+    return PDCode(crossings)

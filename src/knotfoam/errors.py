@@ -35,7 +35,7 @@ class InvalidFace(InternalError):
 
 
 class ReductionStuck(InternalError):
-    """No bigon or square face was found although red edges remain."""
+    """Vertices remain after the last red edge was removed."""
 
 
 class ParseError(InputError):

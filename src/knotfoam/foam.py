@@ -60,7 +60,7 @@ ways, m the number of free circles.  A cap erases its circle and adds
 its dots to the facet.  Every closure of a term erases the same circles
 and keeps every genus and binding, so the closures differ only in dots
 and share their components, signs and Euler characteristics.  The
-harness therefore runs the first part once per term, at its first
+harness therefore runs the first part once per term, on its undotted
 closure, and the second part for each closure.
 """
 
@@ -409,11 +409,11 @@ def cap_closure(foam, caps=None):
                 kept.append(s)
         if extra or len(kept) != len(f.slots):
             new_facets.append(
-                Facet(f.id, f.color, f.genus, f.dots + extra, f.squares, tuple(kept))
+                Facet(f.id, f.color, f.genus, f.dots + extra, f.squares, kept)
             )
         else:
             new_facets.append(f)
-    return Foam(tuple(new_facets), foam.bindings)
+    return Foam(new_facets, foam.bindings)
 
 
 @dataclass(frozen=True)
@@ -438,18 +438,17 @@ class FoamCombination:
         return sigs.pop() if sigs else None
 
 
-def _capped(foam, dots):
+def _capped(foam):
     """The value of ``foam`` under disk caps, as a function of the cap dots.
 
     Runs the dots-free part of :func:`evaluate_foam` once, on the closure
-    with ``dots`` (in the order of the free boundary), so it raises what
-    ``evaluate_foam(cap_closure(...))`` raises there.  Every other
-    closure differs only in dot counts, so the returned function adds
-    its caps' dots to each facet and runs the value part alone.
+    with undotted caps, so it raises what ``evaluate_foam(cap_closure(...))``
+    raises on every closure.  The closures differ only in dot counts, so
+    the returned function adds its caps' dots (in the order of the free
+    boundary) to each facet and runs the value part alone.
     """
-    slots = [s for s, _ in foam.free_boundary]
-    colorings = _colorings(cap_closure(foam, dict(zip(slots, dots))))
-    position = {s: i for i, s in enumerate(slots)}
+    colorings = _colorings(cap_closure(foam))
+    position = {s: i for i, (s, _) in enumerate(foam.free_boundary)}
     caps = [(f.dots, [position[s] for s in f.slots if s in position])
             for f in foam.facets]
 
@@ -473,7 +472,7 @@ def _closure_value(combination, dots, capped):
         if k == len(capped):
             terms = coeff.terms
             scale = terms[0, 0] if terms.keys() == {(0, 0)} else coeff
-            capped.append((scale, _capped(foam, dots)))
+            capped.append((scale, _capped(foam)))
         scale, value = capped[k]
         total = total + scale * value(dots)
     return total
@@ -506,8 +505,10 @@ def verify_local_relation(lhs, rhs, max_dots=2):
     Returns ``(True, None)`` on success and ``(False, witness)`` on the
     first disagreement, where the witness records the dot assignment and
     both values.  A negative ``max_dots`` would check no closure at all,
-    so it raises ValueError.
+    and a non-integer one would never end, so both raise ValueError.
     """
+    if type(max_dots) is not int:  # a float never equals the last count
+        raise ValueError("max_dots must be an integer, got %r" % (max_dots,))
     if max_dots < 0:
         raise ValueError("max_dots must be at least 0, got %d" % max_dots)
     # a side with no terms has no signature and matches any other
@@ -532,9 +533,9 @@ def random_closed_foam(rng):
     """A random valid closed foam, colorable by construction.
 
     It has 1-5 blue and 0-3 red facets, each of genus 0-2 with 0-3 dots
-    (and 0-3 squares if red).  Blue facets receive a fixed parity bit and
-    bindings only join blue facets of opposite parity, which keeps the
-    page-adjacency graph bipartite.
+    (and 0-3 squares if red).  Bindings only join a blue facet of even
+    index to one of odd index, which keeps the page-adjacency graph
+    bipartite.  Binding j owns slots s3j, s3j+1 and s3j+2.
     """
     n_blue = rng.randint(1, 5)
     n_red = rng.randint(0, 3)
@@ -542,28 +543,21 @@ def random_closed_foam(rng):
     if n_bindings and n_red == 0:
         n_red = 1
 
-    parity = {}
-    blue_ids = []
-    for i in range(n_blue):
-        fid = "b%d" % i
-        blue_ids.append(fid)
-        parity[fid] = i % 2
+    blue_ids = ["b%d" % i for i in range(n_blue)]
     red_ids = ["r%d" % i for i in range(n_red)]
-
-    even = [f for f in blue_ids if parity[f] == 0]
-    odd = [f for f in blue_ids if parity[f] == 1]
+    even = blue_ids[0::2]
+    odd = blue_ids[1::2]
 
     slots = {fid: [] for fid in blue_ids + red_ids}
     bindings = []
-    counter = itertools.count()
-    if even and odd:
+    if odd:  # and so even, which holds b0
         for j in range(n_bindings):
             u = rng.choice(even)
             v = rng.choice(odd)
             r = rng.choice(red_ids)
-            s1 = "s%d" % next(counter)
-            s2 = "s%d" % next(counter)
-            s3 = "s%d" % next(counter)
+            s1 = "s%d" % (3 * j)
+            s2 = "s%d" % (3 * j + 1)
+            s3 = "s%d" % (3 * j + 2)
             slots[u].append(s1)
             slots[v].append(s2)
             slots[r].append(s3)
@@ -578,7 +572,7 @@ def random_closed_foam(rng):
                 BLUE,
                 genus=rng.randint(0, 2),
                 dots=rng.randint(0, 3),
-                slots=tuple(slots[fid]),
+                slots=slots[fid],
             )
         )
     for fid in red_ids:
@@ -589,10 +583,10 @@ def random_closed_foam(rng):
                 genus=rng.randint(0, 2),
                 dots=rng.randint(0, 3),
                 squares=rng.randint(0, 3),
-                slots=tuple(slots[fid]),
+                slots=slots[fid],
             )
         )
-    return Foam(tuple(facets), tuple(bindings))
+    return Foam(facets, bindings)
 
 
 # -- JSON form --------------------------------------------------------

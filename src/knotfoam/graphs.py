@@ -36,10 +36,11 @@ as one exponent k of (q + q^-1)^k.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .diagram import State
+from .diagram import State, braid_to_pd
 from .errors import (InvalidBraid, InvalidDiagram, InvalidFace, MalformedFoam,
                      ReductionStuck)
 from .foam import _json_list
@@ -109,15 +110,8 @@ class TrivalentGraph:
         return self._vertex_of[h]
 
     def edges(self):
-        seen = set()
-        out = []
-        for h, h2 in self.pairing.items():
-            if h in seen:
-                continue
-            seen.add(h)
-            seen.add(h2)
-            out.append((min(h, h2), max(h, h2)))
-        return sorted(out)
+        # the pairing is an involution without fixed points
+        return sorted((h, h2) for h, h2 in self.pairing.items() if h < h2)
 
     def red_edge_count(self):
         # both halves of an edge share its color
@@ -197,18 +191,14 @@ def _classify_face(g, darts):
         if RED in colors and BLUE in colors:
             return "side-bigon"
         return None
-    if len(darts) == 4:
-        reds = colors.count(RED)
-        if reds == 2 and colors[0] != colors[1] and colors[1] != colors[2] \
-                and colors[2] != colors[3]:
-            return "square"
+    # two colors alternating around four darts: two of them red
+    if len(darts) == 4 and colors[0] != colors[1] != colors[2] != colors[3]:
+        return "square"
     return None
 
 
 def find_bigon_or_square(g):
-    """A reducible face, or None when the graph has no red edges."""
-    if g.red_edge_count() == 0:
-        return None
+    """A reducible face, or None; a graph without red edges has no darts."""
     return _least_face(g, sorted(g.pairing), _turns(g))
 
 
@@ -372,24 +362,11 @@ def cup_basis(g):
 # -- graphs from diagram smoothings -------------------------------------
 
 
-# _PORT_NAMES[port] is "h<ci>_<si>" for port 4 * ci + si: one string per
-# port, shared by every smoothing graph, so dict lookups during a
-# reduction compare names by identity
-_PORT_NAMES = ()
-
-
+@functools.cache
 def _port_names(ports):
-    """_PORT_NAMES, covering at least ``ports`` ports.
-
-    A longer table replaces the old one and never changes once made, so
-    a caller in another thread sees either table, each right.
-    """
-    global _PORT_NAMES
-    names = _PORT_NAMES
-    if len(names) < ports:
-        names = _PORT_NAMES = names + tuple(
-            "h%d_%d" % divmod(port, 4) for port in range(len(names), ports))
-    return names
+    """Half-edge names "h<ci>_<si>" of ports 4 * ci + si, one table per
+    size, so dict lookups during a reduction compare names by identity."""
+    return tuple("h%d_%d" % divmod(port, 4) for port in range(ports))
 
 
 def smoothing_graph(pd, state):
@@ -476,8 +453,6 @@ def smoothing_graph(pd, state):
 def random_planar_graph(rng):
     """A random smoothing graph of a random braid closure, with 1-12
     vertices."""
-    from .diagram import braid_to_pd
-
     while True:
         strands = rng.randint(2, 4)
         length = rng.randint(max(2, strands - 1), 7)

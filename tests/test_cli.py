@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pathlib
@@ -9,6 +10,8 @@ import pytest
 
 import knotfoam
 from knotfoam.cli import MAX_DOTS, TOOL_VERSION, main
+from knotfoam.diagram import PDCode
+from knotfoam.errors import InvalidDiagram
 from knotfoam.foam import BLUE, RED, Binding, Facet, Foam, foam_to_json
 from knotfoam.graphs import graph_to_json
 
@@ -88,16 +91,25 @@ def test_parse_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize("text", [
+    "(7)",               # a bare int
     "(1,2,3,4)",         # a bare row, not a list of rows
     "[[1,2,3,4],5]",     # a row that is not a list
+    "[{1,2,3,4}]",       # a set has no slot order
+    "[[1,2,3]]",         # three labels
+    "[[1,1,2,2,3]]",     # five labels
     "[[1,2,2,1.9]]",     # a float would be truncated
     "[[1,2,'2',1]]",     # a string would be coerced
+    "[[1,1,2,True]]",    # a bool is an int subclass
+    "[[1,1,2,None]]",
 ])
 def test_malformed_pd_list_exit_code(capsys, text):
+    # the one line names what PDCode rejects in the literal
+    with pytest.raises(InvalidDiagram) as built:
+        PDCode(ast.literal_eval(text))
     code, out, err = run_cli(["invariants", "--pd", text], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert err == "input error: %s\n" % built.value
 
 
 def test_size_limit_exit_code(capsys):

@@ -1,3 +1,4 @@
+import ast
 import random
 import tracemalloc
 
@@ -45,6 +46,31 @@ def test_parse_errors():
         parse_pd("X[1,2,3,4]")  # arcs appearing once
     with pytest.raises(InvalidDiagram):
         PDCode(((1, 1, 1, 1),))
+
+
+# list literals of the wrong shape; a float, str, bool or None label is
+# not coerced
+MISSHAPEN_PD_LISTS = [
+    "(7)", "(1,2,3,4)", "[1,2,3,4]", "[[1,2,3,4],5]", "[{1,2,3,4}]",
+    "[{1: 2}]", "[[1,2,3]]", "[[1,1,2,2,3]]", "[[1,2,2,1.9]]",
+    "[[1,2,'2',1]]", "[[1,1,2,True]]", "[[1,1,2,None]]",
+]
+
+
+@pytest.mark.parametrize("text", MISSHAPEN_PD_LISTS)
+def test_pd_list_shape_is_checked_by_pdcode(text):
+    # parse_pd hands what it read to PDCode, so both fail alike
+    with pytest.raises(InvalidDiagram) as parsed:
+        parse_pd(text)
+    with pytest.raises(InvalidDiagram) as built:
+        PDCode(ast.literal_eval(text))
+    assert type(parsed.value) is type(built.value)
+    assert str(parsed.value) == str(built.value)
+
+
+def test_empty_pd_list_is_the_unknot():
+    for text in "[]", "()":
+        assert parse_pd(text) == PDCode() and parse_pd(text).n == 0
 
 
 def test_braid_to_pd():
@@ -95,6 +121,17 @@ def test_mirror_swaps_signs():
     n_plus, n_minus, _ = compute_signs(pd)
     m_plus, m_minus, _ = compute_signs(mirror(pd))
     assert (m_plus, m_minus) == (n_minus, n_plus)
+
+
+@pytest.mark.parametrize("entry", [2, -1, True, False, 0.0, 1.0, "1", None])
+def test_state_entries_are_the_ints_0_and_1(entry):
+    # a 2 used to read as a 1-smoothing in smooth_state and as a
+    # 0-smoothing in smoothing_graph
+    with pytest.raises(InvalidDiagram, match="state entry"):
+        State((entry,))
+    with pytest.raises(InvalidDiagram, match="state entry"):
+        State((0, entry, 1))
+    assert State([0, 1]).assignment == (0, 1)
 
 
 def test_smooth_state_empty():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import random
@@ -584,3 +585,13 @@ def test_evaluation_raises_like_the_oracle():
         outcome = _outcome(evaluate_foam, foam)
         assert outcome[0] is expected, foam
         assert outcome == _outcome(evaluate_term_by_term, foam), foam
+
+
+def test_random_closed_foam_stream_is_pinned():
+    # the SHA-256 of the JSON of 2,000 seeded foams: a change to the
+    # generator that moves any RNG call changes every later foam
+    rng = random.Random(5)
+    text = json.dumps([foam_to_json(random_closed_foam(rng)) for _ in range(2000)],
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "91f9edc3f824d8de318045640a592ba6589638868a7b5924ea391b48ecb5f0de")

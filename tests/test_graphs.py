@@ -300,8 +300,8 @@ def test_face_search_returns_no_one_or_three_cycle():
 
 
 def test_shared_port_names_give_the_same_json(monkeypatch):
-    # smoothing_graph takes its half-edge names from one table for every
-    # graph; names formatted on each call must give the same JSON
+    # smoothing_graph takes its half-edge names from one table per size;
+    # names formatted on each call must give the same JSON
     rng = random.Random(30)
     cases = braid_states(rng, 200) + [(braid_to_pd([1, -2, 3] * 14, 4), State((1,) * 42))]
     assert _port_names(168)[:168] == tuple("h%d_%d" % divmod(p, 4) for p in range(168))

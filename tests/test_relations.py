@@ -106,6 +106,15 @@ def test_negative_max_dots_raises():
         verify_local_relation(lhs, rhs, max_dots=-1)
 
 
+@pytest.mark.parametrize("max_dots", [2.5, 2.0, "2", None])
+def test_non_integer_max_dots_raises(max_dots):
+    # the closures end when every cap carries exactly max_dots dots, so
+    # 2.5 would never end
+    _name, _desc, lhs, rhs = load_fixture("bigon")
+    with pytest.raises(ValueError, match="max_dots must be an integer"):
+        verify_local_relation(lhs, rhs, max_dots=max_dots)
+
+
 def test_fixture_descriptions_present():
     for name, description, lhs, rhs in relation_fixtures():
         assert description
