@@ -440,8 +440,9 @@ def _r1(pd, positive, arc):
         if positive:
             return PDCode(((1, 1, 2, 2),))
         return PDCode(((1, 2, 2, 1),))
-    # a tuple test, so that an unhashable site is missing, not a TypeError
-    if not any(arc in c for c in pd.crossings):
+    # labels are exactly ints, so a site such as True or 1.0 is missing
+    # even where it equals a label
+    if type(arc) is not int or not any(arc in c for c in pd.crossings):
         raise InvalidSite("no arc %r in diagram" % arc)
     ci, si = _head(pd, arc)
     y, z = _fresh_labels(pd, 2)

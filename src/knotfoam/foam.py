@@ -66,6 +66,7 @@ closure, and the second part for each closure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -319,12 +320,18 @@ def _colorings(foam):
     return sign, factors, chi_b // 2, reds, red_squares
 
 
+@functools.cache
+def _binomial_row(m, sign):
+    """The coefficients of (X1 + sign*X2)^m: comb(m, j) * sign^(m-j) at
+    X1^j * X2^(m-j)."""
+    return tuple(math.comb(m, j) * sign ** (m - j) for j in range(m + 1))
+
+
 def _times_binomial(row, m, sign):
-    """The row times (X1 + sign*X2)^m, whose coefficient at
-    X1^j * X2^(m-j) is comb(m, j) * sign^(m-j)."""
+    """The row times (X1 + sign*X2)^m."""
     if not m:
         return row
-    binomial = [math.comb(m, j) * sign ** (m - j) for j in range(m + 1)]
+    binomial = _binomial_row(m, sign)
     out = [0] * (len(row) + m)
     for a, c in enumerate(row):
         if c:

@@ -48,6 +48,8 @@ from .polyring import LaurentQ
 
 BLUE = "blue"
 RED = "red"
+# the colors of a vertex's rotation, its one red half-edge in any slot
+_VERTEX_COLORS = ((RED, BLUE, BLUE), (BLUE, RED, BLUE), (BLUE, BLUE, RED))
 
 
 class TrivalentGraph:
@@ -77,30 +79,35 @@ class TrivalentGraph:
         return g
 
     def validate(self):
-        colors = self.colors
+        colors, pairing, vertex_of = self.colors, self.pairing, self._vertex_of
+        color, partner = colors.get, pairing.get
         for v, hs in self.rotations.items():
             if len(hs) != 3:
                 raise MalformedFoam("vertex %r is not trivalent" % v)
-            cs = [colors.get(h) for h in hs]
-            if cs.count(RED) != 1 or cs.count(BLUE) != 2:
+            a, b, c = hs
+            # compared with ==, never hashed: a JSON color may be a list
+            if (color(a), color(b), color(c)) not in _VERTEX_COLORS:
                 raise MalformedFoam(
                     "vertex %r needs one red and two blue half-edges" % v
                 )
-        if len(self._vertex_of) != 3 * len(self.rotations):
+        if len(vertex_of) != 3 * len(self.rotations):
             slots = [h for hs in self.rotations.values() for h in hs]
             h = next(h for h in slots if slots.count(h) > 1)
             raise MalformedFoam("half-edge %r sits in more than one rotation "
                                 "slot" % h)
-        for h, h2 in self.pairing.items():
-            if h2 == h or self.pairing.get(h2) != h:
+        for h, h2 in pairing.items():
+            if h2 == h or partner(h2) != h:
                 raise MalformedFoam("half-edge pairing is not an involution")
-            if h not in self._vertex_of:
+            if h not in vertex_of:
                 raise MalformedFoam("half-edge %r belongs to no vertex" % h)
-            if colors[h] != colors.get(h2):
+            if colors[h] != color(h2):
                 raise MalformedFoam("edge %r-%r changes color" % (h, h2))
-        for h in self._vertex_of:
-            if h not in self.pairing:
-                raise MalformedFoam("half-edge %r is unpaired" % h)
+        # every paired half-edge is on a vertex, so equal counts leave
+        # none unpaired
+        if len(pairing) != len(vertex_of):
+            for h in vertex_of:
+                if h not in pairing:
+                    raise MalformedFoam("half-edge %r is unpaired" % h)
         if self.circles < 0:
             raise MalformedFoam("negative circle count")
 

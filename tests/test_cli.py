@@ -731,3 +731,16 @@ def test_malformed_json_exit_code(tmp_path, capsys, command, make, edit):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_graph_edge_color_as_a_list_is_an_input_error(tmp_path, capsys):
+    # the vertex check compares colors with ==, so an unhashable color is
+    # a bad color, not a TypeError
+    data = _theta_graph_json()
+    data["edges"][0]["color"] = ["blue"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["graph-dim", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("input error: vertex 'v1' needs one red and two blue "
+                   "half-edges\n")

@@ -266,6 +266,17 @@ def test_r1_on_an_unhashable_site_is_an_invalid_site(site):
         reidemeister_move(t, "R1+", site)
 
 
+@pytest.mark.parametrize("move", ["R1+", "R1-"])
+@pytest.mark.parametrize("site", [True, 1.0, 7])
+def test_r1_site_must_be_an_int_label(move, site):
+    # True and 1.0 equal the label 1, but labels are exactly ints
+    t = braid_to_pd([1, 1, 1], 2)
+    with pytest.raises(InvalidSite) as info:
+        reidemeister_move(t, move, site)
+    assert str(info.value) == "no arc %r in diagram" % (site,)
+    assert reidemeister_move(t, move, 1).n == 4
+
+
 @pytest.mark.parametrize("crossings, message", [
     ([[1, 1, 0, 0]], "arc labels must be positive, got 0"),
     ([[2, 2, 2, 2]], "arc 2 appears 4 times, expected 2"),

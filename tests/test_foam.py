@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -437,6 +438,23 @@ def test_row_edge_cases():
     ]
     for foam, expected in cases:
         assert evaluate_foam(foam) == expected == evaluate_term_by_term(foam), foam
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_times_binomial_is_the_comb_convolution(sign):
+    # the row of (X1 + sign*X2)^m comes from a table; the product must be
+    # the convolution with comb(m, j) * sign^(m-j) at X1^j * X2^(m-j)
+    rng = random.Random(31)
+    for m in range(13):
+        for _ in range(5):
+            row = [rng.choice((0, 0, rng.randint(-9, 9)))
+                   for _ in range(rng.randint(1, 6))]
+            want = [0] * (len(row) + m)
+            for a, c in enumerate(row):
+                for j in range(m + 1):
+                    want[a + j] += c * math.comb(m, j) * sign ** (m - j)
+            assert list(knotfoam.foam._times_binomial(row, m, sign)) == want, \
+                (row, m)
 
 
 def test_row_arithmetic_matches_the_polynomial_oracle():

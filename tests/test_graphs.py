@@ -468,6 +468,62 @@ def test_half_edge_in_two_rotation_slots_is_malformed(rotations):
         TrivalentGraph(rotations, pairing, colors)
 
 
+def _drop_slot(rotations, pairing, colors):
+    del rotations["v1"][2]
+
+
+def _recolor(**new):
+    def edit(rotations, pairing, colors):
+        colors.update(new)
+    return edit
+
+
+def _one_sided_pair(rotations, pairing, colors):
+    pairing["l1"] = "ri1"
+
+
+def _unpair_edge(rotations, pairing, colors):
+    del pairing["l1"], pairing["l2"]
+
+
+@pytest.mark.parametrize("edit, circles, message", [
+    (_drop_slot, 0, "vertex 'v1' is not trivalent"),
+    (_recolor(l1=RED, l2=RED), 0,
+     "vertex 'v1' needs one red and two blue half-edges"),
+    (_one_sided_pair, 0, "half-edge pairing is not an involution"),
+    # each vertex keeps one red half-edge, but edge ri1-ri2 goes red to blue
+    (_recolor(ri1=RED, r1=BLUE), 0, "edge 'ri1'-'ri2' changes color"),
+    (_unpair_edge, 0, "half-edge 'l1' is unpaired"),
+    (None, -1, "negative circle count"),
+], ids=["trivalent", "colors", "involution", "changes-color", "unpaired",
+        "circles"])
+def test_validate_messages_on_a_corrupted_theta(edit, circles, message):
+    g = theta_graph()
+    rotations = {v: list(hs) for v, hs in g.rotations.items()}
+    pairing, colors = dict(g.pairing), dict(g.colors)
+    if edit:
+        edit(rotations, pairing, colors)
+    with pytest.raises(MalformedFoam) as info:
+        TrivalentGraph(rotations, pairing, colors, circles)
+    assert str(info.value) == message
+
+
+def test_validate_matches_the_reference_on_corrupted_graphs():
+    # tests/graph_oracle.py keeps validate as it first was; one seeded
+    # corruption of each of 2,000 graphs must give the same outcome and
+    # message from both, and every message must come up
+    outcomes = graph_oracle.compare_validate(1, 1200, 800)
+    assert sum(outcomes.values()) == 2000
+    for kind in ("ok", "vertex _ is not trivalent",
+                 "vertex _ needs one red and two blue half-edges",
+                 "half-edge _ sits in more than one rotation slot",
+                 "half-edge pairing is not an involution",
+                 "half-edge _ belongs to no vertex",
+                 "edge _-_ changes color", "half-edge _ is unpaired",
+                 "negative circle count"):
+        assert outcomes[kind] > 10, (kind, outcomes)
+
+
 def test_paired_half_edge_on_no_vertex_is_malformed():
     with pytest.raises(MalformedFoam, match="^half-edge 'x' belongs to no vertex$"):
         TrivalentGraph({}, {"x": "y", "y": "x"}, {})
